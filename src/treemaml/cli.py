@@ -14,6 +14,7 @@ import itertools
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -195,7 +196,11 @@ def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: i
 
 
 def run_experiment(spec: ExperimentSpec, dump_tree: bool = False, echo=None) -> ExperimentOutcome:
-    """Run the full grid sequentially; divergence aborts only its own cell."""
+    """Run the full grid sequentially; an exception aborts only its own cell.
+
+    Each failed cell becomes a CellFailure naming the exception, and the grid
+    goes on with the next cell.
+    """
     model = LinearRegressionModel(spec.generator.dim)
     tree = build_parameter_tree(spec.generator)
     outcome = ExperimentOutcome([], [], [], {})
@@ -206,12 +211,17 @@ def run_experiment(spec: ExperimentSpec, dump_tree: bool = False, echo=None) -> 
                     result, log, tree_dump = _run_cell(
                         model, tree, spec, mode, points, seed, dump_tree
                     )
-                except DivergenceError as e:
-                    outcome.failures.append(
-                        CellFailure(mode, points, seed, f"diverged: {e} (iteration {e.iteration})")
-                    )
+                except Exception as e:  # one bad cell must not sink the rest of the grid
+                    diverged = isinstance(e, DivergenceError)
+                    if diverged:
+                        error = f"diverged: {e} (iteration {e.iteration})"
+                    else:
+                        error = f"{type(e).__name__}: {e}"
+                    outcome.failures.append(CellFailure(mode, points, seed, error))
                     if echo:
-                        echo(f"[{mode} points={points} seed={seed}] FAILED: {e}")
+                        echo(f"[{mode} points={points} seed={seed}] FAILED: {error}")
+                        if not diverged:
+                            echo(traceback.format_exc().rstrip())
                     continue
                 outcome.results.append(result)
                 for rec in log:

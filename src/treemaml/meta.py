@@ -271,14 +271,18 @@ def _partition_step(tasks, grads, k, cfg, prev_level, index, paths):
             out.append((members, parents.pop()))
         return out
     # tree_learned, clustered step: regroup independently inside each parent so
-    # the new partition refines the previous one.
+    # the new partition refines the previous one. A zero gradient (an exactly
+    # fitted task) has no direction to cluster on, so that task steps alone,
+    # after the clustered tasks and in batch order.
     out = []
     for p_idx, parent in enumerate(prev_level):
-        items = [(tid, grads[tid]) for tid in parent.members]
-        root = build_tree(items, cfg.cluster)
-        for cluster in clusters_at_level(root, 1):
-            cset = set(cluster)
-            out.append(([tid for tid in parent.members if tid in cset], p_idx))
+        zero = {tid for tid in parent.members if grads[tid].norm() == 0.0}
+        items = [(tid, grads[tid]) for tid in parent.members if tid not in zero]
+        if items:
+            for cluster in clusters_at_level(build_tree(items, cfg.cluster), 1):
+                cset = set(cluster)
+                out.append(([tid for tid in parent.members if tid in cset], p_idx))
+        out.extend(([tid], p_idx) for tid in parent.members if tid in zero)
     return out
 
 

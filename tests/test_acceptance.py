@@ -200,6 +200,7 @@ def test_criterion_4_clustering_structural_properties():
     assert time.perf_counter() - t0 < 10.0
 
 
+@pytest.mark.slow
 def test_criterion_5_benchmark_orderings_and_ratios():
     # Full benchmark grid from specs/benchmark.json: per points column,
     # averaged over replicate seeds, (a) fixed tree < maml < baseline,
@@ -225,6 +226,7 @@ def test_criterion_5_benchmark_orderings_and_ratios():
     assert elapsed < 900.0
 
 
+@pytest.mark.slow
 def test_criterion_6_tree_advantage_is_largest_at_few_points():
     # Sweep points per task with the benchmark generator: the maml-minus-fixed
     # MSE gap must trend downward as tasks get more data (Spearman < 0).

@@ -305,3 +305,22 @@ def test_main_export_dist(tmp_path, capsys):
     assert cfg.dim == 6
     assert len(centers) == 7
     assert all(c.dim == 6 for c in centers)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_main_cell_exception_is_contained(tmp_path, capsys):
+    # inner_lr=1e80 overflows inside the maml cell, where a ParamVector
+    # constructor raises NumericalError; the zero-shot baseline cell never
+    # uses inner_lr and must still run and be written out
+    d = small_dict(modes=["maml", "baseline"])
+    d["generator"]["dim"] = 8
+    d["meta"]["inner_lr"] = 1e80
+    d["meta"]["baseline_finetune"] = False
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(d))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(p), "--out-dir", str(out_dir)]) == 1
+    assert "cell failed: maml/4/0: NumericalError" in capsys.readouterr().err
+    assert "FAILED maml/4/0: NumericalError" in (out_dir / "table.txt").read_text()
+    rows = (out_dir / "results.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["baseline"]

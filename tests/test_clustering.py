@@ -7,14 +7,19 @@ from treemaml.clustering import (
     ClusterConfig,
     ClusterTreeNode,
     DuplicateTaskError,
+    _mean,
+    _std,
     build_tree,
     clusters_at_level,
     otd_insert,
     tree_to_dict,
 )
-from treemaml.numerics import ParamVector, ZeroVectorError
+from treemaml.numerics import ParamVector, ZeroVectorError, set_similarity
+
+from otd_reference import reference_build_tree
 
 D2 = ClusterConfig(max_depth=2, xi=1.0)
+XIS = (0.0, 0.5, 1.0, 2.0)
 
 
 def unit(deg):
@@ -199,12 +204,12 @@ def check_representatives(node, vectors):
     assert union == node.member_tasks
 
 
-def random_items(rng):
+def random_items(rng, duplicates=True):
     n = int(rng.integers(1, 13))
     dim = int(rng.integers(2, 7))
     items = []
     for i in range(n):
-        if i > 0 and rng.random() < 0.2:
+        if duplicates and i > 0 and rng.random() < 0.2:
             # duplicate an earlier direction to exercise the widening branch
             v = items[int(rng.integers(i))][1].values * float(rng.uniform(0.5, 2.0))
         else:
@@ -240,3 +245,82 @@ def test_structural_properties_hold_on_random_sequences():
     for trial in range(300):
         cfg = ClusterConfig(max_depth=int(rng.integers(1, 5)), xi=xis[trial % 4])
         check_structure(random_items(rng), cfg)
+
+
+def assert_matches_reference(items, cfg):
+    assert tree_to_dict(build_tree(items, cfg)) == tree_to_dict(reference_build_tree(items, cfg))
+
+
+def has_collinear_pair(items):
+    mat = np.stack([v.values for _, v in items])
+    unit_rows = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+    cos = np.abs(unit_rows @ unit_rows.T)
+    np.fill_diagonal(cos, 0.0)
+    return bool(np.any(cos > 1.0 - 1e-12))
+
+
+def clustered_batch(rng, m=96, dim=64):
+    # Two-level hierarchy of directions plus per-item noise, the shape of the
+    # benchmark's task gradients: 2 top clusters, 4 leaves, 96 tasks, dim 64.
+    tops = rng.normal(size=(2, dim))
+    leaves = np.repeat(tops, 2, axis=0) + rng.normal(size=(4, dim))
+    scale = float(rng.uniform(0.2, 1.0))
+    vecs = leaves[rng.integers(0, 4, size=m)] + scale * rng.normal(size=(m, dim))
+    return [(i, ParamVector(v)) for i, v in enumerate(vecs)]
+
+
+def test_cached_ladder_matches_reference_on_random_sequences():
+    rng = np.random.default_rng(7)
+    for trial in range(1000):
+        cfg = ClusterConfig(max_depth=int(rng.integers(1, 5)), xi=XIS[trial % 4])
+        items = random_items(rng, duplicates=False)
+        assert_matches_reference(items, cfg)
+
+
+def test_cached_ladder_matches_reference_at_benchmark_scale():
+    rng = np.random.default_rng(8)
+    for trial in range(50):
+        # even trials use the benchmark's clustering config
+        cfg = D2 if trial % 2 == 0 else ClusterConfig(max_depth=3, xi=XIS[trial % 4])
+        assert_matches_reference(clustered_batch(rng), cfg)
+
+
+def test_cached_ladder_differs_from_reference_only_on_collinear_ties():
+    # Scaled duplicates give cosines of 1 +- a few ulp, and the cache's
+    # matrix-vector products round differently from the reference's Gram
+    # matrices, so such exact ties may break the other way. Every difference
+    # must come from a sequence holding such a pair.
+    rng = np.random.default_rng(4)
+    for trial in range(1000):
+        cfg = ClusterConfig(max_depth=int(rng.integers(1, 5)), xi=XIS[trial % 4])
+        items = random_items(rng)
+        if tree_to_dict(build_tree(items, cfg)) != tree_to_dict(reference_build_tree(items, cfg)):
+            assert has_collinear_pair(items)
+
+
+def check_cache(node):
+    if node.is_leaf:
+        return
+    c = len(node.children)
+    reps = [child.representative for child in node.children]
+    assert np.array_equal(node._reps[:c], np.stack([r.values for r in reps]))
+    assert np.allclose(node._norms[:c], [r.norm() for r in reps], rtol=1e-15, atol=0.0)
+    if c >= 2:
+        expected = set_similarity(reps)
+        pairs = node._pair_cosines(c)
+        mean, std = _mean(pairs), _std(pairs, _mean(pairs))
+        # the ladder's helpers round exactly as ndarray.mean and ndarray.std
+        assert mean == pairs.mean() and std == pairs.std()
+        assert abs(mean - expected.mean_pairwise) <= 1e-12
+        assert abs(std - expected.std_pairwise) <= 1e-12
+    for child in node.children:
+        check_cache(child)
+
+
+def test_cached_statistics_match_set_similarity():
+    rng = np.random.default_rng(9)
+    for trial in range(200):
+        cfg = ClusterConfig(max_depth=int(rng.integers(1, 5)), xi=XIS[trial % 4])
+        check_cache(build_tree(random_items(rng), cfg))
+    for _ in range(5):
+        check_cache(build_tree(clustered_batch(rng), D2))

@@ -268,6 +268,29 @@ def test_learned_tree_groups_by_gradient_direction():
             assert set(cs.members) <= set(trace.steps[k - 1][cs.parent].members)
 
 
+def test_learned_tree_puts_zero_gradient_tasks_in_singletons():
+    # task 0 is fitted exactly by omega (y = X omega), so its gradient is zero
+    # at every step: it cannot be clustered and must step alone
+    rng = np.random.default_rng(16)
+    model = LinearRegressionModel(3)
+    omega = ParamVector(rng.normal(size=3))
+    x0 = rng.uniform(-2, 2, size=(4, 3))
+    tasks = [make_task(0, x0, x0 @ omega.values)] + random_tasks(rng, 4, 3)[1:]
+    cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01,
+                     cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
+    trace = adapt_tree(model, omega, tasks, cfg)
+    for k in (0, 1):
+        assert (0,) in [cs.members for cs in trace.steps[k]]
+        assert sorted(t for cs in trace.steps[k] for t in cs.members) == [0, 1, 2, 3]
+    assert trace.final_params[0] == omega
+
+    fitted = [make_task(i, x, x @ omega.values)
+              for i, x in enumerate(rng.uniform(-2, 2, size=(3, 4, 3)))]
+    trace = adapt_tree(model, omega, fitted, cfg)
+    assert trace.partition_sizes == [3, 3, 3]
+    assert [cs.members for cs in trace.steps[0]] == [(0,), (1,), (2,)]
+
+
 def test_adapt_tree_input_validation():
     model = LinearRegressionModel(2)
     omega = ParamVector([0.0, 0.0])
