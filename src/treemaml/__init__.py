@@ -10,8 +10,6 @@ Typical use:
     >>> tree = tasks.build_parameter_tree(tasks.TaskGeneratorConfig(seed=7))
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
 from .numerics import (
@@ -48,14 +46,12 @@ from .meta import (
     AdaptationTrace,
     CapabilityError,
     DivergenceError,
-    EmptyClusterError,
     FixedTreeSpec,
     MetaConfig,
     TreeShapeError,
     adapt_and_evaluate,
     adapt_tree,
     generator_hierarchy_tree,
-    inner_step_cluster,
     inner_step_task,
     meta_train,
     outer_update,

@@ -214,7 +214,7 @@ def run_experiment(spec: ExperimentSpec, dump_tree: bool = False, echo=None) -> 
                 except Exception as e:  # one bad cell must not sink the rest of the grid
                     diverged = isinstance(e, DivergenceError)
                     if diverged:
-                        error = f"diverged: {e} (iteration {e.iteration})"
+                        error = f"diverged: {e}"
                     else:
                         error = f"{type(e).__name__}: {e}"
                     outcome.failures.append(CellFailure(mode, points, seed, error))
@@ -307,21 +307,12 @@ def render_table(results: Sequence[RunResult], failures: Sequence[CellFailure],
     return "\n".join(lines) + "\n"
 
 
-def emit_table(outcome: ExperimentOutcome, spec: ExperimentSpec, out_dir) -> tuple:
-    """Write results.csv and table.txt under out_dir; returns (table, csv) text."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_text = render_csv(outcome.results, spec)
-    table_text = render_table(outcome.results, outcome.failures, spec)
-    (out / "results.csv").write_text(csv_text)
-    (out / "table.txt").write_text(table_text)
-    return table_text, csv_text
-
-
 def write_outputs(outcome: ExperimentOutcome, spec: ExperimentSpec, out_dir) -> None:
+    """Write results.csv, table.txt, log.jsonl and any tree dumps under out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emit_table(outcome, spec, out)
+    (out / "results.csv").write_text(render_csv(outcome.results, spec))
+    (out / "table.txt").write_text(render_table(outcome.results, outcome.failures, spec))
     with open(out / "log.jsonl", "w") as fh:
         for rec in outcome.training_logs:
             fh.write(json.dumps(rec) + "\n")
@@ -333,10 +324,6 @@ def export_distribution(spec: ExperimentSpec, path) -> None:
     """Write the task distribution (config + node centers) for audit."""
     tree = build_parameter_tree(spec.generator)
     Path(path).write_text(json.dumps(distribution_to_dict(tree)))
-
-
-def export_tree(trace: AdaptationTrace, path) -> None:
-    Path(path).write_text(json.dumps(trace_tree_to_dict(trace), indent=2))
 
 
 def _csv_ints(text: str) -> tuple:

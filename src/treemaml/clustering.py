@@ -57,25 +57,17 @@ class ClusterConfig:
     """Knobs of the insertion ladder.
 
     max_depth bounds the depth of every node (root is depth 0). xi scales the
-    outlier threshold in branch 4. most_similar selects how branch 3 reads
-    "most similar child": "argmax" picks the highest cosine similarity;
-    "argmin" is the literal-minimizer alternative, kept behind this switch.
+    outlier threshold in branch 4.
     """
 
     max_depth: int = 2
     xi: float = 1.0
-    similarity: str = "cosine"
-    most_similar: str = "argmax"
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.xi < 0:
             raise ValueError("xi must be non-negative")
-        if self.similarity != "cosine":
-            raise ValueError(f"unsupported similarity {self.similarity!r}")
-        if self.most_similar not in ("argmax", "argmin"):
-            raise ValueError("most_similar must be 'argmax' or 'argmin'")
 
 
 class ClusterTreeNode:
@@ -218,13 +210,11 @@ def _shift_down(node: ClusterTreeNode) -> None:
         _shift_down(child)
 
 
-def _most_similar_child(node: ClusterTreeNode, col: np.ndarray, cfg: ClusterConfig) -> int:
-    """Index of the child scoring best in col, the item's cosine column.
+def _most_similar_child(node: ClusterTreeNode, col: np.ndarray) -> int:
+    """Index of the child with the highest cosine in col, the item's cosine column.
 
     Ties break to the lowest node_id.
     """
-    if cfg.most_similar == "argmin":
-        col = -col
     first = int(col.argmax())
     if first == len(col) - 1 - int(col[::-1].argmax()):
         return first  # the maximum is unique
@@ -290,7 +280,7 @@ def _insert(node: ClusterTreeNode, task_id: int, vector: ParamVector, norm: floa
         if node.depth + 1 == cfg.max_depth:
             node._append(_leaf(node, task_id, vector), values, norm, col)
             return node
-        idx = _most_similar_child(node, col, cfg)
+        idx = _most_similar_child(node, col)
         target = node.children[idx]
         if target.is_leaf:
             target.depth += 1

@@ -18,6 +18,11 @@ member batches' Hessians at the step's input parameters, applied bottom-up
 along each cluster's path to the root, with adjoints of sibling subtrees summed
 at their shared parent. First-order mode instead averages the validation
 gradients at the adapted parameters.
+
+A model is any object with dim, loss(params, batch) and gradient(params,
+batch), such as models.LinearRegressionModel. hessian_vector_product(params,
+batch, v) is optional; second-order meta-gradients raise CapabilityError
+without it.
 """
 
 from __future__ import annotations
@@ -26,8 +31,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,10 +44,6 @@ from .tasks import ConfigError, TaskInstance
 MODES = ("baseline", "maml", "tree_fixed", "tree_learned")
 
 DIVERGENCE_LIMIT = 1e6
-
-
-class EmptyClusterError(ValueError):
-    """A pooled step was asked for with no member batches."""
 
 
 class TreeShapeError(ValueError):
@@ -170,23 +170,12 @@ class MetaConfig:
             d["cluster"] = {
                 "max_depth": self.cluster.max_depth,
                 "xi": self.cluster.xi,
-                "similarity": self.cluster.similarity,
-                "most_similar": self.cluster.most_similar,
             }
         return d
 
 
 def stable_hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class GradientRecord:
-    """Per-task mean training gradient observed at inner step `step` (1-based)."""
-
-    task_id: int
-    step: int
-    gradient: ParamVector
 
 
 @dataclass(frozen=True)
@@ -208,10 +197,8 @@ class ClusterState:
 class AdaptationTrace:
     """Everything reverse mode needs about one adaptation pass."""
 
-    init_params: ParamVector
     steps: list
     final_params: dict
-    gradients: list
     train_batches: dict
 
     @property
@@ -223,17 +210,6 @@ def inner_step_task(model, params: ParamVector, batch: Batch, lr: float) -> Para
     """One gradient step on a single task's training batch."""
     g = model.gradient(params, batch)
     return ParamVector(params.values - lr * g.values)
-
-
-def inner_step_cluster(model, params: ParamVector, member_batches: Sequence[Batch], lr: float) -> ParamVector:
-    """One pooled step: subtract lr times the across-member mean of per-task
-    mean gradients. With equal member batch sizes this equals a plain step on
-    the concatenated batch."""
-    batches = list(member_batches)
-    if not batches:
-        raise EmptyClusterError("cluster step needs at least one member batch")
-    stack = np.stack([model.gradient(params, b).values for b in batches])
-    return ParamVector(params.values - lr * np.mean(stack, axis=0))
 
 
 def _fixed_paths(tasks: Sequence[TaskInstance], cfg: MetaConfig) -> dict:
@@ -306,15 +282,12 @@ def adapt_tree(model, omega: ParamVector, task_batch: Sequence[TaskInstance], cf
     prev_level = [ClusterState(tuple(ids), -1, None, omega)]
     index = {tid: 0 for tid in ids}
     levels = []
-    records = []
 
     for k in range(1, cfg.inner_steps + 1):
         grads = {}
         for t in tasks:
             params = prev_level[index[t.task_id]].params_out
-            g = model.gradient(params, t.train_points)
-            grads[t.task_id] = g
-            records.append(GradientRecord(t.task_id, k, g))
+            grads[t.task_id] = model.gradient(params, t.train_points)
         level = []
         for members, p_idx in _partition_step(tasks, grads, k, cfg, prev_level, index, paths):
             params_in = prev_level[p_idx].params_out
@@ -327,10 +300,8 @@ def adapt_tree(model, omega: ParamVector, task_batch: Sequence[TaskInstance], cf
 
     final = {tid: prev_level[index[tid]].params_out for tid in ids}
     return AdaptationTrace(
-        init_params=omega,
         steps=levels,
         final_params=final,
-        gradients=records,
         train_batches={t.task_id: t.train_points for t in tasks},
     )
 
@@ -454,20 +425,3 @@ def adapt_and_evaluate(model, omega: ParamVector, support_tasks: Sequence[TaskIn
         theta = trace.final_params[target_task.task_id]
     return model.loss(theta, target_task.test_points)
 
-
-def save_checkpoint(path, omega: ParamVector, config_hash: str = "", iteration: int = 0) -> None:
-    payload = {
-        "dim": omega.dim,
-        "values": omega.to_list(),
-        "config_hash": config_hash,
-        "iteration": int(iteration),
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_checkpoint(path):
-    d = json.loads(Path(path).read_text())
-    omega = ParamVector(d["values"])
-    if omega.dim != int(d["dim"]):
-        raise ValueError("checkpoint dim field disagrees with values length")
-    return omega, d.get("config_hash", ""), int(d.get("iteration", 0))

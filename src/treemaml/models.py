@@ -1,9 +1,9 @@
-"""Differentiable model contract and the analytic linear regression model."""
+"""Data batches and the analytic linear regression model."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,12 +42,6 @@ class Batch:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple]) -> "Batch":
-        xs = [np.asarray(p[0], dtype=np.float64) for p in pairs]
-        ys = [float(p[1]) for p in pairs]
-        return cls(np.stack(xs), np.asarray(ys))
-
     @staticmethod
     def concat(batches: Sequence["Batch"]) -> "Batch":
         if not batches:
@@ -65,48 +59,6 @@ def _check(params: ParamVector, batch: Batch) -> None:
         raise ValueError(f"batch dim {batch.dim} != params dim {params.dim}")
 
 
-def mse_loss(params: ParamVector, batch: Batch) -> float:
-    """Mean over the batch of (<params, x> - y)^2."""
-    _check(params, batch)
-    r = batch.x @ params.values - batch.y
-    return float(np.mean(r * r))
-
-
-def mse_gradient(params: ParamVector, batch: Batch) -> ParamVector:
-    """Exact gradient of mse_loss: (2/n) * X^T (X p - y)."""
-    _check(params, batch)
-    r = batch.x @ params.values - batch.y
-    return ParamVector((2.0 / len(batch)) * (batch.x.T @ r))
-
-
-def mse_hessian_vector_product(params: ParamVector, batch: Batch, v: ParamVector) -> ParamVector:
-    """H v for the constant MSE Hessian H = (2/n) * X^T X.
-
-    params is part of the contract signature; for a linear model the Hessian
-    does not depend on it.
-    """
-    _check(params, batch)
-    if v.dim != params.dim:
-        raise ValueError(f"vector dim {v.dim} != params dim {params.dim}")
-    return ParamVector((2.0 / len(batch)) * (batch.x.T @ (batch.x @ v.values)))
-
-
-class DifferentiableModel(Protocol):
-    """What the meta-training engine needs from a model.
-
-    loss and gradient are mandatory and must agree with central finite
-    differences to 1e-6 relative on smooth inputs. hessian_vector_product is an
-    optional capability; second-order meta-gradients require it and raise
-    CapabilityError when it is absent. dim is the parameter dimension.
-    """
-
-    dim: int
-
-    def loss(self, params: ParamVector, batch: Batch) -> float: ...
-
-    def gradient(self, params: ParamVector, batch: Batch) -> ParamVector: ...
-
-
 @dataclass(frozen=True)
 class LinearRegressionModel:
     """y_hat = <params, x> with squared error, all derivatives in closed form."""
@@ -114,10 +66,24 @@ class LinearRegressionModel:
     dim: int
 
     def loss(self, params: ParamVector, batch: Batch) -> float:
-        return mse_loss(params, batch)
+        """Mean over the batch of (<params, x> - y)^2."""
+        _check(params, batch)
+        r = batch.x @ params.values - batch.y
+        return float(np.mean(r * r))
 
     def gradient(self, params: ParamVector, batch: Batch) -> ParamVector:
-        return mse_gradient(params, batch)
+        """Exact gradient of loss: (2/n) * X^T (X p - y)."""
+        _check(params, batch)
+        r = batch.x @ params.values - batch.y
+        return ParamVector((2.0 / len(batch)) * (batch.x.T @ r))
 
     def hessian_vector_product(self, params: ParamVector, batch: Batch, v: ParamVector) -> ParamVector:
-        return mse_hessian_vector_product(params, batch, v)
+        """H v for the constant MSE Hessian H = (2/n) * X^T X.
+
+        params is part of the signature; for a linear model the Hessian does
+        not depend on it.
+        """
+        _check(params, batch)
+        if v.dim != params.dim:
+            raise ValueError(f"vector dim {v.dim} != params dim {params.dim}")
+        return ParamVector((2.0 / len(batch)) * (batch.x.T @ (batch.x @ v.values)))

@@ -28,9 +28,9 @@ class InsufficientSamplesError(ValueError):
 class ParamVector:
     """Immutable flat vector of float64 parameters.
 
-    Constructors and arithmetic reject non-finite entries, so a NaN produced
-    anywhere surfaces at the operation that created it instead of propagating
-    silently through an experiment.
+    The constructor rejects non-finite entries, so a NaN produced anywhere
+    surfaces at the operation that created it instead of propagating silently
+    through an experiment.
     """
 
     __slots__ = ("_values",)
@@ -45,10 +45,6 @@ class ParamVector:
         arr.setflags(write=False)
         self._values = arr
 
-    @classmethod
-    def zeros(cls, dim: int) -> "ParamVector":
-        return cls(np.zeros(int(dim)))
-
     @property
     def values(self) -> np.ndarray:
         """The underlying read-only float64 array."""
@@ -58,49 +54,16 @@ class ParamVector:
     def dim(self) -> int:
         return self._values.shape[0]
 
-    def dot(self, other: "ParamVector") -> float:
-        self._check_dim(other)
-        return float(self._values @ other._values)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self._values))
 
     def to_list(self) -> list:
         return [float(v) for v in self._values]
 
-    def _check_dim(self, other: "ParamVector") -> None:
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "ParamVector") -> "ParamVector":
-        if not isinstance(other, ParamVector):
-            return NotImplemented
-        self._check_dim(other)
-        return ParamVector(self._values + other._values)
-
-    def __sub__(self, other: "ParamVector") -> "ParamVector":
-        if not isinstance(other, ParamVector):
-            return NotImplemented
-        self._check_dim(other)
-        return ParamVector(self._values - other._values)
-
-    def __mul__(self, scalar) -> "ParamVector":
-        if not isinstance(scalar, (int, float, np.floating, np.integer)):
-            return NotImplemented
-        return ParamVector(self._values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ParamVector":
-        return ParamVector(-self._values)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamVector):
             return NotImplemented
         return self.dim == other.dim and bool(np.array_equal(self._values, other._values))
-
-    def __len__(self) -> int:
-        return self.dim
 
     def __repr__(self) -> str:
         return f"ParamVector({np.array2string(self._values, max_line_width=70)})"

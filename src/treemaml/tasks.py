@@ -8,8 +8,8 @@ targets carry additive Gaussian noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -63,13 +63,6 @@ class TaskGeneratorConfig:
             return float(self.task_jitter)
         return 0.1 * self.level_scales[-1]
 
-    @property
-    def num_leaf_clusters(self) -> int:
-        n = 1
-        for b in self.branching:
-            n *= b
-        return n
-
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -81,10 +74,6 @@ class TaskGeneratorConfig:
             "seed": self.seed,
             "task_jitter": self.task_jitter,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskGeneratorConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -218,9 +207,6 @@ class TaskSampler:
         self.next_id += m
         return batch
 
-    def sample(self, n_train: int, n_val: int, n_test: int = 0) -> TaskInstance:
-        return self.sample_batch(1, n_train, n_val, n_test)[0]
-
 
 def distribution_to_dict(tree: ParameterTree) -> dict:
     """JSON-ready audit dump: config plus every node center in BFS order."""
@@ -232,9 +218,3 @@ def distribution_to_dict(tree: ParameterTree) -> dict:
         queue.extend(node.children)
     return {"config": tree.config.to_dict(), "centers": centers}
 
-
-def distribution_from_dict(d: dict) -> tuple:
-    """Inverse of distribution_to_dict: (config, list of center ParamVectors)."""
-    cfg = TaskGeneratorConfig.from_dict(d["config"])
-    centers = [ParamVector(c) for c in d["centers"]]
-    return cfg, centers

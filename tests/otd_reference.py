@@ -84,12 +84,11 @@ def _shift_down(node: ReferenceNode) -> None:
         _shift_down(child)
 
 
-def _most_similar_child(node: ReferenceNode, vector: ParamVector, cfg: ClusterConfig) -> int:
+def _most_similar_child(node: ReferenceNode, vector: ParamVector) -> int:
     """Index of the child whose representative is most similar to vector.
 
     Ties break to the lowest node_id.
     """
-    pick_max = cfg.most_similar == "argmax"
     reps = np.stack([child.representative.values for child in node.children])
     norms = np.linalg.norm(reps, axis=1)
     scores = (reps @ vector.values) / (norms * vector.norm())
@@ -100,7 +99,7 @@ def _most_similar_child(node: ReferenceNode, vector: ParamVector, cfg: ClusterCo
         score = float(scores[idx])
         better = (
             best_score is None
-            or (score > best_score if pick_max else score < best_score)
+            or score > best_score
             or (score == best_score and child.node_id < best_id)
         )
         if better:
@@ -151,7 +150,7 @@ def _insert(node: ReferenceNode, task_id: int, vector: ParamVector, cfg: Cluster
         if node.depth + 1 == cfg.max_depth:
             _append_leaf(node, task_id, vector)
             return node
-        idx = _most_similar_child(node, vector, cfg)
+        idx = _most_similar_child(node, vector)
         target = children[idx]
         if target.is_leaf:
             group = ReferenceNode(node._ids, node.depth + 1)

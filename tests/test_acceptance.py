@@ -20,10 +20,10 @@ from treemaml.meta import (
     FixedTreeSpec,
     MetaConfig,
     adapt_tree,
-    inner_step_cluster,
     inner_step_task,
     meta_gradient,
     meta_validation_loss,
+    single_cluster_tree,
     singleton_tree,
 )
 from treemaml.models import Batch, LinearRegressionModel
@@ -114,8 +114,9 @@ def test_criterion_2_singleton_fixed_tree_is_bit_identical_to_maml():
 
 
 def test_criterion_3_cluster_step_equals_step_on_concatenated_batch():
-    # With equal member batch sizes, one pooled cluster step must equal one
-    # plain step on the concatenation, to 1e-12 per coordinate.
+    # With equal member batch sizes, one pooled cluster step (adapt_tree's step
+    # on a single-cluster tree) must equal one plain step on the concatenation,
+    # to 1e-12 per coordinate.
     rng = np.random.default_rng(3)
     for _ in range(200):
         dim = int(rng.integers(2, 7))
@@ -129,7 +130,12 @@ def test_criterion_3_cluster_step_equals_step_on_concatenated_batch():
         for _ in range(members):
             x = rng.uniform(-2, 2, size=(n, dim))
             batches.append(Batch(x, x @ w + rng.normal(0, 0.1, n)))
-        pooled = inner_step_cluster(model, params, batches, lr)
+        tasks = [TaskInstance(RegressionTaskParams(ParamVector(w), 0, (0,)), b, b, b, i)
+                 for i, b in enumerate(batches)]
+        cfg = MetaConfig(mode="tree_fixed", fixed_tree=single_cluster_tree(1), inner_steps=1,
+                         inner_lr=lr, tasks_per_batch=members)
+        (cluster,) = adapt_tree(model, params, tasks, cfg).steps[0]
+        pooled = cluster.params_out
         concat = inner_step_task(model, params, Batch.concat(batches), lr)
         assert np.max(np.abs(pooled.values - concat.values)) <= 1e-12
 

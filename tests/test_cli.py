@@ -27,7 +27,6 @@ from treemaml.tasks import (
     TaskGeneratorConfig,
     TaskSampler,
     build_parameter_tree,
-    distribution_from_dict,
 )
 
 
@@ -108,6 +107,11 @@ def test_load_spec_rejects_bad_input(tmp_path):
     unknown.write_text(json.dumps(small_dict(meta={"inner_steps": 3, "bogus_knob": 1})))
     with pytest.raises(ConfigError):
         load_spec(unknown)
+    # cosine similarity and the argmax child are fixed, not clustering knobs
+    for knob in ({"similarity": "cosine"}, {"most_similar": "argmax"}):
+        unknown.write_text(json.dumps(small_dict(clustering={"max_depth": 2, **knob})))
+        with pytest.raises(ConfigError):
+            load_spec(unknown)
 
 
 def test_cell_config_specializes_the_template():
@@ -292,8 +296,30 @@ def test_main_divergent_cell_exits_nonzero(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["run", str(p), "--out-dir", str(out_dir)]) == 1
     assert "cell failed" in capsys.readouterr().err
-    assert "FAILED maml/4/0" in (out_dir / "table.txt").read_text()
+    failed = [line for line in (out_dir / "table.txt").read_text().splitlines()
+              if line.startswith("FAILED maml/4/0: diverged: ")]
+    assert len(failed) == 1
+    # the DivergenceError message names the iteration; nothing repeats it
+    assert failed[0].count("at iteration") == 1
+    assert "(iteration" not in failed[0]
     assert (out_dir / "results.csv").read_text().strip() == "mode,points,seed,mean_mse,ci95"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_main_outer_step_overflow_fails_each_cell(tmp_path, capsys):
+    # outer_lr=1e200 overflows omega in the outer step of both cells; each
+    # fails alone and the grid still writes its (empty) results
+    d = small_dict(modes=["maml", "baseline"])
+    d["generator"]["dim"] = 8
+    d["meta"]["outer_lr"] = 1e200
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(d))
+    out_dir = tmp_path / "out"
+    assert main(["run", str(p), "--out-dir", str(out_dir)]) == 1
+    table = (out_dir / "table.txt").read_text()
+    assert "FAILED maml/4/0: " in table
+    assert "FAILED baseline/4/0: " in table
+    assert (out_dir / "results.csv").read_text() == "mode,points,seed,mean_mse,ci95\n"
 
 
 def test_main_export_dist(tmp_path, capsys):
@@ -301,10 +327,10 @@ def test_main_export_dist(tmp_path, capsys):
     p.write_text(json.dumps(small_dict()))
     target = tmp_path / "centers.json"
     assert main(["export-dist", str(p), "--out", str(target)]) == 0
-    cfg, centers = distribution_from_dict(json.loads(target.read_text()))
-    assert cfg.dim == 6
-    assert len(centers) == 7
-    assert all(c.dim == 6 for c in centers)
+    d = json.loads(target.read_text())
+    assert TaskGeneratorConfig(**d["config"]).dim == 6
+    assert len(d["centers"]) == 7
+    assert all(len(c) == 6 for c in d["centers"])
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

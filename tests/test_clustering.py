@@ -48,10 +48,11 @@ def test_cluster_config_validation():
         ClusterConfig(max_depth=0)
     with pytest.raises(ValueError):
         ClusterConfig(xi=-0.1)
-    with pytest.raises(ValueError):
-        ClusterConfig(similarity="euclidean")
-    with pytest.raises(ValueError):
-        ClusterConfig(most_similar="nearest")
+    # cosine similarity and the argmax child are fixed; neither is a field
+    with pytest.raises(TypeError):
+        ClusterConfig(similarity="cosine")
+    with pytest.raises(TypeError):
+        ClusterConfig(most_similar="argmax")
 
 
 def test_first_two_insertions_append():
@@ -142,12 +143,6 @@ def test_ties_break_to_lowest_node_id():
     root = build_tree([(1, unit(0)), (2, unit(90)), (3, unit(45))], D2)
     # equidistant from both children: joins the earlier-created e1 leaf
     assert root.children[0].member_tasks == {1, 3}
-
-
-def test_argmin_switch_picks_least_similar_child():
-    cfg = ClusterConfig(max_depth=2, xi=1.0, most_similar="argmin")
-    root = build_tree([(1, unit(0)), (2, unit(90)), (3, unit(5))], cfg)
-    assert root.children[1].member_tasks == {2, 3}
 
 
 def test_insertion_errors():

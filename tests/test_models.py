@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
 
-from treemaml.models import (
-    Batch,
-    EmptyBatchError,
-    LinearRegressionModel,
-    mse_gradient,
-    mse_hessian_vector_product,
-    mse_loss,
-)
+from treemaml.models import Batch, EmptyBatchError, LinearRegressionModel
 from treemaml.numerics import ParamVector, finite_difference_gradient
+
+
+# The three model methods, each called on a model sized to params.
+def loss(params, batch):
+    return LinearRegressionModel(params.dim).loss(params, batch)
+
+
+def gradient(params, batch):
+    return LinearRegressionModel(params.dim).gradient(params, batch)
+
+
+def hvp(params, batch, v):
+    return LinearRegressionModel(params.dim).hessian_vector_product(params, batch, v)
 
 
 def random_instance(rng, dim=3, n=6):
@@ -37,7 +43,7 @@ def test_batch_is_read_only():
 
 
 def test_batch_helpers():
-    b = Batch.from_pairs([([1.0, 2.0], 3.0), ([4.0, 5.0], 6.0)])
+    b = Batch([[1.0, 2.0], [4.0, 5.0]], [3.0, 6.0])
     assert len(b) == 2
     assert b.dim == 2
     assert b.y.tolist() == [3.0, 6.0]
@@ -50,7 +56,7 @@ def test_batch_helpers():
 
 def test_mse_loss_hand_values():
     # zero params, single point x=[1], y=2: residual -2, loss 4
-    assert mse_loss(ParamVector([0.0]), Batch([[1.0]], [2.0])) == 4.0
+    assert loss(ParamVector([0.0]), Batch([[1.0]], [2.0])) == 4.0
 
 
 def test_mse_loss_perfect_fit_is_zero():
@@ -58,7 +64,7 @@ def test_mse_loss_perfect_fit_is_zero():
     w = rng.normal(size=4)
     x = rng.uniform(-3.0, 3.0, size=(7, 4))
     batch = Batch(x, x @ w)
-    assert mse_loss(ParamVector(w), batch) == 0.0
+    assert loss(ParamVector(w), batch) == 0.0
 
 
 def test_mse_loss_matches_loop_oracle():
@@ -68,45 +74,45 @@ def test_mse_loss_matches_loop_oracle():
         total = 0.0
         for xi, yi in zip(batch.x, batch.y):
             total += (float(np.dot(params.values, xi)) - yi) ** 2
-        assert abs(mse_loss(params, batch) - total / len(batch)) < 1e-12
+        assert abs(loss(params, batch) - total / len(batch)) < 1e-12
 
 
 def test_empty_batch_raises():
     p = ParamVector([1.0, 2.0])
     empty = Batch(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(EmptyBatchError):
-        mse_loss(p, empty)
+        loss(p, empty)
     with pytest.raises(EmptyBatchError):
-        mse_gradient(p, empty)
+        gradient(p, empty)
     with pytest.raises(EmptyBatchError):
-        mse_hessian_vector_product(p, empty, p)
+        hvp(p, empty, p)
 
 
 def test_dim_mismatch_raises():
     p = ParamVector([1.0, 2.0, 3.0])
     b = Batch(np.ones((2, 2)), np.ones(2))
     with pytest.raises(ValueError):
-        mse_loss(p, b)
+        loss(p, b)
     with pytest.raises(ValueError):
-        mse_hessian_vector_product(ParamVector([1.0, 1.0]), b, p)
+        hvp(ParamVector([1.0, 1.0]), b, p)
 
 
 def test_mse_gradient_hand_values():
-    g = mse_gradient(ParamVector([1.0, 1.0]), Batch([[1.0, 0.0]], [0.0]))
+    g = gradient(ParamVector([1.0, 1.0]), Batch([[1.0, 0.0]], [0.0]))
     assert g.to_list() == [2.0, 0.0]
     # perfect fit has zero gradient
     rng = np.random.default_rng(2)
     w = rng.normal(size=3)
     x = rng.uniform(-1.0, 1.0, size=(5, 3))
-    assert mse_gradient(ParamVector(w), Batch(x, x @ w)).norm() == 0.0
+    assert gradient(ParamVector(w), Batch(x, x @ w)).norm() == 0.0
 
 
 def test_mse_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     for _ in range(20):
         params, batch = random_instance(rng)
-        fd = finite_difference_gradient(lambda p: mse_loss(p, batch), params)
-        g = mse_gradient(params, batch)
+        fd = finite_difference_gradient(lambda p: loss(p, batch), params)
+        g = gradient(params, batch)
         rel = np.linalg.norm(g.values - fd.values) / max(np.linalg.norm(fd.values), 1e-12)
         assert rel < 1e-6
 
@@ -116,9 +122,9 @@ def test_mse_gradient_linearity_over_batches():
     rng = np.random.default_rng(4)
     params, b1 = random_instance(rng, n=4)
     _, b2 = random_instance(rng, n=8)
-    g1 = mse_gradient(params, b1).values
-    g2 = mse_gradient(params, b2).values
-    combined = mse_gradient(params, Batch.concat([b1, b2])).values
+    g1 = gradient(params, b1).values
+    g2 = gradient(params, b2).values
+    combined = gradient(params, Batch.concat([b1, b2])).values
     weighted = (len(b1) * g1 + len(b2) * g2) / (len(b1) + len(b2))
     assert np.allclose(combined, weighted, atol=1e-12)
 
@@ -128,9 +134,9 @@ def test_hvp_hand_values():
     basis = Batch(np.eye(3), np.zeros(3))
     v = ParamVector([1.0, 1.0, 1.0])
     # H = (2/3) I on the standard-basis batch
-    got = mse_hessian_vector_product(p, basis, v)
+    got = hvp(p, basis, v)
     assert got.to_list() == pytest.approx([2.0 / 3.0] * 3, abs=1e-15)
-    zero = mse_hessian_vector_product(p, basis, ParamVector.zeros(3))
+    zero = hvp(p, basis, ParamVector(np.zeros(3)))
     assert zero.norm() == 0.0
 
 
@@ -140,10 +146,10 @@ def test_hvp_matches_finite_differences_of_gradient():
         params, batch = random_instance(rng)
         v = ParamVector(rng.normal(size=params.dim))
         h = 1e-6
-        gp = mse_gradient(ParamVector(params.values + h * v.values), batch).values
-        gm = mse_gradient(ParamVector(params.values - h * v.values), batch).values
+        gp = gradient(ParamVector(params.values + h * v.values), batch).values
+        gm = gradient(ParamVector(params.values - h * v.values), batch).values
         fd = (gp - gm) / (2.0 * h)
-        got = mse_hessian_vector_product(params, batch, v).values
+        got = hvp(params, batch, v).values
         rel = np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-5
 
@@ -154,9 +160,9 @@ def test_hvp_symmetry():
         params, batch = random_instance(rng)
         u = ParamVector(rng.normal(size=params.dim))
         v = ParamVector(rng.normal(size=params.dim))
-        hu = mse_hessian_vector_product(params, batch, u)
-        hv = mse_hessian_vector_product(params, batch, v)
-        assert abs(u.dot(hv) - v.dot(hu)) < 1e-10
+        hu = hvp(params, batch, u)
+        hv = hvp(params, batch, v)
+        assert abs(u.values @ hv.values - v.values @ hu.values) < 1e-10
 
 
 def test_loss_is_convex_along_segments():
@@ -166,15 +172,6 @@ def test_loss_is_convex_along_segments():
         p1 = ParamVector(rng.normal(size=p0.dim))
         for t in (0.25, 0.5, 0.75):
             mid = ParamVector((1 - t) * p0.values + t * p1.values)
-            chord = (1 - t) * mse_loss(p0, batch) + t * mse_loss(p1, batch)
-            assert mse_loss(mid, batch) <= chord + 1e-10
+            chord = (1 - t) * loss(p0, batch) + t * loss(p1, batch)
+            assert loss(mid, batch) <= chord + 1e-10
 
-
-def test_linear_regression_model_delegates():
-    rng = np.random.default_rng(8)
-    params, batch = random_instance(rng, dim=4, n=5)
-    v = ParamVector(rng.normal(size=4))
-    model = LinearRegressionModel(dim=4)
-    assert model.loss(params, batch) == mse_loss(params, batch)
-    assert model.gradient(params, batch) == mse_gradient(params, batch)
-    assert model.hessian_vector_product(params, batch, v) == mse_hessian_vector_product(params, batch, v)

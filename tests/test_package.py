@@ -1,0 +1,52 @@
+"""The package's public surface and the hygiene of its module imports."""
+
+import ast
+from pathlib import Path
+
+import treemaml
+
+SRC = Path(treemaml.__file__).resolve().parent
+
+# Imported on purpose without a use in the importing module.
+IMPORT_ALLOWANCES = {
+    # re-exported for callers that resolve treemaml.clustering.set_similarity
+    "clustering.py": {"set_similarity"},
+}
+
+
+def test_public_names_are_pinned():
+    # A change to this set is a change to the public API and should be
+    # deliberate; the five submodules appear because __all__ lists every
+    # public name the package namespace holds.
+    assert set(treemaml.__all__) == {
+        "AdaptationTrace", "Batch", "CapabilityError", "ClusterConfig", "ClusterTreeNode",
+        "ConfigError", "DivergenceError", "DuplicateTaskError", "EmptyBatchError",
+        "FixedTreeSpec", "InsufficientSamplesError", "LinearRegressionModel", "MODES",
+        "MetaConfig", "NumericalError", "ParamVector", "SimilarityStats", "TaskGeneratorConfig",
+        "TaskInstance", "TaskSampler", "TreeShapeError", "ZeroVectorError",
+        "adapt_and_evaluate", "adapt_tree", "build_parameter_tree", "build_tree",
+        "clusters_at_level", "confidence_halfwidth_95", "cosine_similarity",
+        "finite_difference_gradient", "generator_hierarchy_tree", "inner_step_task",
+        "meta_train", "otd_insert", "outer_update", "sample_task", "sample_task_batch",
+        "set_similarity", "single_cluster_tree", "singleton_tree",
+        "clustering", "meta", "models", "numerics", "tasks",
+    }
+
+
+def unused_imports(path: Path) -> set:
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used - IMPORT_ALLOWANCES.get(path.name, set())
+
+
+def test_modules_import_only_names_they_use():
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: sorted(unused_imports(p)) for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

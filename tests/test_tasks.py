@@ -6,7 +6,6 @@ from treemaml.tasks import (
     TaskGeneratorConfig,
     TaskSampler,
     build_parameter_tree,
-    distribution_from_dict,
     distribution_to_dict,
     sample_task,
     sample_task_batch,
@@ -36,10 +35,8 @@ def test_config_defaults_and_derived():
     cfg = TaskGeneratorConfig()
     assert cfg.dim == 64
     assert cfg.branching == (2, 2)
-    assert cfg.num_leaf_clusters == 4
     assert cfg.jitter_std == pytest.approx(0.05)  # 0.1 * last level scale
     assert TaskGeneratorConfig(task_jitter=0.3).jitter_std == 0.3
-    assert TaskGeneratorConfig(branching=(3, 2, 2), level_scales=(1, 1, 1, 1)).num_leaf_clusters == 12
 
 
 def test_parameter_tree_shape():
@@ -152,7 +149,7 @@ def test_task_sampler_ids_increase():
     tree = build_parameter_tree(SMALL)
     sampler = TaskSampler(tree, np.random.default_rng(7), start_id=50)
     b1 = sampler.sample_batch(3, 2, 2)
-    single = sampler.sample(2, 2)
+    single = sampler.sample_batch(1, 2, 2)[0]
     b2 = sampler.sample_batch(2, 2, 2)
     ids = [t.task_id for t in b1] + [single.task_id] + [t.task_id for t in b2]
     assert ids == list(range(50, 56))
@@ -162,9 +159,9 @@ def test_distribution_round_trip():
     tree = build_parameter_tree(SMALL)
     d = distribution_to_dict(tree)
     assert len(d["centers"]) == 7
-    cfg, centers = distribution_from_dict(d)
-    assert cfg == SMALL
-    assert centers[0] == tree.root.center
-    # BFS order: root, two mid nodes, four leaves
-    assert centers[3] == tree.leaves[0].center
-    assert centers[6] == tree.leaves[3].center
+    # the dump holds what rebuilds the distribution: its config and the
+    # centers in BFS order (root, two mid nodes, four leaves)
+    assert TaskGeneratorConfig(**d["config"]) == SMALL
+    assert d["centers"][0] == tree.root.center.to_list()
+    assert d["centers"][3] == tree.leaves[0].center.to_list()
+    assert d["centers"][6] == tree.leaves[3].center.to_list()
