@@ -1,9 +1,10 @@
 """treemaml: MAML and tree-structured MAML over task hierarchies.
 
 Library layout: numerics (vectors, similarity stats, finite differences),
-models (linear regression with closed-form derivatives), tasks (synthetic
-hierarchical task distribution), clustering (online top-down tree building),
-meta (inner/outer loops and meta-gradients), cli (experiment grids).
+models (batches, their stacked form, and linear regression with closed-form
+derivatives), tasks (synthetic hierarchical task distribution, sampled into
+stacked task batches), clustering (online top-down tree building), meta
+(array-native inner/outer loops and meta-gradients), cli (experiment grids).
 
 Typical use:
     >>> from treemaml import tasks, meta, models
@@ -23,9 +24,10 @@ from .numerics import (
     finite_difference_gradient,
     set_similarity,
 )
-from .models import Batch, EmptyBatchError, LinearRegressionModel
+from .models import Batch, BatchStack, EmptyBatchError, LinearRegressionModel
 from .tasks import (
     ConfigError,
+    TaskBatch,
     TaskGeneratorConfig,
     TaskInstance,
     TaskSampler,
@@ -59,4 +61,22 @@ from .meta import (
     singleton_tree,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # numerics
+    "InsufficientSamplesError", "NumericalError", "ParamVector", "SimilarityStats",
+    "ZeroVectorError", "confidence_halfwidth_95", "cosine_similarity",
+    "finite_difference_gradient", "set_similarity",
+    # models
+    "Batch", "BatchStack", "EmptyBatchError", "LinearRegressionModel",
+    # tasks
+    "ConfigError", "TaskBatch", "TaskGeneratorConfig", "TaskInstance", "TaskSampler",
+    "build_parameter_tree", "sample_task", "sample_task_batch",
+    # clustering
+    "ClusterConfig", "ClusterTreeNode", "DuplicateTaskError", "build_tree",
+    "clusters_at_level", "otd_insert",
+    # meta
+    "MODES", "AdaptationTrace", "CapabilityError", "DivergenceError", "FixedTreeSpec",
+    "MetaConfig", "TreeShapeError", "adapt_and_evaluate", "adapt_tree",
+    "generator_hierarchy_tree", "inner_step_task", "meta_train", "outer_update",
+    "single_cluster_tree", "singleton_tree",
+]

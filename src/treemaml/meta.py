@@ -19,10 +19,26 @@ along each cluster's path to the root, with adjoints of sibling subtrees summed
 at their shared parent. First-order mode instead averages the validation
 gradients at the adapted parameters.
 
-A model is any object with dim, loss(params, batch) and gradient(params,
-batch), such as models.LinearRegressionModel. hessian_vector_product(params,
-batch, v) is optional; second-order meta-gradients raise CapabilityError
-without it.
+The engine works on stacked arrays: a task batch is a TaskBatch whose splits
+are (m, n, d) inputs and (m, n) targets, each inner step takes all m task
+gradients in one batched call, and the reverse pass takes one batched HVP per
+step. Cluster means and adjoint sums add rows in the order the per-task loops
+did, so the results are those loops' bit for bit. Every step's gradients and
+parameters, the meta-gradient and the outer step are checked for finiteness
+once, as whole arrays; a failure raises DivergenceError naming the phase and,
+in meta_train, the iteration.
+
+A model is any object with:
+- dim;
+- loss(params, batch) on one Batch, for the baseline's meta-loss and the
+  meta-test loss, and gradient(params, batch), for inner_step_task;
+- batch_loss(P, X, Y) -> (m,) and batch_gradient(P, X, Y) -> (m, d), per task
+  i at parameters P[i] (P is (m, d)) on inputs X[i] (X is (m, n, d)) and
+  targets Y[i] (Y is (m, n));
+- optionally batch_hvp(P, X, Y, V) -> (m, d), the Hessian of task i's loss at
+  P[i] applied to V[i]. Second-order meta-gradients raise CapabilityError
+  without it.
+models.LinearRegressionModel is one.
 """
 
 from __future__ import annotations
@@ -31,15 +47,16 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .clustering import ClusterConfig, build_tree, clusters_at_level
-from .models import Batch, EmptyBatchError
+from .models import Batch, BatchStack, EmptyBatchError
 from .numerics import ParamVector
-from .tasks import ConfigError, TaskInstance
+from .tasks import ConfigError, TaskBatch, TaskInstance
 
 MODES = ("baseline", "maml", "tree_fixed", "tree_learned")
 
@@ -55,10 +72,18 @@ class CapabilityError(TypeError):
 
 
 class DivergenceError(RuntimeError):
-    """Meta-training left the finite/bounded regime."""
+    """Values left the finite/bounded regime.
 
-    def __init__(self, message: str, iteration: int):
-        super().__init__(message)
+    phase says where: "inner step k", "meta-validation", "meta-gradient",
+    "outer step" or "eval, ..."; iteration is the outer iteration when
+    meta_train raised it, else None.
+    """
+
+    def __init__(self, what: str, phase: str, iteration: Optional[int] = None):
+        where = f"{what} in {phase}"
+        super().__init__(where if iteration is None else f"{where} at iteration {iteration}")
+        self.what = what
+        self.phase = phase
         self.iteration = iteration
 
 
@@ -180,30 +205,101 @@ def stable_hash(payload: dict) -> str:
 
 @dataclass(frozen=True)
 class ClusterState:
-    """One cluster at one inner step.
+    """One cluster at one inner step, as AdaptationTrace.steps lists it.
 
     members are task_ids in task-batch order; parent indexes the previous
-    step's cluster list (-1 for the virtual root holding the initial
+    step's cluster list (0 at step 1, the virtual root holding the initial
     parameters). params_in is the parent's parameters the step started from.
     """
 
     members: tuple
     parent: int
-    params_in: Optional[ParamVector]
+    params_in: ParamVector
     params_out: ParamVector
+
+
+class _Groups:
+    """Rows grouped by seg: row i is in group seg[i], groups 0..count-1 all non-empty.
+
+    Both reductions add each group's rows in row order. mean() sums a
+    C-contiguous (k, d) block over axis 0, as np.mean(np.stack(rows), axis=0)
+    does, and running_sum() adds the rows one at a time onto zeros, as a Python
+    loop does. They differ when d == 1, where numpy sums axis 0 pairwise.
+    np.add.reduceat and np.add.at are no substitute: the first sums pairwise
+    for any d, the second costs a microsecond per row.
+    """
+
+    def __init__(self, seg: np.ndarray, count: int):
+        self.sizes = np.bincount(seg, minlength=count)
+        self.order = np.argsort(seg, kind="stable")
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.runs = [(c, int(self.starts[c]), int(self.starts[c] + self.sizes[c]))
+                     for c in np.flatnonzero(self.sizes > 1).tolist()]
+
+    def _reduce(self, values: np.ndarray, block_sum) -> np.ndarray:
+        rows = values[self.order]
+        out = rows[self.starts]
+        for c, a, b in self.runs:
+            out[c] = block_sum(rows[a:b])
+        return out
+
+    def mean(self, values: np.ndarray) -> np.ndarray:
+        return self._reduce(values, lambda block: block.sum(axis=0)) / self.sizes[:, None]
+
+    def running_sum(self, values: np.ndarray) -> np.ndarray:
+        # 0.0 + s turns a -0.0 sum into the +0.0 a loop from zeros gives.
+        return 0.0 + self._reduce(values, lambda block: np.add.accumulate(block, axis=0)[-1])
 
 
 @dataclass
 class AdaptationTrace:
-    """Everything reverse mode needs about one adaptation pass."""
+    """Everything reverse mode needs about one adaptation pass, as arrays.
 
-    steps: list
-    final_params: dict
-    train_batches: dict
+    A task's index in `tasks` is its row in every per-task array. For inner
+    step k, entry k-1 of each list holds: owners, each task's cluster (m,);
+    parents, each cluster's index among the step-(k-1) clusters (C,), all 0
+    at step 1, whose parent is the root holding omega; params, each cluster's
+    parameters after the step (C, d); groups, the tasks grouped by cluster.
+    """
+
+    omega: ParamVector
+    tasks: TaskBatch
+    owners: list
+    parents: list
+    params: list
+    groups: list = field(repr=False)
 
     @property
     def partition_sizes(self) -> list:
-        return [len(level) for level in self.steps]
+        return [len(parent) for parent in self.parents]
+
+    def task_params(self, k: int) -> np.ndarray:
+        """(m, d) each task's parameters after k inner steps."""
+        if k == 0:
+            return np.repeat(self.omega.values[None], len(self.tasks), axis=0)
+        return self.params[k - 1][self.owners[k - 1]]
+
+    @cached_property
+    def final_params(self) -> dict:
+        """task_id -> adapted parameters, in batch order."""
+        final = ParamVector.rows(self.task_params(len(self.params)))
+        return {t.task_id: theta for t, theta in zip(self.tasks, final)}
+
+    @cached_property
+    def steps(self) -> list:
+        """Per inner step, its clusters as ClusterStates."""
+        ids = [t.task_id for t in self.tasks]
+        levels = []
+        prev = [self.omega]
+        for owner, parent, params in zip(self.owners, self.parents, self.params):
+            members: list = [[] for _ in parent]
+            for tid, c in zip(ids, owner.tolist()):
+                members[c].append(tid)
+            outs = ParamVector.rows(params)
+            levels.append([ClusterState(tuple(mem), p, prev[p], out)
+                           for mem, p, out in zip(members, parent.tolist(), outs)])
+            prev = outs
+        return levels
 
 
 def inner_step_task(model, params: ParamVector, batch: Batch, lr: float) -> ParamVector:
@@ -212,156 +308,183 @@ def inner_step_task(model, params: ParamVector, batch: Batch, lr: float) -> Para
     return ParamVector(params.values - lr * g.values)
 
 
-def _fixed_paths(tasks: Sequence[TaskInstance], cfg: MetaConfig) -> dict:
-    paths = {}
+def _require_finite(values, phase: str) -> None:
+    if not np.isfinite(values).all():
+        raise DivergenceError("non-finite values", phase)
+
+
+def _per_task(method, P: np.ndarray, stack: BatchStack, *extra: np.ndarray) -> np.ndarray:
+    """method(P, X, Y, *extra) over the stack's blocks, rows in task order."""
+    out = []
+    a = 0
+    for X, Y in stack.blocks:
+        b = a + len(X)
+        out.append(method(P[a:b], X, Y, *(e[a:b] for e in extra)))
+        a = b
+    return out[0] if len(out) == 1 else np.concatenate(out)
+
+
+def _fixed_paths(tasks: TaskBatch, cfg: MetaConfig) -> list:
+    paths = []
     for t in tasks:
         p = tuple(cfg.fixed_tree.path_of(t))
         if len(p) != cfg.inner_steps:
             raise TreeShapeError(
                 f"task {t.task_id}: fixed path has {len(p)} levels, expected {cfg.inner_steps}"
             )
-        paths[t.task_id] = p
+        paths.append(p)
     return paths
 
 
-def _partition_step(tasks, grads, k, cfg, prev_level, index, paths):
-    """Partition for inner step k: list of (member ids in batch order, parent index)."""
-    ids = [t.task_id for t in tasks]
-    if cfg.mode == "maml" or (cfg.mode == "tree_learned" and k == cfg.inner_steps):
-        return [([tid], index[tid]) for tid in ids]
-    if cfg.mode == "tree_fixed":
-        groups: dict = {}
-        order = []
-        for tid in ids:
-            key = paths[tid][:k]
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(tid)
-        out = []
-        for key in order:
-            members = groups[key]
-            parents = {index[tid] for tid in members}
-            if len(parents) != 1:
-                raise TreeShapeError(f"step-{k} cluster {key} spans multiple parents")
-            out.append((members, parents.pop()))
-        return out
-    # tree_learned, clustered step: regroup independently inside each parent so
-    # the new partition refines the previous one. A zero gradient (an exactly
-    # fitted task) has no direction to cluster on, so that task steps alone,
-    # after the clustered tasks and in batch order.
-    out = []
-    for p_idx, parent in enumerate(prev_level):
-        zero = {tid for tid in parent.members if grads[tid].norm() == 0.0}
-        items = [(tid, grads[tid]) for tid in parent.members if tid not in zero]
+def _fixed_partition(paths: list, k: int, prev_owner: np.ndarray):
+    """Step-k clusters = length-k path prefixes, numbered by first appearance."""
+    index: dict = {}
+    owner = np.empty(len(paths), dtype=np.intp)
+    parent: list = []
+    for i, path in enumerate(paths):
+        key = path[:k]
+        c = index.setdefault(key, len(index))
+        if c == len(parent):
+            parent.append(prev_owner[i])
+        elif parent[c] != prev_owner[i]:
+            raise TreeShapeError(f"step-{k} cluster {key} spans multiple parents")
+        owner[i] = c
+    return owner, np.array(parent, dtype=np.intp)
+
+
+def _learned_partition(ids: list, G: np.ndarray, prev_owner: np.ndarray, n_prev: int,
+                       cluster: ClusterConfig):
+    """Regroup by OTD clustering of the gradient rows, independently inside each
+    previous cluster, so the new partition refines the old one. A zero gradient
+    (an exactly fitted task) has no direction to cluster on, so that task steps
+    alone, after the clustered tasks and in batch order."""
+    zero = np.linalg.norm(G, axis=1) == 0.0
+    vectors = ParamVector.rows(G)
+    owner = np.empty(len(ids), dtype=np.intp)
+    parent: list = []
+    for p in range(n_prev):
+        members = np.flatnonzero(prev_owner == p)
+        items = [(ids[i], vectors[i]) for i in members if not zero[i]]
         if items:
-            for cluster in clusters_at_level(build_tree(items, cfg.cluster), 1):
-                cset = set(cluster)
-                out.append(([tid for tid in parent.members if tid in cset], p_idx))
-        out.extend(([tid], p_idx) for tid in parent.members if tid in zero)
-    return out
+            row = {ids[i]: i for i in members}
+            for cluster_ids in clusters_at_level(build_tree(items, cluster), 1):
+                owner[[row[tid] for tid in cluster_ids]] = len(parent)
+                parent.append(p)
+        for i in members[zero[members]]:
+            owner[i] = len(parent)
+            parent.append(p)
+    return owner, np.array(parent, dtype=np.intp)
+
+
+def _adapt(model, omega: ParamVector, tasks: TaskBatch, cfg: MetaConfig, mode: str) -> AdaptationTrace:
+    """adapt_tree's K-step inner loop, with mode choosing the partitions."""
+    m = len(tasks)
+    ids = [t.task_id for t in tasks]
+    paths = _fixed_paths(tasks, cfg) if mode == "tree_fixed" else None
+    P = omega.values[None]
+    owner = np.zeros(m, dtype=np.intp)
+    trace = AdaptationTrace(omega, tasks, [], [], [], [])
+    for k in range(1, cfg.inner_steps + 1):
+        G = _per_task(model.batch_gradient, P[owner], tasks.train)
+        _require_finite(G, f"inner step {k}")
+        if mode == "maml" or (mode == "tree_learned" and k == cfg.inner_steps):
+            owner, parent = np.arange(m), owner
+        elif mode == "tree_fixed":
+            owner, parent = _fixed_partition(paths, k, owner)
+        else:
+            owner, parent = _learned_partition(ids, G, owner, len(P), cfg.cluster)
+        groups = _Groups(owner, len(parent))
+        P = P[parent] - cfg.inner_lr * groups.mean(G)
+        _require_finite(P, f"inner step {k}")
+        trace.owners.append(owner)
+        trace.parents.append(parent)
+        trace.params.append(P)
+        trace.groups.append(groups)
+    return trace
 
 
 def adapt_tree(model, omega: ParamVector, task_batch: Sequence[TaskInstance], cfg: MetaConfig) -> AdaptationTrace:
     """Run the K-step inner loop for a batch of tasks and record the trace.
 
-    Step k computes every task's mean training gradient at its current
-    cluster's parameters, forms the step-k partition per cfg.mode, and moves
-    each cluster from its parent's parameters by one pooled step.
+    Step k takes every task's mean training gradient at its current cluster's
+    parameters in one batched call, forms the step-k partition per cfg.mode,
+    and moves each cluster from its parent's parameters by one pooled step.
+    Raises DivergenceError naming the step when a gradient or a parameter
+    goes non-finite.
     """
-    tasks = list(task_batch)
-    if not tasks:
+    tasks = TaskBatch.of(task_batch)
+    if not len(tasks):
         raise EmptyBatchError("adapt_tree needs a non-empty task batch")
     ids = [t.task_id for t in tasks]
     if len(set(ids)) != len(ids):
         raise ValueError("task_ids in a batch must be unique")
     if cfg.mode not in ("maml", "tree_fixed", "tree_learned"):
         raise ConfigError(f"mode {cfg.mode!r} has no inner adaptation")
-
-    paths = _fixed_paths(tasks, cfg) if cfg.mode == "tree_fixed" else None
-    prev_level = [ClusterState(tuple(ids), -1, None, omega)]
-    index = {tid: 0 for tid in ids}
-    levels = []
-
-    for k in range(1, cfg.inner_steps + 1):
-        grads = {}
-        for t in tasks:
-            params = prev_level[index[t.task_id]].params_out
-            grads[t.task_id] = model.gradient(params, t.train_points)
-        level = []
-        for members, p_idx in _partition_step(tasks, grads, k, cfg, prev_level, index, paths):
-            params_in = prev_level[p_idx].params_out
-            stack = np.stack([grads[tid].values for tid in members])
-            params_out = ParamVector(params_in.values - cfg.inner_lr * np.mean(stack, axis=0))
-            level.append(ClusterState(tuple(members), p_idx, params_in, params_out))
-        index = {tid: i for i, cs in enumerate(level) for tid in cs.members}
-        levels.append(level)
-        prev_level = level
-
-    final = {tid: prev_level[index[tid]].params_out for tid in ids}
-    return AdaptationTrace(
-        steps=levels,
-        final_params=final,
-        train_batches={t.task_id: t.train_points for t in tasks},
-    )
+    return _adapt(model, omega, tasks, cfg, cfg.mode)
 
 
-def meta_validation_loss(model, trace: AdaptationTrace, val_batches: dict) -> float:
-    """Mean over tasks of the validation loss at the adapted parameters."""
-    losses = [model.loss(theta, val_batches[tid]) for tid, theta in trace.final_params.items()]
-    return float(np.mean(losses))
+def _val_stack(trace: AdaptationTrace, val_batches) -> BatchStack:
+    if isinstance(val_batches, BatchStack):
+        return val_batches
+    return BatchStack.of([val_batches[t.task_id] for t in trace.tasks])
 
 
-def meta_gradient(model, omega: ParamVector, trace: AdaptationTrace, val_batches: dict, cfg: MetaConfig) -> ParamVector:
+def meta_validation_loss(model, trace: AdaptationTrace, val_batches) -> float:
+    """Mean over tasks of the validation loss at the adapted parameters.
+
+    val_batches maps task_id -> Batch, or is a BatchStack in the trace's
+    task order (a TaskBatch's val).
+    """
+    final = trace.task_params(len(trace.params))
+    return float(np.mean(_per_task(model.batch_loss, final, _val_stack(trace, val_batches))))
+
+
+def meta_gradient(model, omega: ParamVector, trace: AdaptationTrace, val_batches, cfg: MetaConfig) -> ParamVector:
     """Gradient of the meta validation loss with respect to omega.
 
     Second-order mode applies the transposed step Jacobians (I - lr * H_c)
-    bottom-up through the trace; the Hessians are symmetric, so the factor is
-    applied as-is via hessian_vector_product. First-order mode treats the
-    adapted parameters as constants.
+    bottom-up through the trace, one batched HVP per step; the Hessians are
+    symmetric, so the factor is applied as-is. First-order mode treats the
+    adapted parameters as constants. val_batches is as in meta_validation_loss.
     """
-    m = len(trace.final_params)
-    if not cfg.second_order:
-        stack = np.stack(
-            [model.gradient(theta, val_batches[tid]).values for tid, theta in trace.final_params.items()]
-        )
-        return ParamVector(np.mean(stack, axis=0))
-
-    hvp = getattr(model, "hessian_vector_product", None)
-    if hvp is None:
+    hvp = getattr(model, "batch_hvp", None)
+    if cfg.second_order and hvp is None:
         raise CapabilityError(
-            "second-order meta-gradients need model.hessian_vector_product; "
+            "second-order meta-gradients need model.batch_hvp; "
             "set second_order=False for the first-order approximation"
         )
-
-    n_steps = len(trace.steps)
-    adjoints = [[np.zeros(omega.dim) for _ in level] for level in trace.steps]
-    for ci, cs in enumerate(trace.steps[-1]):
-        acc = np.zeros(omega.dim)
-        for tid in cs.members:
-            acc = acc + model.gradient(cs.params_out, val_batches[tid]).values
-        adjoints[-1][ci] = acc / m
-
-    root_acc = np.zeros(omega.dim)
-    for k in range(n_steps - 1, -1, -1):
-        for ci, cs in enumerate(trace.steps[k]):
-            v = adjoints[k][ci]
-            vv = ParamVector(v)
-            hstack = np.stack(
-                [hvp(cs.params_in, trace.train_batches[tid], vv).values for tid in cs.members]
-            )
-            pushed = v - cfg.inner_lr * np.mean(hstack, axis=0)
-            if k == 0:
-                root_acc = root_acc + pushed
-            else:
-                adjoints[k - 1][cs.parent] = adjoints[k - 1][cs.parent] + pushed
-    return ParamVector(root_acc)
+    K = len(trace.params)
+    m = len(trace.tasks)
+    G_val = _per_task(model.batch_gradient, trace.task_params(K), _val_stack(trace, val_batches))
+    if not cfg.second_order:
+        g = np.mean(G_val, axis=0)
+    else:
+        adjoint = trace.groups[-1].running_sum(G_val) / m
+        for k in range(K - 1, -1, -1):
+            H = _per_task(hvp, trace.task_params(k), trace.tasks.train, adjoint[trace.owners[k]])
+            pushed = adjoint - cfg.inner_lr * trace.groups[k].mean(H)
+            n_parents = len(trace.params[k - 1]) if k else 1
+            adjoint = _Groups(trace.parents[k], n_parents).running_sum(pushed)
+        g = adjoint[0]
+    _require_finite(g, "meta-gradient")
+    return ParamVector(g)
 
 
-def outer_update(model, omega: ParamVector, trace: AdaptationTrace, val_batches: dict, cfg: MetaConfig) -> ParamVector:
+def _outer_step(omega: ParamVector, g: np.ndarray, lr: float) -> ParamVector:
+    stepped = omega.values - lr * g
+    _require_finite(stepped, "outer step")
+    return ParamVector(stepped)
+
+
+def outer_update(model, omega: ParamVector, trace: AdaptationTrace, val_batches, cfg: MetaConfig) -> ParamVector:
     """One outer step: omega minus outer_lr times the meta-gradient."""
     g = meta_gradient(model, omega, trace, val_batches, cfg)
-    return ParamVector(omega.values - cfg.outer_lr * g.values)
+    return _outer_step(omega, g.values, cfg.outer_lr)
+
+
+def _check_meta_loss(loss: float) -> None:
+    if not math.isfinite(loss) or loss > DIVERGENCE_LIMIT:
+        raise DivergenceError(f"meta-loss {loss:.3e}", "meta-validation")
 
 
 def meta_train(model, task_source, cfg: MetaConfig):
@@ -369,31 +492,36 @@ def meta_train(model, task_source, cfg: MetaConfig):
 
     omega starts at N(0, 0.01^2) per coordinate from cfg.seed. Baseline mode
     skips adaptation and takes one pooled-gradient step per iteration over the
-    batch tasks' train+val points. Raises DivergenceError when the tracked
-    loss goes non-finite or above DIVERGENCE_LIMIT.
+    batch tasks' train+val points. Raises DivergenceError, naming the
+    iteration and the phase, when the tracked loss goes non-finite or above
+    DIVERGENCE_LIMIT or any step's values go non-finite.
     """
     rng = np.random.default_rng(cfg.seed)
     omega = ParamVector(rng.normal(0.0, 0.01, model.dim))
     log = []
     for it in range(1, cfg.outer_iterations + 1):
         t0 = time.perf_counter()
-        batch = task_source.sample_batch(cfg.tasks_per_batch, cfg.points_train, cfg.points_val)
-        if cfg.mode == "baseline":
-            val_pool = Batch.concat([t.val_points for t in batch])
-            loss_now = model.loss(omega, val_pool)
-            pooled = Batch.concat(
-                [b for t in batch for b in (t.train_points, t.val_points)]
-            )
-            omega = ParamVector(omega.values - cfg.outer_lr * model.gradient(omega, pooled).values)
-            partitions = []
-        else:
-            trace = adapt_tree(model, omega, batch, cfg)
-            vals = {t.task_id: t.val_points for t in batch}
-            loss_now = meta_validation_loss(model, trace, vals)
-            omega = outer_update(model, omega, trace, vals, cfg)
-            partitions = trace.partition_sizes
-        if not math.isfinite(loss_now) or loss_now > DIVERGENCE_LIMIT:
-            raise DivergenceError(f"meta-loss {loss_now:.3e} at iteration {it}", iteration=it)
+        batch = TaskBatch.of(task_source.sample_batch(cfg.tasks_per_batch, cfg.points_train, cfg.points_val))
+        try:
+            if cfg.mode == "baseline":
+                val_pool = Batch.concat([t.val_points for t in batch])
+                loss_now = model.loss(omega, val_pool)
+                _check_meta_loss(loss_now)
+                pooled = Batch.concat(
+                    [b for t in batch for b in (t.train_points, t.val_points)]
+                )
+                g = model.batch_gradient(omega.values[None], pooled.x[None], pooled.y[None])[0]
+                _require_finite(g, "meta-gradient")
+                omega = _outer_step(omega, g, cfg.outer_lr)
+                partitions = []
+            else:
+                trace = adapt_tree(model, omega, batch, cfg)
+                loss_now = meta_validation_loss(model, trace, batch.val)
+                _check_meta_loss(loss_now)
+                omega = outer_update(model, omega, trace, batch.val, cfg)
+                partitions = trace.partition_sizes
+        except DivergenceError as e:
+            raise DivergenceError(e.what, e.phase, iteration=it) from None
         log.append(
             {
                 "iter": it,
@@ -412,16 +540,20 @@ def adapt_and_evaluate(model, omega: ParamVector, support_tasks: Sequence[TaskIn
     Tree modes adapt support + target jointly, target ordered last so each
     regroup inserts it into an already-built structure; maml adapts the target
     alone; baseline optionally fine-tunes with the same step count and rate.
+    A non-finite value raises DivergenceError in phase "eval".
     """
-    if cfg.mode == "baseline" and not cfg.baseline_finetune:
-        theta = omega
-    elif cfg.mode in ("maml", "baseline"):
-        theta = omega
-        for _ in range(cfg.inner_steps):
-            theta = inner_step_task(model, theta, target_task.train_points, cfg.inner_lr)
-    else:
-        batch = list(support_tasks) + [target_task]
-        trace = adapt_tree(model, omega, batch, cfg)
-        theta = trace.final_params[target_task.task_id]
-    return model.loss(theta, target_task.test_points)
-
+    theta = omega
+    if cfg.mode != "baseline" or cfg.baseline_finetune:
+        target = TaskBatch.of([target_task])
+        try:
+            if cfg.mode in ("maml", "baseline"):
+                trace = _adapt(model, omega, target, cfg, "maml")
+            else:
+                trace = adapt_tree(model, omega, TaskBatch.of(support_tasks) + target, cfg)
+        except DivergenceError as e:
+            raise DivergenceError(e.what, f"eval, {e.phase}") from None
+        theta = ParamVector(trace.params[-1][trace.owners[-1][-1]])
+    mse = model.loss(theta, target_task.test_points)
+    if not math.isfinite(mse):
+        raise DivergenceError(f"test loss {mse}", "eval")
+    return mse

@@ -45,6 +45,25 @@ class ParamVector:
         arr.setflags(write=False)
         self._values = arr
 
+    @classmethod
+    def rows(cls, matrix) -> list:
+        """One ParamVector per row of a 2-D array, checked for finiteness once.
+
+        The rows are read-only views of one frozen copy of the array.
+        """
+        arr = np.array(matrix, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] == 0:
+            raise ValueError("ParamVector.rows requires a 2-D array with non-empty rows")
+        if not np.all(np.isfinite(arr)):
+            raise NumericalError("ParamVector entries must be finite")
+        arr.setflags(write=False)
+        out = []
+        for row in arr:
+            v = object.__new__(cls)
+            v._values = row
+            out.append(v)
+        return out
+
     @property
     def values(self) -> np.ndarray:
         """The underlying read-only float64 array."""

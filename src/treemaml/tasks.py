@@ -8,12 +8,14 @@ targets carry additive Gaussian noise.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .models import Batch
+from .models import Batch, BatchStack
 from .numerics import ParamVector
 
 
@@ -54,6 +56,8 @@ class TaskGeneratorConfig:
             raise ConfigError("noise_std must be non-negative")
         if not self.input_low < self.input_high:
             raise ConfigError("input_low must be < input_high")
+        if not math.isfinite(self.input_high - self.input_low):
+            raise ConfigError("the input range input_high - input_low must be finite")
         if self.task_jitter is not None and self.task_jitter < 0:
             raise ConfigError("task_jitter must be non-negative")
 
@@ -141,10 +145,41 @@ class TaskInstance:
     task_id: int
 
 
-def _draw_batch(rng: np.random.Generator, cfg: TaskGeneratorConfig, weights: np.ndarray, n: int) -> Batch:
-    x = rng.uniform(cfg.input_low, cfg.input_high, size=(n, cfg.dim))
-    noise = rng.normal(0.0, cfg.noise_std, size=n)
-    return Batch(x, x @ weights + noise)
+class TaskBatch(Sequence):
+    """A sequence of tasks whose train, val and test splits are also stacked.
+
+    train, val and test are BatchStacks in task order; each task's Batches
+    are read-only views of their arrays. `+` joins two batches without
+    copying, so a support batch and its target adapt as one.
+    """
+
+    def __init__(self, tasks: tuple, train: BatchStack, val: BatchStack, test: BatchStack):
+        self.tasks = tasks
+        self.train = train
+        self.val = val
+        self.test = test
+
+    @staticmethod
+    def of(tasks) -> "TaskBatch":
+        """tasks as a TaskBatch: itself if it is one, else its splits stacked."""
+        if isinstance(tasks, TaskBatch):
+            return tasks
+        tasks = tuple(tasks)
+        return TaskBatch(tasks, *(BatchStack.of([getattr(t, f"{split}_points") for t in tasks])
+                                  for split in ("train", "val", "test")))
+
+    def __len__(self) -> int:
+        return len(self.tasks)
+
+    def __getitem__(self, i):
+        return self.tasks[i]
+
+    def __iter__(self):
+        return iter(self.tasks)
+
+    def __add__(self, other: "TaskBatch") -> "TaskBatch":
+        return TaskBatch(self.tasks + other.tasks, self.train + other.train,
+                         self.val + other.val, self.test + other.test)
 
 
 def sample_task(
@@ -160,18 +195,7 @@ def sample_task(
     A pure function of the RNG state, so replaying a seeded generator replays
     the exact task. Draw order: leaf index, jitter, train, val, test.
     """
-    cfg = tree.config
-    if n_train < 0 or n_val < 0 or n_test < 0:
-        raise ConfigError("split sizes must be non-negative")
-    leaf_idx = int(rng.integers(len(tree.leaves)))
-    leaf = tree.leaves[leaf_idx]
-    jitter = rng.normal(0.0, cfg.jitter_std, cfg.dim)
-    weights = leaf.center.values + jitter
-    params = RegressionTaskParams(ParamVector(weights), leaf_idx, leaf.path)
-    train = _draw_batch(rng, cfg, weights, n_train)
-    val = _draw_batch(rng, cfg, weights, n_val)
-    test = _draw_batch(rng, cfg, weights, n_test)
-    return TaskInstance(params, train, val, test, task_id)
+    return sample_task_batch(tree, 1, rng, n_train, n_val, n_test, start_id=task_id)[0]
 
 
 def sample_task_batch(
@@ -182,14 +206,48 @@ def sample_task_batch(
     n_val: int,
     n_test: int = 0,
     start_id: int = 0,
-) -> list:
-    """Sample m tasks with sequential task_ids start_id..start_id+m-1."""
+) -> TaskBatch:
+    """Sample m tasks with sequential task_ids start_id..start_id+m-1.
+
+    Task by task, in sample_task's draw order, straight into one (m, n, dim)
+    input and one (m, n) target array per split, which are then frozen; a
+    zero-size split draws nothing.
+    """
     if m <= 0:
         raise ConfigError("batch size m must be positive")
-    return [
-        sample_task(tree, rng, n_train, n_val, n_test, task_id=start_id + i)
-        for i in range(m)
-    ]
+    if n_train < 0 or n_val < 0 or n_test < 0:
+        raise ConfigError("split sizes must be non-negative")
+    cfg = tree.config
+    splits = [(np.empty((m, n, cfg.dim)), np.empty((m, n))) for n in (n_train, n_val, n_test)]
+    drawn = [(x, y) for x, y in splits if y.shape[1]]
+    weights = np.empty((m, cfg.dim))
+    leaves = []
+    span = cfg.input_high - cfg.input_low
+    for i in range(m):
+        leaves.append(int(rng.integers(len(tree.leaves))))
+        w = weights[i]
+        np.add(tree.leaves[leaves[-1]].center.values, rng.normal(0.0, cfg.jitter_std, cfg.dim), out=w)
+        for x, y in drawn:
+            # rng.uniform(low, high)'s own arithmetic, low + (high - low) * u,
+            # done in place
+            rng.random(out=x[i])
+            x[i] *= span
+            x[i] += cfg.input_low
+            np.matmul(x[i], w, out=y[i])
+            y[i] += rng.normal(0.0, cfg.noise_std, size=y.shape[1])
+    batches = []
+    for x, y in splits:
+        x.setflags(write=False)
+        y.setflags(write=False)
+        # every task shares one empty Batch for a zero-size split
+        batches.append([Batch(x[i], y[i]) for i in range(m)] if y.shape[1] else [Batch(x[0], y[0])] * m)
+    tasks = tuple(
+        TaskInstance(RegressionTaskParams(w, leaf_idx, tree.leaves[leaf_idx].path),
+                     train, val, test, start_id + i)
+        for i, (w, leaf_idx, train, val, test)
+        in enumerate(zip(ParamVector.rows(weights), leaves, *batches))
+    )
+    return TaskBatch(tasks, *(BatchStack(((x, y),)) for x, y in splits))
 
 
 class TaskSampler:
@@ -200,7 +258,7 @@ class TaskSampler:
         self.rng = rng
         self.next_id = int(start_id)
 
-    def sample_batch(self, m: int, n_train: int, n_val: int, n_test: int = 0) -> list:
+    def sample_batch(self, m: int, n_train: int, n_val: int, n_test: int = 0) -> TaskBatch:
         batch = sample_task_batch(
             self.tree, m, self.rng, n_train, n_val, n_test, start_id=self.next_id
         )

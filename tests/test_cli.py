@@ -307,8 +307,9 @@ def test_main_divergent_cell_exits_nonzero(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_main_outer_step_overflow_fails_each_cell(tmp_path, capsys):
-    # outer_lr=1e200 overflows omega in the outer step of both cells; each
-    # fails alone and the grid still writes its (empty) results
+    # outer_lr=1e200 blows omega up to ~1e200 in the outer step of iteration
+    # 1, so the meta-loss of iteration 2 overflows in both cells; each fails
+    # alone as a divergence, and the grid still writes its (empty) results
     d = small_dict(modes=["maml", "baseline"])
     d["generator"]["dim"] = 8
     d["meta"]["outer_lr"] = 1e200
@@ -317,8 +318,9 @@ def test_main_outer_step_overflow_fails_each_cell(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["run", str(p), "--out-dir", str(out_dir)]) == 1
     table = (out_dir / "table.txt").read_text()
-    assert "FAILED maml/4/0: " in table
-    assert "FAILED baseline/4/0: " in table
+    for mode in ("maml", "baseline"):
+        assert f"FAILED {mode}/4/0: diverged: meta-loss inf in meta-validation at iteration 2" in table
+    assert "Traceback" not in capsys.readouterr().out
     assert (out_dir / "results.csv").read_text() == "mode,points,seed,mean_mse,ci95\n"
 
 
@@ -335,9 +337,10 @@ def test_main_export_dist(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_main_cell_exception_is_contained(tmp_path, capsys):
-    # inner_lr=1e80 overflows inside the maml cell, where a ParamVector
-    # constructor raises NumericalError; the zero-shot baseline cell never
-    # uses inner_lr and must still run and be written out
+    # inner_lr=1e80 keeps the maml cell's adapted parameters finite (near
+    # 1e250) but overflows their meta-loss in iteration 1, a divergence; the
+    # zero-shot baseline cell never uses inner_lr and must still run and be
+    # written out
     d = small_dict(modes=["maml", "baseline"])
     d["generator"]["dim"] = 8
     d["meta"]["inner_lr"] = 1e80
@@ -346,7 +349,10 @@ def test_main_cell_exception_is_contained(tmp_path, capsys):
     p.write_text(json.dumps(d))
     out_dir = tmp_path / "out"
     assert main(["run", str(p), "--out-dir", str(out_dir)]) == 1
-    assert "cell failed: maml/4/0: NumericalError" in capsys.readouterr().err
-    assert "FAILED maml/4/0: NumericalError" in (out_dir / "table.txt").read_text()
+    failure = "maml/4/0: diverged: meta-loss inf in meta-validation at iteration 1"
+    captured = capsys.readouterr()
+    assert f"cell failed: {failure}" in captured.err
+    assert "Traceback" not in captured.out
+    assert f"FAILED {failure}" in (out_dir / "table.txt").read_text()
     rows = (out_dir / "results.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == ["baseline"]

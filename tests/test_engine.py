@@ -1,0 +1,157 @@
+"""The batched engine against the frozen per-task engine and a closed form.
+
+Differential tests: tests/engine_reference.py holds the per-task engine and
+sampler as they were before the engine worked on stacked arrays. At benchmark
+scale (dim 64, 96 tasks, 5 and 128 points per task) the batched engine must
+reproduce their partitions, cluster parameters, meta-loss, meta-gradient and
+meta-test loss bit for bit.
+
+Oracle tests: for the linear model each cluster step is affine in its input,
+theta_c = (I - lr H_c) theta_parent + lr r_c, so a task's adapted parameters
+are theta_i = A_i omega + b_i with A_i the product of (I - lr H_c) along its
+cluster path, the meta-loss is quadratic in omega, and its gradient is
+(1/m) sum_i A_i^T g_i with g_i the validation gradient at theta_i.
+"""
+
+import numpy as np
+import pytest
+
+import engine_reference as ref
+from treemaml.clustering import ClusterConfig
+from treemaml.meta import (
+    MetaConfig,
+    adapt_and_evaluate,
+    adapt_tree,
+    generator_hierarchy_tree,
+    meta_gradient,
+    meta_validation_loss,
+)
+from treemaml.models import LinearRegressionModel
+from treemaml.numerics import ParamVector
+from treemaml.tasks import TaskGeneratorConfig, build_parameter_tree, sample_task_batch
+
+DIM, M = 64, 96
+TREE = build_parameter_tree(TaskGeneratorConfig(dim=DIM, branching=(2, 2), level_scales=(1.0, 1.0, 0.5),
+                                                noise_std=0.01, seed=0))
+MODEL = LinearRegressionModel(DIM)
+
+
+def config(mode, points, second_order=True):
+    return MetaConfig(
+        mode=mode, inner_lr=0.007, inner_steps=3, tasks_per_batch=M,
+        points_train=points, points_val=points, second_order=second_order,
+        fixed_tree=generator_hierarchy_tree(3) if mode == "tree_fixed" else None,
+        cluster=ClusterConfig(max_depth=2, xi=1.0),
+    )
+
+
+def omegas(seed):
+    # one initialization near zero, as meta_train starts, and one near the
+    # tasks' common center, where a trained initialization ends up
+    rng = np.random.default_rng(seed)
+    yield ParamVector(rng.normal(0.0, 0.01, DIM))
+    yield ParamVector(TREE.root.center.values + rng.normal(0.0, 0.3, DIM))
+
+
+@pytest.mark.parametrize("points", [5, 128])
+def test_sampler_matches_the_per_task_sampler(points):
+    for n_val, n_test in ((points, 0), (0, 20)):
+        new_rng = np.random.default_rng(points)
+        batch = sample_task_batch(TREE, 12, new_rng, points, n_val, n_test, start_id=40)
+        rng = np.random.default_rng(points)
+        for t in batch:
+            old = ref.sample_task(TREE, rng, points, n_val, n_test, task_id=t.task_id)
+            assert t.params == old.params
+            for split in ("train_points", "val_points", "test_points"):
+                assert np.array_equal(getattr(t, split).x, getattr(old, split).x)
+                assert np.array_equal(getattr(t, split).y, getattr(old, split).y)
+        # the stacks are the tasks' batches, not copies of them
+        assert np.shares_memory(batch.train.blocks[0][0], batch[3].train_points.x)
+        # zero-size splits draw nothing, in either sampler
+        assert new_rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("points", [5, 128])
+@pytest.mark.parametrize("mode", ["maml", "tree_fixed", "tree_learned"])
+def test_engine_is_bit_identical_to_the_per_task_engine(mode, points):
+    tasks = sample_task_batch(TREE, M, np.random.default_rng(100 + points), points, points)
+    vals = {t.task_id: t.val_points for t in tasks}
+    for omega in omegas(points):
+        trace = adapt_tree(MODEL, omega, tasks, config(mode, points))
+        old = ref.adapt_tree(omega, list(tasks), config(mode, points))
+        assert trace.partition_sizes == old.partition_sizes
+        for level, old_level in zip(trace.steps, old.steps):
+            for cs, old_cs in zip(level, old_level):
+                assert cs.members == old_cs.members
+                assert cs.parent == old_cs.parent
+                assert np.array_equal(cs.params_in.values, old_cs.params_in.values)
+                assert np.array_equal(cs.params_out.values, old_cs.params_out.values)
+        assert trace.final_params == old.final_params
+        assert meta_validation_loss(MODEL, trace, tasks.val) == ref.meta_validation_loss(old, vals)
+        assert meta_validation_loss(MODEL, trace, vals) == ref.meta_validation_loss(old, vals)
+        for second_order in (True, False):
+            cfg = config(mode, points, second_order)
+            g = meta_gradient(MODEL, omega, trace, tasks.val, cfg)
+            assert np.array_equal(g.values, ref.meta_gradient(omega, old, vals, cfg).values)
+
+
+@pytest.mark.parametrize("points", [5, 128])
+@pytest.mark.parametrize("mode", ["maml", "tree_fixed", "tree_learned"])
+def test_meta_test_loss_is_bit_identical_to_the_per_task_engine(mode, points):
+    cfg = config(mode, points)
+    omega = next(omegas(7))
+    for i in range(3):
+        rng = np.random.default_rng([points, i])
+        support = sample_task_batch(TREE, M, rng, points, 0, start_id=1000)
+        target = sample_task_batch(TREE, 1, rng, points, 0, n_test=20, start_id=5000)[0]
+        if mode == "maml":
+            old = ref.adapt_tree(omega, [target], cfg)
+        else:
+            old = ref.adapt_tree(omega, list(support) + [target], cfg)
+        expected = ref.loss(old.final_params[target.task_id], target.test_points)
+        assert adapt_and_evaluate(MODEL, omega, support, target, cfg) == expected
+
+
+def closed_form(omega, trace, cfg):
+    """theta_i, meta-loss and its exact gradient from the trace's partitions."""
+    lr = cfg.inner_lr
+    train = [t.train_points for t in trace.tasks]
+    hess = np.stack([(2.0 / len(b)) * b.x.T @ b.x for b in train])
+    pull = np.stack([(2.0 / len(b)) * b.x.T @ b.y for b in train])
+    A = np.eye(DIM)[None]  # per cluster, starting from the root
+    b = np.zeros((1, DIM))
+    for owner, parent in zip(trace.owners, trace.parents):
+        step = np.stack([np.eye(DIM) - lr * hess[owner == c].mean(axis=0) for c in range(len(parent))])
+        r = np.stack([pull[owner == c].mean(axis=0) for c in range(len(parent))])
+        A = step @ A[parent]
+        b = (step @ b[parent][:, :, None])[:, :, 0] + lr * r
+    A, b = A[trace.owners[-1]], b[trace.owners[-1]]
+    theta = (A @ omega.values) + b
+    val = [t.val_points for t in trace.tasks]
+    resid = [v.x @ th - v.y for v, th in zip(val, theta)]
+    loss = np.mean([np.mean(r * r) for r in resid])
+    g_val = np.stack([(2.0 / len(v)) * v.x.T @ r for v, r in zip(val, resid)])
+    second = np.mean(A.transpose(0, 2, 1) @ g_val[:, :, None], axis=0)[:, 0]
+    return theta, loss, second, g_val.mean(axis=0)
+
+
+def rel(a, b):
+    return np.linalg.norm(np.asarray(a) - np.asarray(b)) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("points", [5, 128])
+@pytest.mark.parametrize("mode", ["maml", "tree_fixed", "tree_learned"])
+def test_meta_gradient_matches_the_closed_form(mode, points):
+    tasks = sample_task_batch(TREE, M, np.random.default_rng(200 + points), points, points)
+    for omega in omegas(points + 1):
+        trace = adapt_tree(MODEL, omega, tasks, config(mode, points))
+        if mode == "tree_learned":
+            assert len(trace.parents[0]) > 1  # the learned tree really branches
+        theta, loss, second, first = closed_form(omega, trace, config(mode, points))
+        assert rel(trace.task_params(3), theta) < 1e-10
+        assert abs(meta_validation_loss(MODEL, trace, tasks.val) - loss) < 1e-10 * loss
+        g2 = meta_gradient(MODEL, omega, trace, tasks.val, config(mode, points))
+        assert rel(g2.values, second) < 1e-9
+        g1 = meta_gradient(MODEL, omega, trace, tasks.val, config(mode, points, second_order=False))
+        assert rel(g1.values, first) < 1e-9
+        assert rel(g1.values, second) > 1e-3  # the two orders differ here

@@ -79,6 +79,12 @@ class GradientOnlyModel:
     def gradient(self, params, batch):
         return self._inner.gradient(params, batch)
 
+    def batch_loss(self, P, X, Y):
+        return self._inner.batch_loss(P, X, Y)
+
+    def batch_gradient(self, P, X, Y):
+        return self._inner.batch_gradient(P, X, Y)
+
 
 def test_fixed_tree_factories():
     t = make_task(42, [[1.0, 0.0]], [1.0], path=(0, 1))
@@ -432,7 +438,7 @@ def test_inner_steps_do_not_increase_pooled_training_loss():
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.001,
                      fixed_tree=generator_hierarchy_tree(3), tasks_per_batch=6)
     trace = adapt_tree(model, ParamVector(rng.normal(size=3)), tasks, cfg)
-    batches = trace.train_batches
+    batches = {t.task_id: t.train_points for t in tasks}
     for level in trace.steps:
         for cs in level:
             pooled = Batch.concat([batches[tid] for tid in cs.members])
@@ -494,6 +500,63 @@ def test_meta_train_raises_on_divergence():
     with pytest.raises(DivergenceError) as err:
         meta_train(model, make_sampler(), cfg)
     assert err.value.iteration == 1
+
+
+class FixedSource:
+    """A task source that hands out the same tasks every iteration."""
+
+    def __init__(self, tasks):
+        self.tasks = tasks
+
+    def sample_batch(self, m, n_train, n_val):
+        return self.tasks
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_non_finite_values_raise_divergence_naming_the_phase():
+    # one task, x = 1 and y = 0: the gradient is 2 theta and the Hessian 2, so
+    # a step maps theta to (1 - 2 lr) theta and overflow is easy to place
+    model = LinearRegressionModel(1)
+    task = make_task(0, [[1.0]], [0.0])
+
+    def phase_of(fn, *args):
+        with pytest.raises(DivergenceError) as err:
+            fn(*args)
+        return err.value.phase, err.value.iteration, str(err.value)
+
+    # theta_1 = -2e300 is finite, theta_2 = 4e600 is not
+    huge = MetaConfig(mode="maml", inner_steps=3, inner_lr=1e300, tasks_per_batch=1,
+                      outer_iterations=2)
+    assert phase_of(adapt_tree, model, ParamVector([1.0]), [task], huge) == (
+        "inner step 2", None, "non-finite values in inner step 2")
+    assert phase_of(meta_train, model, FixedSource([task]), huge) == (
+        "inner step 2", 1, "non-finite values in inner step 2 at iteration 1")
+    assert phase_of(adapt_and_evaluate, model, ParamVector([1.0]), [], task, huge)[0] == (
+        "eval, inner step 2")
+    fixed = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=1e300,
+                       fixed_tree=singleton_tree(3))
+    target = make_task(1, [[1.0]], [0.0])
+    assert phase_of(adapt_and_evaluate, model, ParamVector([1.0]), [task], target, fixed)[0] == (
+        "eval, inner step 2")
+
+    # theta_1 = 1 - 2e160 and its validation gradient are finite; the
+    # reverse pass multiplies by (1 - 2e160) once more and overflows
+    one = MetaConfig(mode="maml", inner_steps=1, inner_lr=1e160)
+    trace = adapt_tree(model, ParamVector([1.0]), [task], one)
+    assert phase_of(meta_gradient, model, ParamVector([1.0]), trace, {0: task.val_points}, one)[0] == (
+        "meta-gradient")
+
+    # a finite meta-gradient of 12.8 times outer_lr 1e308 overflows omega
+    step = MetaConfig(mode="maml", inner_steps=1, inner_lr=0.1, outer_lr=1e308)
+    omega = ParamVector([10.0])
+    trace = adapt_tree(model, omega, [task], step)
+    assert phase_of(outer_update, model, omega, trace, {0: task.val_points}, step)[0] == "outer step"
+
+    # finite parameters whose test loss overflows
+    frozen = MetaConfig(mode="baseline", baseline_finetune=False)
+    tested = TaskInstance(task.params, task.train_points, task.val_points, task.train_points, 2)
+    assert phase_of(adapt_and_evaluate, model, ParamVector([1e200]), [], tested, frozen)[0] == "eval"
 
 
 def test_adapt_and_evaluate_baseline_and_maml_paths():

@@ -175,3 +175,15 @@ def test_loss_is_convex_along_segments():
             chord = (1 - t) * loss(p0, batch) + t * loss(p1, batch)
             assert loss(mid, batch) <= chord + 1e-10
 
+
+
+def test_batch_copies_unless_nothing_can_write_through_the_array():
+    owner = np.ones((2, 2))
+    view = owner.view()
+    view.setflags(write=False)
+    b = Batch(view, np.ones(2))
+    owner[0, 0] = 5.0  # the Batch holds a copy, not the view
+    assert b.x[0, 0] == 1.0
+    owner.setflags(write=False)
+    frozen_view = owner[:1]
+    assert Batch(frozen_view, np.ones(1)).x is frozen_view

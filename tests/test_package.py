@@ -16,21 +16,25 @@ IMPORT_ALLOWANCES = {
 
 def test_public_names_are_pinned():
     # A change to this set is a change to the public API and should be
-    # deliberate; the five submodules appear because __all__ lists every
-    # public name the package namespace holds.
+    # deliberate. The submodules stay reachable as attributes but are not
+    # exported names.
     assert set(treemaml.__all__) == {
-        "AdaptationTrace", "Batch", "CapabilityError", "ClusterConfig", "ClusterTreeNode",
-        "ConfigError", "DivergenceError", "DuplicateTaskError", "EmptyBatchError",
-        "FixedTreeSpec", "InsufficientSamplesError", "LinearRegressionModel", "MODES",
-        "MetaConfig", "NumericalError", "ParamVector", "SimilarityStats", "TaskGeneratorConfig",
-        "TaskInstance", "TaskSampler", "TreeShapeError", "ZeroVectorError",
+        "AdaptationTrace", "Batch", "BatchStack", "CapabilityError", "ClusterConfig",
+        "ClusterTreeNode", "ConfigError", "DivergenceError", "DuplicateTaskError",
+        "EmptyBatchError", "FixedTreeSpec", "InsufficientSamplesError", "LinearRegressionModel",
+        "MODES", "MetaConfig", "NumericalError", "ParamVector", "SimilarityStats", "TaskBatch",
+        "TaskGeneratorConfig", "TaskInstance", "TaskSampler", "TreeShapeError", "ZeroVectorError",
         "adapt_and_evaluate", "adapt_tree", "build_parameter_tree", "build_tree",
         "clusters_at_level", "confidence_halfwidth_95", "cosine_similarity",
         "finite_difference_gradient", "generator_hierarchy_tree", "inner_step_task",
         "meta_train", "otd_insert", "outer_update", "sample_task", "sample_task_batch",
         "set_similarity", "single_cluster_tree", "singleton_tree",
-        "clustering", "meta", "models", "numerics", "tasks",
     }
+    assert len(treemaml.__all__) == len(set(treemaml.__all__))
+    assert all(hasattr(treemaml, name) for name in treemaml.__all__)
+    namespace: dict = {}
+    exec("from treemaml import *", namespace)
+    assert not {"clustering", "meta", "models", "numerics", "tasks"} & set(namespace)
 
 
 def unused_imports(path: Path) -> set:

@@ -28,6 +28,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TaskGeneratorConfig(input_low=5.0, input_high=-5.0)
     with pytest.raises(ConfigError):
+        TaskGeneratorConfig(input_low=-1e308, input_high=1e308)  # the range overflows
+    with pytest.raises(ConfigError):
         TaskGeneratorConfig(task_jitter=-0.5)
 
 
