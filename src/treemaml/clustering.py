@@ -18,7 +18,11 @@ bounded-depth tree. Each arrival runs a branch ladder at the current node:
 Internal nodes are represented by the arithmetic mean of their descendant leaf
 vectors; similarities always compare these representatives.
 
-Every internal node caches array state for its c children: their stacked
+An internal node at the bottom level, depth max_depth - 1, only ever widens
+(branch 3 appends at the depth budget, branch 4 cannot lift a node with
+leaves at max_depth, and branches 1, 2 and 5 append), so it appends each item
+without scoring it and keeps no cache. Every internal node above it caches
+array state for its c children: their stacked
 representatives (_reps[:c]), the norms of those rows (_norms[:c]) and their
 pairwise cosines (_cos[i, j] for i != j < c). The invariant, restored before
 each insertion returns, is that row i of the cache is children[i]'s current
@@ -31,7 +35,9 @@ branch 3 picks its child from the same column. Only one child's
 representative changes per insertion (the one the item descended into), so
 only its row and column are recomputed; an appended leaf copies the column it
 was scored with. Nodes created by branch 3 or 4 start with a fresh two-child
-cache. Norms are sqrt(sum(x * x)) as in numpy.linalg.norm(axis=1).
+cache, unless they sit at the bottom level; a node that branch 4 shifts down
+to the bottom level drops its cache. Norms are sqrt(sum(x * x)) as in
+numpy.linalg.norm(axis=1).
 """
 
 from __future__ import annotations
@@ -204,10 +210,12 @@ def _max_leaf_depth(node: ClusterTreeNode) -> int:
     return max(_max_leaf_depth(c) for c in node.children)
 
 
-def _shift_down(node: ClusterTreeNode) -> None:
+def _shift_down(node: ClusterTreeNode, cfg: ClusterConfig) -> None:
     node.depth += 1
+    if node.depth + 1 == cfg.max_depth:
+        node._reps = node._norms = node._cos = None  # bottom level: only widens from now on
     for child in node.children:
-        _shift_down(child)
+        _shift_down(child, cfg)
 
 
 def _most_similar_child(node: ClusterTreeNode, col: np.ndarray) -> int:
@@ -246,21 +254,31 @@ def _leaf(parent: ClusterTreeNode, task_id: int, vector: ParamVector) -> Cluster
 
 
 def _pair_with_item(inner: ClusterTreeNode, inner_rep: np.ndarray, inner_norm: float, depth: int,
-                    task_id: int, vector: ParamVector, norm: float) -> ClusterTreeNode:
+                    task_id: int, vector: ParamVector, norm: float, cfg: ClusterConfig) -> ClusterTreeNode:
     """New node at depth whose two children are inner and a leaf for the item."""
     outer = ClusterTreeNode(inner._ids, depth)
     outer.member_tasks = set(inner.member_tasks)
     outer._rep_sum = inner._rep_sum.copy()
     outer._count = inner._count
-    outer._adopt(inner, inner_rep, inner_norm)
     outer._absorb(task_id, vector.values)
-    outer._adopt(_leaf(outer, task_id, vector), vector.values, norm)
+    if depth + 1 == cfg.max_depth:
+        outer.children = [inner, _leaf(outer, task_id, vector)]
+    else:
+        outer._adopt(inner, inner_rep, inner_norm)
+        outer._adopt(_leaf(outer, task_id, vector), vector.values, norm)
     return outer
 
 
 def _insert(node: ClusterTreeNode, task_id: int, vector: ParamVector, norm: float,
             cfg: ClusterConfig) -> ClusterTreeNode:
     values = vector.values
+    if node.depth + 1 == cfg.max_depth:
+        # A bottom-level node only widens: branch 3 appends at the depth
+        # budget, branch 4 cannot lift a node with leaves at max_depth, and
+        # branches 1, 2 and 5 append. So it keeps no cosine cache.
+        node._absorb(task_id, values)
+        node.children.append(_leaf(node, task_id, vector))
+        return node
     c = len(node.children)
     col = node._score(values, norm)
 
@@ -275,17 +293,14 @@ def _insert(node: ClusterTreeNode, task_id: int, vector: ParamVector, norm: floa
 
     if after_mean > before_mean:
         # Branch 3: the item agrees with this node; push it toward its closest
-        # child unless the depth budget only allows widening here.
+        # child (a bottom-level node, which could only widen, returned above).
         node._absorb(task_id, values)
-        if node.depth + 1 == cfg.max_depth:
-            node._append(_leaf(node, task_id, vector), values, norm, col)
-            return node
         idx = _most_similar_child(node, col)
         target = node.children[idx]
         if target.is_leaf:
             target.depth += 1
             node.children[idx] = _pair_with_item(target, node._reps[idx], node._norms[idx],
-                                                 node.depth + 1, task_id, vector, norm)
+                                                 node.depth + 1, task_id, vector, norm, cfg)
         else:
             node.children[idx] = _insert(target, task_id, vector, norm, cfg)
         node._refresh(idx)
@@ -296,9 +311,9 @@ def _insert(node: ClusterTreeNode, task_id: int, vector: ParamVector, norm: floa
         # Branch 4: outlier; this whole node and the item become siblings
         # under a fresh parent occupying the node's slot.
         depth = node.depth
-        _shift_down(node)
+        _shift_down(node, cfg)
         rep = node._rep_sum / node._count
-        return _pair_with_item(node, rep, _norm(rep), depth, task_id, vector, norm)
+        return _pair_with_item(node, rep, _norm(rep), depth, task_id, vector, norm, cfg)
 
     # Branch 5 (and branch 4's depth fallback): widen this node.
     node._absorb(task_id, values)

@@ -23,7 +23,10 @@ The engine works on stacked arrays: a task batch is a TaskBatch whose splits
 are (m, n, d) inputs and (m, n) targets, each inner step takes all m task
 gradients in one batched call, and the reverse pass takes one batched HVP per
 step. Cluster means and adjoint sums add rows in the order the per-task loops
-did, so the results are those loops' bit for bit. Every step's gradients and
+did, so the results are those loops' bit for bit. A followed adaptation
+(adapt_tree's follow, which meta-test eval uses) still forms every partition
+but takes only the gradients and cluster steps that the followed task's
+parameters depend on, with the same sums. Every computed step's gradients and
 parameters, the meta-gradient and the outer step are checked for finiteness
 once, as whole arrays; a failure raises DivergenceError naming the phase and,
 in meta_train, the iteration.
@@ -260,6 +263,12 @@ class AdaptationTrace:
     parents, each cluster's index among the step-(k-1) clusters (C,), all 0
     at step 1, whose parent is the root holding omega; params, each cluster's
     parameters after the step (C, d); groups, the tasks grouped by cluster.
+
+    A followed trace (adapt_tree's follow=i) has every step's owners and
+    parents, but params[k-1] is (1, d), the row of task i's cluster alone,
+    at every step that stepped only that cluster, and groups is empty. Only
+    partition_sizes and followed_params read it; the per-task readers raise
+    ValueError.
     """
 
     omega: ParamVector
@@ -268,13 +277,27 @@ class AdaptationTrace:
     parents: list
     params: list
     groups: list = field(repr=False)
+    follow: Optional[int] = None
 
     @property
     def partition_sizes(self) -> list:
         return [len(parent) for parent in self.parents]
 
+    @property
+    def followed_params(self) -> ParamVector:
+        """The followed task's parameters after the last step."""
+        if self.follow is None:
+            raise ValueError("a full trace follows no task")
+        return ParamVector(self.params[-1][0])
+
+    def _require_full(self) -> None:
+        if self.follow is not None:
+            raise ValueError(f"this trace followed task row {self.follow} only; "
+                             "reading every task's parameters needs a full trace")
+
     def task_params(self, k: int) -> np.ndarray:
         """(m, d) each task's parameters after k inner steps."""
+        self._require_full()
         if k == 0:
             return np.repeat(self.omega.values[None], len(self.tasks), axis=0)
         return self.params[k - 1][self.owners[k - 1]]
@@ -288,6 +311,7 @@ class AdaptationTrace:
     @cached_property
     def steps(self) -> list:
         """Per inner step, its clusters as ClusterStates."""
+        self._require_full()
         ids = [t.task_id for t in self.tasks]
         levels = []
         prev = [self.omega]
@@ -376,41 +400,75 @@ def _learned_partition(ids: list, G: np.ndarray, prev_owner: np.ndarray, n_prev:
     return owner, np.array(parent, dtype=np.intp)
 
 
-def _adapt(model, omega: ParamVector, tasks: TaskBatch, cfg: MetaConfig, mode: str) -> AdaptationTrace:
-    """adapt_tree's K-step inner loop, with mode choosing the partitions."""
-    m = len(tasks)
+def _adapt(model, omega: ParamVector, tasks: TaskBatch, cfg: MetaConfig, mode: str,
+           follow: Optional[int] = None) -> AdaptationTrace:
+    """adapt_tree's K-step inner loop, with mode choosing the partitions and
+    follow, when not None, the one task whose path is stepped."""
+    m, K = len(tasks), cfg.inner_steps
     ids = [t.task_id for t in tasks]
     paths = _fixed_paths(tasks, cfg) if mode == "tree_fixed" else None
-    P = omega.values[None]
+    P = omega.values[None]  # a row per cluster, or the followed cluster's alone
     owner = np.zeros(m, dtype=np.intp)
-    trace = AdaptationTrace(omega, tasks, [], [], [], [])
-    for k in range(1, cfg.inner_steps + 1):
-        G = _per_task(model.batch_gradient, P[owner], tasks.train)
-        _require_finite(G, f"inner step {k}")
-        if mode == "maml" or (mode == "tree_learned" and k == cfg.inner_steps):
+    stepped_all = True
+    trace = AdaptationTrace(omega, tasks, [], [], [], [], follow)
+    for k in range(1, K + 1):
+        phase = f"inner step {k}"
+        clustering = mode == "tree_learned" and k < K
+        if follow is None or clustering:
+            G = _per_task(model.batch_gradient, P[owner], tasks.train)
+            _require_finite(G, phase)
+        if mode == "maml" or (mode == "tree_learned" and k == K):
             owner, parent = np.arange(m), owner
         elif mode == "tree_fixed":
             owner, parent = _fixed_partition(paths, k, owner)
         else:
             owner, parent = _learned_partition(ids, G, owner, len(P), cfg.cluster)
-        groups = _Groups(owner, len(parent))
-        P = P[parent] - cfg.inner_lr * groups.mean(G)
-        _require_finite(P, f"inner step {k}")
+        if follow is None or (mode == "tree_learned" and k <= K - 2):
+            # every cluster: the trace is full, or the next clustering step
+            # reads the gradients at every cluster's parameters
+            groups = _Groups(owner, len(parent))
+            P = P[parent] - cfg.inner_lr * groups.mean(G)
+            if follow is None:
+                trace.groups.append(groups)
+        else:
+            c = owner[follow]
+            members = np.flatnonzero(owner == c)
+            p = P[parent[c]] if stepped_all else P[0]
+            if clustering:
+                G_c = G[members]
+            else:
+                G_c = _per_task(model.batch_gradient, np.repeat(p[None], len(members), axis=0),
+                                tasks.train.take(members))
+                _require_finite(G_c, phase)
+            # the member-order sum and the division _Groups.mean does for one cluster
+            mean = G_c.sum(axis=0) / len(members) if len(members) > 1 else G_c[0]
+            P = (p - cfg.inner_lr * mean)[None]
+            stepped_all = False
+        _require_finite(P, phase)
         trace.owners.append(owner)
         trace.parents.append(parent)
         trace.params.append(P)
-        trace.groups.append(groups)
     return trace
 
 
-def adapt_tree(model, omega: ParamVector, task_batch: Sequence[TaskInstance], cfg: MetaConfig) -> AdaptationTrace:
+def adapt_tree(model, omega: ParamVector, task_batch: Sequence[TaskInstance], cfg: MetaConfig,
+               follow: Optional[int] = None) -> AdaptationTrace:
     """Run the K-step inner loop for a batch of tasks and record the trace.
 
     Step k takes every task's mean training gradient at its current cluster's
     parameters in one batched call, forms the step-k partition per cfg.mode,
     and moves each cluster from its parent's parameters by one pooled step.
-    Raises DivergenceError naming the step when a gradient or a parameter
-    goes non-finite.
+
+    follow, the row of one task in the batch, asks only for that task's
+    adapted parameters (trace.followed_params). Every step still forms the
+    whole partition, but takes gradients and steps clusters only where a
+    later step or the followed task reads them: its own path down the tree,
+    plus, in tree_learned, every task's gradient at the clustering steps and
+    every cluster's step before the last one of them. The trace records the
+    partitions and the followed path only (see AdaptationTrace).
+
+    Raises DivergenceError naming the step when a computed gradient or
+    parameter goes non-finite.
     """
     tasks = TaskBatch.of(task_batch)
     if not len(tasks):
@@ -420,7 +478,9 @@ def adapt_tree(model, omega: ParamVector, task_batch: Sequence[TaskInstance], cf
         raise ValueError("task_ids in a batch must be unique")
     if cfg.mode not in ("maml", "tree_fixed", "tree_learned"):
         raise ConfigError(f"mode {cfg.mode!r} has no inner adaptation")
-    return _adapt(model, omega, tasks, cfg, cfg.mode)
+    if follow is not None and not 0 <= follow < len(tasks):
+        raise ValueError(f"follow={follow} is not a row of a batch of {len(tasks)} tasks")
+    return _adapt(model, omega, tasks, cfg, cfg.mode, follow)
 
 
 def _val_stack(trace: AdaptationTrace, val_batches) -> BatchStack:
@@ -538,21 +598,25 @@ def adapt_and_evaluate(model, omega: ParamVector, support_tasks: Sequence[TaskIn
     """Adapt to the target task and return its test MSE.
 
     Tree modes adapt support + target jointly, target ordered last so each
-    regroup inserts it into an already-built structure; maml adapts the target
-    alone; baseline optionally fine-tunes with the same step count and rate.
-    A non-finite value raises DivergenceError in phase "eval".
+    regroup inserts it into an already-built structure, and follow the
+    target: only what its parameters depend on is computed (see adapt_tree).
+    maml adapts the target alone; baseline optionally fine-tunes with the
+    same step count and rate. Finiteness is checked only on what the target's
+    loss reads, so a support task off the target's path that overflows does
+    not fail eval. A non-finite value raises DivergenceError in phase "eval".
     """
     theta = omega
     if cfg.mode != "baseline" or cfg.baseline_finetune:
         target = TaskBatch.of([target_task])
         try:
             if cfg.mode in ("maml", "baseline"):
-                trace = _adapt(model, omega, target, cfg, "maml")
+                trace = _adapt(model, omega, target, cfg, "maml", follow=0)
             else:
-                trace = adapt_tree(model, omega, TaskBatch.of(support_tasks) + target, cfg)
+                joint = TaskBatch.of(support_tasks) + target
+                trace = adapt_tree(model, omega, joint, cfg, follow=len(joint) - 1)
         except DivergenceError as e:
             raise DivergenceError(e.what, f"eval, {e.phase}") from None
-        theta = ParamVector(trace.params[-1][trace.owners[-1][-1]])
+        theta = trace.followed_params
     mse = model.loss(theta, target_task.test_points)
     if not math.isfinite(mse):
         raise DivergenceError(f"test loss {mse}", "eval")

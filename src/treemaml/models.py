@@ -86,6 +86,20 @@ class BatchStack:
     def __add__(self, other: "BatchStack") -> "BatchStack":
         return BatchStack(self.blocks + other.blocks)
 
+    def take(self, rows: np.ndarray) -> "BatchStack":
+        """The batches at rows (ascending), block by block; a run of adjacent rows is a view."""
+        blocks = []
+        a = 0
+        for X, Y in self.blocks:
+            local = rows[(rows >= a) & (rows < a + len(X))] - a
+            a += len(X)
+            if not len(local):
+                continue
+            if local[-1] - local[0] + 1 == len(local):
+                local = slice(local[0], local[-1] + 1)
+            blocks.append((X[local], Y[local]))
+        return BatchStack(tuple(blocks))
+
 
 def _check(params: ParamVector, batch: Batch) -> None:
     if len(batch) == 0:

@@ -293,8 +293,13 @@ def test_cached_ladder_differs_from_reference_only_on_collinear_ties():
             assert has_collinear_pair(items)
 
 
-def check_cache(node):
+def check_cache(node, max_depth):
     if node.is_leaf:
+        return
+    if node.depth + 1 == max_depth:
+        # a bottom-level node only widens and keeps no cache
+        assert node._reps is None and node._norms is None and node._cos is None
+        assert all(child.is_leaf for child in node.children)
         return
     c = len(node.children)
     reps = [child.representative for child in node.children]
@@ -309,13 +314,13 @@ def check_cache(node):
         assert abs(mean - expected.mean_pairwise) <= 1e-12
         assert abs(std - expected.std_pairwise) <= 1e-12
     for child in node.children:
-        check_cache(child)
+        check_cache(child, max_depth)
 
 
 def test_cached_statistics_match_set_similarity():
     rng = np.random.default_rng(9)
     for trial in range(200):
         cfg = ClusterConfig(max_depth=int(rng.integers(1, 5)), xi=XIS[trial % 4])
-        check_cache(build_tree(random_items(rng), cfg))
+        check_cache(build_tree(random_items(rng), cfg), cfg.max_depth)
     for _ in range(5):
-        check_cache(build_tree(clustered_batch(rng), D2))
+        check_cache(build_tree(clustered_batch(rng), D2), D2.max_depth)

@@ -6,6 +6,10 @@ scale (dim 64, 96 tasks, 5 and 128 points per task) the batched engine must
 reproduce their partitions, cluster parameters, meta-loss, meta-gradient and
 meta-test loss bit for bit.
 
+Followed-trace tests: adapt_tree(..., follow=i) steps only what task i's
+parameters depend on; its partitions and task i's adapted parameters must be
+those of the full trace bit for bit.
+
 Oracle tests: for the linear model each cluster step is affine in its input,
 theta_c = (I - lr H_c) theta_parent + lr r_c, so a task's adapted parameters
 are theta_i = A_i omega + b_i with A_i the product of (I - lr H_c) along its
@@ -28,7 +32,7 @@ from treemaml.meta import (
 )
 from treemaml.models import LinearRegressionModel
 from treemaml.numerics import ParamVector
-from treemaml.tasks import TaskGeneratorConfig, build_parameter_tree, sample_task_batch
+from treemaml.tasks import TaskBatch, TaskGeneratorConfig, build_parameter_tree, sample_task_batch
 
 DIM, M = 64, 96
 TREE = build_parameter_tree(TaskGeneratorConfig(dim=DIM, branching=(2, 2), level_scales=(1.0, 1.0, 0.5),
@@ -110,6 +114,61 @@ def test_meta_test_loss_is_bit_identical_to_the_per_task_engine(mode, points):
             old = ref.adapt_tree(omega, list(support) + [target], cfg)
         expected = ref.loss(old.final_params[target.task_id], target.test_points)
         assert adapt_and_evaluate(MODEL, omega, support, target, cfg) == expected
+
+
+def joint_batches(points, rng):
+    """Support + target batches of M + 1 tasks; in the last, no support task
+    shares the target's generator leaf."""
+    for _ in range(2):
+        support = sample_task_batch(TREE, M, rng, points, 0, start_id=1000)
+        target = sample_task_batch(TREE, 1, rng, points, 0, start_id=5000)
+        yield support + target
+    pool = sample_task_batch(TREE, 2 * M, rng, points, 0, start_id=1000)
+    target = sample_task_batch(TREE, 1, rng, points, 0, start_id=5000)
+    alone = [t for t in pool if t.params.path != target[0].params.path]
+    yield TaskBatch.of(alone[:M]) + target
+
+
+@pytest.mark.parametrize("points", [5, 128])
+@pytest.mark.parametrize("mode", ["maml", "tree_fixed", "tree_learned"])
+def test_followed_trace_matches_the_full_trace(mode, points):
+    cfg = config(mode, points)
+    rng = np.random.default_rng([300, points])
+    for tasks, omega in zip(joint_batches(points, rng), [*omegas(points), next(omegas(9))]):
+        assert len(tasks) == M + 1
+        full = adapt_tree(MODEL, omega, tasks, cfg)
+        for row in (M, 17):
+            followed = adapt_tree(MODEL, omega, tasks, cfg, follow=row)
+            assert followed.partition_sizes == full.partition_sizes
+            for owner, old in zip(followed.owners, full.owners):
+                assert np.array_equal(owner, old)
+            for parent, old in zip(followed.parents, full.parents):
+                assert np.array_equal(parent, old)
+            expected = full.params[-1][full.owners[-1][row]]
+            assert np.array_equal(followed.followed_params.values, expected)
+    if mode == "tree_fixed":
+        # the last batch's target shares no step-2 cluster with the support
+        assert np.sum(full.owners[1] == full.owners[1][M]) == 1
+
+
+def test_followed_trace_rejects_what_it_cannot_answer():
+    cfg = config("tree_fixed", 5)
+    tasks = next(joint_batches(5, np.random.default_rng(1)))
+    omega = next(omegas(1))
+    for row in (-1, M + 1):
+        with pytest.raises(ValueError, match="follow"):
+            adapt_tree(MODEL, omega, tasks, cfg, follow=row)
+    followed = adapt_tree(MODEL, omega, tasks, cfg, follow=M)
+    with pytest.raises(ValueError, match="followed task row"):
+        meta_validation_loss(MODEL, followed, tasks.val)
+    with pytest.raises(ValueError, match="followed task row"):
+        meta_gradient(MODEL, omega, followed, tasks.val, cfg)
+    with pytest.raises(ValueError, match="followed task row"):
+        followed.final_params
+    with pytest.raises(ValueError, match="followed task row"):
+        followed.steps
+    with pytest.raises(ValueError, match="follows no task"):
+        adapt_tree(MODEL, omega, tasks, cfg).followed_params
 
 
 def closed_form(omega, trace, cfg):

@@ -559,6 +559,20 @@ def test_non_finite_values_raise_divergence_naming_the_phase():
     assert phase_of(adapt_and_evaluate, model, ParamVector([1e200]), [], tested, frozen)[0] == "eval"
 
 
+def test_eval_checks_finiteness_only_on_the_target_path():
+    # each task alone at every step: a support task with x = 1e200 has an
+    # infinite first gradient, but the target's parameters never read it
+    model = LinearRegressionModel(1)
+    wild = make_task(0, [[1e200]], [0.0])
+    task = make_task(1, [[1.0]], [0.0])
+    target = TaskInstance(task.params, task.train_points, task.val_points, task.train_points, 1)
+    cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.1, fixed_tree=singleton_tree(3))
+    with pytest.raises(DivergenceError), np.errstate(over="ignore"):
+        adapt_tree(model, ParamVector([1.0]), [wild, target], cfg)
+    # theta = 0.8^3 after three steps, whose squared error is 0.8^6
+    assert adapt_and_evaluate(model, ParamVector([1.0]), [wild], target, cfg) == pytest.approx(0.8 ** 6)
+
+
 def test_adapt_and_evaluate_baseline_and_maml_paths():
     rng = np.random.default_rng(13)
     model = LinearRegressionModel(3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treemaml.models import Batch, EmptyBatchError, LinearRegressionModel
+from treemaml.models import Batch, BatchStack, EmptyBatchError, LinearRegressionModel
 from treemaml.numerics import ParamVector, finite_difference_gradient
 
 
@@ -187,3 +187,18 @@ def test_batch_copies_unless_nothing_can_write_through_the_array():
     owner.setflags(write=False)
     frozen_view = owner[:1]
     assert Batch(frozen_view, np.ones(1)).x is frozen_view
+
+
+def test_batch_stack_take_gathers_rows_across_blocks():
+    rng = np.random.default_rng(5)
+    batches = [Batch(rng.normal(size=(3, 2)), rng.normal(size=3)) for _ in range(6)]
+    stack = BatchStack.of(batches[:4]) + BatchStack.of(batches[4:])
+    for rows in ([0, 2, 5], [1, 2, 3], [4], [0, 1, 2, 3, 4, 5]):
+        taken = stack.take(np.array(rows))
+        X = np.concatenate([x for x, _ in taken.blocks])
+        Y = np.concatenate([y for _, y in taken.blocks])
+        assert np.array_equal(X, np.stack([batches[i].x for i in rows]))
+        assert np.array_equal(Y, np.stack([batches[i].y for i in rows]))
+    # adjacent rows inside one block are a view of it, not a copy
+    (X, _), = stack.take(np.array([1, 2, 3])).blocks
+    assert np.shares_memory(X, stack.blocks[0][0])
