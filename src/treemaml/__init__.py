@@ -1,6 +1,6 @@
 """treemaml: MAML and tree-structured MAML over task hierarchies.
 
-Library layout: numerics (vectors, similarity stats, finite differences),
+Library layout: numerics (similarity stats, finite differences),
 models (batches, their stacked form, and linear regression with closed-form
 derivatives), tasks (synthetic hierarchical task distribution, sampled into
 stacked task batches), clustering (online top-down tree building), meta
@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from .numerics import (
     InsufficientSamplesError,
     NumericalError,
-    ParamVector,
     SimilarityStats,
     ZeroVectorError,
     confidence_halfwidth_95,
@@ -32,7 +31,6 @@ from .tasks import (
     TaskInstance,
     TaskSampler,
     build_parameter_tree,
-    sample_task,
     sample_task_batch,
 )
 from .clustering import (
@@ -54,7 +52,6 @@ from .meta import (
     adapt_and_evaluate,
     adapt_tree,
     generator_hierarchy_tree,
-    inner_step_task,
     meta_train,
     outer_update,
     single_cluster_tree,
@@ -63,20 +60,20 @@ from .meta import (
 
 __all__ = [
     # numerics
-    "InsufficientSamplesError", "NumericalError", "ParamVector", "SimilarityStats",
-    "ZeroVectorError", "confidence_halfwidth_95", "cosine_similarity",
-    "finite_difference_gradient", "set_similarity",
+    "InsufficientSamplesError", "NumericalError", "SimilarityStats", "ZeroVectorError",
+    "confidence_halfwidth_95", "cosine_similarity", "finite_difference_gradient",
+    "set_similarity",
     # models
     "Batch", "BatchStack", "EmptyBatchError", "LinearRegressionModel",
     # tasks
     "ConfigError", "TaskBatch", "TaskGeneratorConfig", "TaskInstance", "TaskSampler",
-    "build_parameter_tree", "sample_task", "sample_task_batch",
+    "build_parameter_tree", "sample_task_batch",
     # clustering
     "ClusterConfig", "ClusterTreeNode", "DuplicateTaskError", "build_tree",
     "clusters_at_level", "otd_insert",
     # meta
     "MODES", "AdaptationTrace", "CapabilityError", "DivergenceError", "FixedTreeSpec",
     "MetaConfig", "TreeShapeError", "adapt_and_evaluate", "adapt_tree",
-    "generator_hierarchy_tree", "inner_step_task", "meta_train", "outer_update",
-    "single_cluster_tree", "singleton_tree",
+    "generator_hierarchy_tree", "meta_train", "outer_update", "single_cluster_tree",
+    "singleton_tree",
 ]

@@ -241,20 +241,20 @@ def run_experiment(spec: ExperimentSpec, dump_tree: bool = False, echo=None) -> 
 
 def trace_tree_to_dict(trace: AdaptationTrace) -> dict:
     """Render an adaptation trace's nested partitions as a cluster-tree dump."""
-    all_ids = sorted(trace.final_params)
+    task_ids = np.array([t.task_id for t in trace.tasks])
     ids = itertools.count(1)
-    root = {"node_id": 0, "depth": 0, "member_tasks": all_ids, "children": []}
+    root = {"node_id": 0, "depth": 0, "member_tasks": sorted(task_ids.tolist()), "children": []}
     prev_nodes = [root]
-    for depth, level in enumerate(trace.steps, start=1):
+    for depth, (owner, parent) in enumerate(zip(trace.owners, trace.parents), start=1):
         current = []
-        for cs in level:
+        for c, p in enumerate(parent.tolist()):
             node = {
                 "node_id": next(ids),
                 "depth": depth,
-                "member_tasks": sorted(cs.members),
+                "member_tasks": sorted(task_ids[owner == c].tolist()),
                 "children": [],
             }
-            prev_nodes[cs.parent]["children"].append(node)
+            prev_nodes[p]["children"].append(node)
             current.append(node)
         prev_nodes = current
     return root
@@ -375,24 +375,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(__version__)
         return 0
 
+    # An invalid spec or flag exits 2, including a ConfigError from set-up
+    # (build_parameter_tree); run_experiment contains each cell's own errors.
     try:
         spec = load_spec(args.spec)
+        if args.command == "export-dist":
+            export_distribution(spec, args.out)
+            print(f"wrote {args.out}")
+            return 0
+        spec = _apply_overrides(spec, args)
+        outcome = run_experiment(spec, dump_tree=args.dump_tree, echo=lambda s: print(s, flush=True))
     except (OSError, ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    if args.command == "export-dist":
-        export_distribution(spec, args.out)
-        print(f"wrote {args.out}")
-        return 0
-
-    try:
-        spec = _apply_overrides(spec, args)
-    except (ConfigError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
-    outcome = run_experiment(spec, dump_tree=args.dump_tree, echo=lambda s: print(s, flush=True))
     write_outputs(outcome, spec, args.out_dir)
     print(f"\n{render_table(outcome.results, outcome.failures, spec)}")
     print(f"outputs in {args.out_dir}")

@@ -1,7 +1,8 @@
 """Online top-down (OTD) clustering with non-binary nodes.
 
-Items arrive one at a time as (task_id, gradient vector) and are routed into a
-bounded-depth tree. Each arrival runs a branch ladder at the current node:
+Items arrive one at a time as (task_id, 1-D float64 gradient row) and are
+routed into a bounded-depth tree. Each arrival runs a branch ladder at the
+current node:
 
 1. no children yet: the item becomes the sole child;
 2. one child: append (a pair is the smallest set with a similarity);
@@ -51,7 +52,7 @@ import numpy as np
 
 # set_similarity is not called here; it stays importable from this module
 # because perfbench/cell.py --trace wraps treemaml.clustering.set_similarity.
-from .numerics import ParamVector, ZeroVectorError, set_similarity  # noqa: F401
+from .numerics import ZeroVectorError, set_similarity  # noqa: F401
 
 
 class DuplicateTaskError(ValueError):
@@ -63,7 +64,8 @@ class ClusterConfig:
     """Knobs of the insertion ladder.
 
     max_depth bounds the depth of every node (root is depth 0). xi scales the
-    outlier threshold in branch 4.
+    outlier threshold in branch 4; it may be inf, which never splits off an
+    outlier, but not NaN.
     """
 
     max_depth: int = 2
@@ -72,7 +74,7 @@ class ClusterConfig:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.xi < 0:
+        if not self.xi >= 0:
             raise ValueError("xi must be non-negative")
 
 
@@ -86,19 +88,18 @@ class ClusterTreeNode:
     """
 
     __slots__ = ("node_id", "depth", "task_id", "children", "member_tasks", "_rep_sum", "_count",
-                 "_ids", "_rep_vec", "_reps", "_norms", "_cos")
+                 "_ids", "_reps", "_norms", "_cos")
 
     def __init__(self, ids: itertools.count, depth: int, task_id: Optional[int] = None,
-                 vector: Optional[ParamVector] = None):
+                 vector: Optional[np.ndarray] = None):
         self.node_id = next(ids)
         self.depth = depth
         self.task_id = task_id
         self.children: list = []
         self.member_tasks: set = set() if task_id is None else {task_id}
-        self._rep_sum = None if vector is None else vector.values.copy()
+        self._rep_sum = None if vector is None else vector.copy()
         self._count = 0 if vector is None else 1
         self._ids = ids
-        self._rep_vec: Optional[ParamVector] = vector
         self._reps = self._norms = self._cos = None
 
     @classmethod
@@ -109,21 +110,12 @@ class ClusterTreeNode:
     def is_leaf(self) -> bool:
         return self.task_id is not None
 
-    @property
-    def representative(self) -> ParamVector:
-        if self._count == 0:
-            raise ValueError("empty node has no representative")
-        if self._rep_vec is None:
-            self._rep_vec = ParamVector(self._rep_sum / self._count)
-        return self._rep_vec
-
     def _absorb(self, task_id: int, values: np.ndarray) -> None:
         if self._rep_sum is None:
             self._rep_sum = values.copy()
         else:
             self._rep_sum += values
         self._count += 1
-        self._rep_vec = None
         self.member_tasks.add(task_id)
 
     def _score(self, values: np.ndarray, norm: float) -> np.ndarray:
@@ -230,8 +222,8 @@ def _most_similar_child(node: ClusterTreeNode, col: np.ndarray) -> int:
     return int(min(hits, key=lambda i: node.children[i].node_id))
 
 
-def otd_insert(node: ClusterTreeNode, item: Tuple[int, ParamVector], cfg: ClusterConfig) -> ClusterTreeNode:
-    """Insert (task_id, vector) into the tree rooted at node.
+def otd_insert(node: ClusterTreeNode, item: Tuple[int, np.ndarray], cfg: ClusterConfig) -> ClusterTreeNode:
+    """Insert (task_id, vector), a finite 1-D float64 vector, into the tree rooted at node.
 
     Returns the node now occupying node's position: node itself, or the new
     parent created by branch 4. Callers must use the return value as the new
@@ -243,48 +235,47 @@ def otd_insert(node: ClusterTreeNode, item: Tuple[int, ParamVector], cfg: Cluste
         raise ValueError("insertion target must be an internal node")
     if task_id in node.member_tasks:
         raise DuplicateTaskError(f"task {task_id} already in tree")
-    norm = _norm(vector.values)
+    norm = _norm(vector)
     if norm == 0.0:
         raise ZeroVectorError("cannot cluster a zero gradient")
     return _insert(node, task_id, vector, norm, cfg)
 
 
-def _leaf(parent: ClusterTreeNode, task_id: int, vector: ParamVector) -> ClusterTreeNode:
+def _leaf(parent: ClusterTreeNode, task_id: int, vector: np.ndarray) -> ClusterTreeNode:
     return ClusterTreeNode(parent._ids, parent.depth + 1, task_id, vector)
 
 
 def _pair_with_item(inner: ClusterTreeNode, inner_rep: np.ndarray, inner_norm: float, depth: int,
-                    task_id: int, vector: ParamVector, norm: float, cfg: ClusterConfig) -> ClusterTreeNode:
+                    task_id: int, vector: np.ndarray, norm: float, cfg: ClusterConfig) -> ClusterTreeNode:
     """New node at depth whose two children are inner and a leaf for the item."""
     outer = ClusterTreeNode(inner._ids, depth)
     outer.member_tasks = set(inner.member_tasks)
     outer._rep_sum = inner._rep_sum.copy()
     outer._count = inner._count
-    outer._absorb(task_id, vector.values)
+    outer._absorb(task_id, vector)
     if depth + 1 == cfg.max_depth:
         outer.children = [inner, _leaf(outer, task_id, vector)]
     else:
         outer._adopt(inner, inner_rep, inner_norm)
-        outer._adopt(_leaf(outer, task_id, vector), vector.values, norm)
+        outer._adopt(_leaf(outer, task_id, vector), vector, norm)
     return outer
 
 
-def _insert(node: ClusterTreeNode, task_id: int, vector: ParamVector, norm: float,
+def _insert(node: ClusterTreeNode, task_id: int, values: np.ndarray, norm: float,
             cfg: ClusterConfig) -> ClusterTreeNode:
-    values = vector.values
     if node.depth + 1 == cfg.max_depth:
         # A bottom-level node only widens: branch 3 appends at the depth
         # budget, branch 4 cannot lift a node with leaves at max_depth, and
         # branches 1, 2 and 5 append. So it keeps no cosine cache.
         node._absorb(task_id, values)
-        node.children.append(_leaf(node, task_id, vector))
+        node.children.append(_leaf(node, task_id, values))
         return node
     c = len(node.children)
     col = node._score(values, norm)
 
     if c <= 1:
         node._absorb(task_id, values)
-        node._append(_leaf(node, task_id, vector), values, norm, col)
+        node._append(_leaf(node, task_id, values), values, norm, col)
         return node
 
     before = node._pair_cosines(c)
@@ -300,9 +291,9 @@ def _insert(node: ClusterTreeNode, task_id: int, vector: ParamVector, norm: floa
         if target.is_leaf:
             target.depth += 1
             node.children[idx] = _pair_with_item(target, node._reps[idx], node._norms[idx],
-                                                 node.depth + 1, task_id, vector, norm, cfg)
+                                                 node.depth + 1, task_id, values, norm, cfg)
         else:
-            node.children[idx] = _insert(target, task_id, vector, norm, cfg)
+            node.children[idx] = _insert(target, task_id, values, norm, cfg)
         node._refresh(idx)
         return node
 
@@ -313,15 +304,15 @@ def _insert(node: ClusterTreeNode, task_id: int, vector: ParamVector, norm: floa
         depth = node.depth
         _shift_down(node, cfg)
         rep = node._rep_sum / node._count
-        return _pair_with_item(node, rep, _norm(rep), depth, task_id, vector, norm, cfg)
+        return _pair_with_item(node, rep, _norm(rep), depth, task_id, values, norm, cfg)
 
     # Branch 5 (and branch 4's depth fallback): widen this node.
     node._absorb(task_id, values)
-    node._append(_leaf(node, task_id, vector), values, norm, col)
+    node._append(_leaf(node, task_id, values), values, norm, col)
     return node
 
 
-def build_tree(items: Sequence[Tuple[int, ParamVector]], cfg: ClusterConfig) -> ClusterTreeNode:
+def build_tree(items: Sequence[Tuple[int, np.ndarray]], cfg: ClusterConfig) -> ClusterTreeNode:
     """Insert items in order into a fresh tree and return the final root."""
     items = list(items)
     if not items:

@@ -26,15 +26,20 @@ step. Cluster means and adjoint sums add rows in the order the per-task loops
 did, so the results are those loops' bit for bit. A followed adaptation
 (adapt_tree's follow, which meta-test eval uses) still forms every partition
 but takes only the gradients and cluster steps that the followed task's
-parameters depend on, with the same sums. Every computed step's gradients and
+parameters depend on, with the same sums.
+
+Parameters are read-only float64 arrays: omega and a followed task's adapted
+parameters are (d,), a step's cluster parameters (C, d). omega is checked for
+shape and finiteness where it enters (adapt_tree, meta_gradient,
+outer_update, adapt_and_evaluate). Every computed step's gradients and
 parameters, the meta-gradient and the outer step are checked for finiteness
 once, as whole arrays; a failure raises DivergenceError naming the phase and,
 in meta_train, the iteration.
 
 A model is any object with:
 - dim;
-- loss(params, batch) on one Batch, for the baseline's meta-loss and the
-  meta-test loss, and gradient(params, batch), for inner_step_task;
+- loss(params, batch) for (d,) params on one Batch, for the baseline's
+  meta-loss and the meta-test loss;
 - batch_loss(P, X, Y) -> (m,) and batch_gradient(P, X, Y) -> (m, d), per task
   i at parameters P[i] (P is (m, d)) on inputs X[i] (X is (m, n, d)) and
   targets Y[i] (Y is (m, n));
@@ -51,14 +56,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .clustering import ClusterConfig, build_tree, clusters_at_level
-from .models import Batch, BatchStack, EmptyBatchError
-from .numerics import ParamVector
+from .models import Batch, BatchStack, EmptyBatchError, _frozen
+from .numerics import NumericalError
 from .tasks import ConfigError, TaskBatch, TaskInstance
 
 MODES = ("baseline", "maml", "tree_fixed", "tree_learned")
@@ -148,8 +152,8 @@ class MetaConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.inner_lr < 0 or self.outer_lr < 0:
-            raise ConfigError("learning rates must be non-negative")
+        if not (0 <= self.inner_lr < math.inf and 0 <= self.outer_lr < math.inf):
+            raise ConfigError("learning rates must be finite and non-negative")
         if self.inner_steps < 1:
             raise ConfigError("inner_steps must be >= 1")
         if self.tasks_per_batch < 1:
@@ -206,21 +210,6 @@ def stable_hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class ClusterState:
-    """One cluster at one inner step, as AdaptationTrace.steps lists it.
-
-    members are task_ids in task-batch order; parent indexes the previous
-    step's cluster list (0 at step 1, the virtual root holding the initial
-    parameters). params_in is the parent's parameters the step started from.
-    """
-
-    members: tuple
-    parent: int
-    params_in: ParamVector
-    params_out: ParamVector
-
-
 class _Groups:
     """Rows grouped by seg: row i is in group seg[i], groups 0..count-1 all non-empty.
 
@@ -262,16 +251,17 @@ class AdaptationTrace:
     step k, entry k-1 of each list holds: owners, each task's cluster (m,);
     parents, each cluster's index among the step-(k-1) clusters (C,), all 0
     at step 1, whose parent is the root holding omega; params, each cluster's
-    parameters after the step (C, d); groups, the tasks grouped by cluster.
+    parameters after the step (C, d), read-only; groups, the tasks grouped by
+    cluster.
 
     A followed trace (adapt_tree's follow=i) has every step's owners and
     parents, but params[k-1] is (1, d), the row of task i's cluster alone,
     at every step that stepped only that cluster, and groups is empty. Only
-    partition_sizes and followed_params read it; the per-task readers raise
+    partition_sizes and followed_params read it; task_params raises
     ValueError.
     """
 
-    omega: ParamVector
+    omega: np.ndarray
     tasks: TaskBatch
     owners: list
     parents: list
@@ -284,52 +274,35 @@ class AdaptationTrace:
         return [len(parent) for parent in self.parents]
 
     @property
-    def followed_params(self) -> ParamVector:
-        """The followed task's parameters after the last step."""
+    def followed_params(self) -> np.ndarray:
+        """The followed task's (d,) parameters after the last step, read-only."""
         if self.follow is None:
             raise ValueError("a full trace follows no task")
-        return ParamVector(self.params[-1][0])
+        return self.params[-1][0]
 
-    def _require_full(self) -> None:
+    def task_params(self, k: int) -> np.ndarray:
+        """(m, d) each task's parameters after k inner steps, read-only."""
         if self.follow is not None:
             raise ValueError(f"this trace followed task row {self.follow} only; "
                              "reading every task's parameters needs a full trace")
-
-    def task_params(self, k: int) -> np.ndarray:
-        """(m, d) each task's parameters after k inner steps."""
-        self._require_full()
         if k == 0:
-            return np.repeat(self.omega.values[None], len(self.tasks), axis=0)
-        return self.params[k - 1][self.owners[k - 1]]
-
-    @cached_property
-    def final_params(self) -> dict:
-        """task_id -> adapted parameters, in batch order."""
-        final = ParamVector.rows(self.task_params(len(self.params)))
-        return {t.task_id: theta for t, theta in zip(self.tasks, final)}
-
-    @cached_property
-    def steps(self) -> list:
-        """Per inner step, its clusters as ClusterStates."""
-        self._require_full()
-        ids = [t.task_id for t in self.tasks]
-        levels = []
-        prev = [self.omega]
-        for owner, parent, params in zip(self.owners, self.parents, self.params):
-            members: list = [[] for _ in parent]
-            for tid, c in zip(ids, owner.tolist()):
-                members[c].append(tid)
-            outs = ParamVector.rows(params)
-            levels.append([ClusterState(tuple(mem), p, prev[p], out)
-                           for mem, p, out in zip(members, parent.tolist(), outs)])
-            prev = outs
-        return levels
+            P = np.repeat(self.omega[None], len(self.tasks), axis=0)
+        else:
+            P = self.params[k - 1][self.owners[k - 1]]
+        P.setflags(write=False)
+        return P
 
 
-def inner_step_task(model, params: ParamVector, batch: Batch, lr: float) -> ParamVector:
-    """One gradient step on a single task's training batch."""
-    g = model.gradient(params, batch)
-    return ParamVector(params.values - lr * g.values)
+def _check_omega(model, omega) -> np.ndarray:
+    """omega as a read-only float64 (model.dim,) array, copied unless nothing
+    can write through it. Raises ValueError for another shape and
+    NumericalError for a non-finite entry."""
+    omega = _frozen(omega)
+    if omega.shape != (model.dim,):
+        raise ValueError(f"omega must have shape ({model.dim},), not {omega.shape}")
+    if not np.isfinite(omega).all():
+        raise NumericalError("omega entries must be finite")
+    return omega
 
 
 def _require_finite(values, phase: str) -> None:
@@ -383,12 +356,11 @@ def _learned_partition(ids: list, G: np.ndarray, prev_owner: np.ndarray, n_prev:
     (an exactly fitted task) has no direction to cluster on, so that task steps
     alone, after the clustered tasks and in batch order."""
     zero = np.linalg.norm(G, axis=1) == 0.0
-    vectors = ParamVector.rows(G)
     owner = np.empty(len(ids), dtype=np.intp)
     parent: list = []
     for p in range(n_prev):
         members = np.flatnonzero(prev_owner == p)
-        items = [(ids[i], vectors[i]) for i in members if not zero[i]]
+        items = [(ids[i], G[i]) for i in members if not zero[i]]
         if items:
             row = {ids[i]: i for i in members}
             for cluster_ids in clusters_at_level(build_tree(items, cluster), 1):
@@ -400,14 +372,14 @@ def _learned_partition(ids: list, G: np.ndarray, prev_owner: np.ndarray, n_prev:
     return owner, np.array(parent, dtype=np.intp)
 
 
-def _adapt(model, omega: ParamVector, tasks: TaskBatch, cfg: MetaConfig, mode: str,
+def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: str,
            follow: Optional[int] = None) -> AdaptationTrace:
     """adapt_tree's K-step inner loop, with mode choosing the partitions and
     follow, when not None, the one task whose path is stepped."""
     m, K = len(tasks), cfg.inner_steps
     ids = [t.task_id for t in tasks]
     paths = _fixed_paths(tasks, cfg) if mode == "tree_fixed" else None
-    P = omega.values[None]  # a row per cluster, or the followed cluster's alone
+    P = omega[None]  # a row per cluster, or the followed cluster's alone
     owner = np.zeros(m, dtype=np.intp)
     stepped_all = True
     trace = AdaptationTrace(omega, tasks, [], [], [], [], follow)
@@ -445,13 +417,14 @@ def _adapt(model, omega: ParamVector, tasks: TaskBatch, cfg: MetaConfig, mode: s
             P = (p - cfg.inner_lr * mean)[None]
             stepped_all = False
         _require_finite(P, phase)
+        P.setflags(write=False)
         trace.owners.append(owner)
         trace.parents.append(parent)
         trace.params.append(P)
     return trace
 
 
-def adapt_tree(model, omega: ParamVector, task_batch: Sequence[TaskInstance], cfg: MetaConfig,
+def adapt_tree(model, omega: np.ndarray, task_batch: Sequence[TaskInstance], cfg: MetaConfig,
                follow: Optional[int] = None) -> AdaptationTrace:
     """Run the K-step inner loop for a batch of tasks and record the trace.
 
@@ -470,6 +443,7 @@ def adapt_tree(model, omega: ParamVector, task_batch: Sequence[TaskInstance], cf
     Raises DivergenceError naming the step when a computed gradient or
     parameter goes non-finite.
     """
+    omega = _check_omega(model, omega)
     tasks = TaskBatch.of(task_batch)
     if not len(tasks):
         raise EmptyBatchError("adapt_tree needs a non-empty task batch")
@@ -483,23 +457,17 @@ def adapt_tree(model, omega: ParamVector, task_batch: Sequence[TaskInstance], cf
     return _adapt(model, omega, tasks, cfg, cfg.mode, follow)
 
 
-def _val_stack(trace: AdaptationTrace, val_batches) -> BatchStack:
-    if isinstance(val_batches, BatchStack):
-        return val_batches
-    return BatchStack.of([val_batches[t.task_id] for t in trace.tasks])
-
-
-def meta_validation_loss(model, trace: AdaptationTrace, val_batches) -> float:
+def meta_validation_loss(model, trace: AdaptationTrace, val_batches: BatchStack) -> float:
     """Mean over tasks of the validation loss at the adapted parameters.
 
-    val_batches maps task_id -> Batch, or is a BatchStack in the trace's
-    task order (a TaskBatch's val).
+    val_batches is a BatchStack in the trace's task order (a TaskBatch's val).
     """
     final = trace.task_params(len(trace.params))
-    return float(np.mean(_per_task(model.batch_loss, final, _val_stack(trace, val_batches))))
+    return float(np.mean(_per_task(model.batch_loss, final, val_batches)))
 
 
-def meta_gradient(model, omega: ParamVector, trace: AdaptationTrace, val_batches, cfg: MetaConfig) -> ParamVector:
+def meta_gradient(model, omega: np.ndarray, trace: AdaptationTrace, val_batches: BatchStack,
+                  cfg: MetaConfig) -> np.ndarray:
     """Gradient of the meta validation loss with respect to omega.
 
     Second-order mode applies the transposed step Jacobians (I - lr * H_c)
@@ -507,6 +475,7 @@ def meta_gradient(model, omega: ParamVector, trace: AdaptationTrace, val_batches
     symmetric, so the factor is applied as-is. First-order mode treats the
     adapted parameters as constants. val_batches is as in meta_validation_loss.
     """
+    _check_omega(model, omega)
     hvp = getattr(model, "batch_hvp", None)
     if cfg.second_order and hvp is None:
         raise CapabilityError(
@@ -515,7 +484,7 @@ def meta_gradient(model, omega: ParamVector, trace: AdaptationTrace, val_batches
         )
     K = len(trace.params)
     m = len(trace.tasks)
-    G_val = _per_task(model.batch_gradient, trace.task_params(K), _val_stack(trace, val_batches))
+    G_val = _per_task(model.batch_gradient, trace.task_params(K), val_batches)
     if not cfg.second_order:
         g = np.mean(G_val, axis=0)
     else:
@@ -527,19 +496,21 @@ def meta_gradient(model, omega: ParamVector, trace: AdaptationTrace, val_batches
             adjoint = _Groups(trace.parents[k], n_parents).running_sum(pushed)
         g = adjoint[0]
     _require_finite(g, "meta-gradient")
-    return ParamVector(g)
+    return g
 
 
-def _outer_step(omega: ParamVector, g: np.ndarray, lr: float) -> ParamVector:
-    stepped = omega.values - lr * g
+def _outer_step(omega: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
+    stepped = omega - lr * g
     _require_finite(stepped, "outer step")
-    return ParamVector(stepped)
+    stepped.setflags(write=False)
+    return stepped
 
 
-def outer_update(model, omega: ParamVector, trace: AdaptationTrace, val_batches, cfg: MetaConfig) -> ParamVector:
-    """One outer step: omega minus outer_lr times the meta-gradient."""
-    g = meta_gradient(model, omega, trace, val_batches, cfg)
-    return _outer_step(omega, g.values, cfg.outer_lr)
+def outer_update(model, omega: np.ndarray, trace: AdaptationTrace, val_batches: BatchStack,
+                 cfg: MetaConfig) -> np.ndarray:
+    """One outer step: the read-only omega minus outer_lr times the meta-gradient."""
+    omega = _check_omega(model, omega)
+    return _outer_step(omega, meta_gradient(model, omega, trace, val_batches, cfg), cfg.outer_lr)
 
 
 def _check_meta_loss(loss: float) -> None:
@@ -550,14 +521,15 @@ def _check_meta_loss(loss: float) -> None:
 def meta_train(model, task_source, cfg: MetaConfig):
     """Train omega from scratch; returns (omega, per-iteration log records).
 
-    omega starts at N(0, 0.01^2) per coordinate from cfg.seed. Baseline mode
-    skips adaptation and takes one pooled-gradient step per iteration over the
-    batch tasks' train+val points. Raises DivergenceError, naming the
+    omega is a read-only (model.dim,) array. It starts at N(0, 0.01^2) per
+    coordinate from cfg.seed. Baseline mode skips adaptation and takes one
+    pooled-gradient step per iteration over the batch tasks' train+val points. Raises DivergenceError, naming the
     iteration and the phase, when the tracked loss goes non-finite or above
     DIVERGENCE_LIMIT or any step's values go non-finite.
     """
     rng = np.random.default_rng(cfg.seed)
-    omega = ParamVector(rng.normal(0.0, 0.01, model.dim))
+    omega = rng.normal(0.0, 0.01, model.dim)
+    omega.setflags(write=False)
     log = []
     for it in range(1, cfg.outer_iterations + 1):
         t0 = time.perf_counter()
@@ -570,7 +542,7 @@ def meta_train(model, task_source, cfg: MetaConfig):
                 pooled = Batch.concat(
                     [b for t in batch for b in (t.train_points, t.val_points)]
                 )
-                g = model.batch_gradient(omega.values[None], pooled.x[None], pooled.y[None])[0]
+                g = model.batch_gradient(omega[None], pooled.x[None], pooled.y[None])[0]
                 _require_finite(g, "meta-gradient")
                 omega = _outer_step(omega, g, cfg.outer_lr)
                 partitions = []
@@ -593,7 +565,7 @@ def meta_train(model, task_source, cfg: MetaConfig):
     return omega, log
 
 
-def adapt_and_evaluate(model, omega: ParamVector, support_tasks: Sequence[TaskInstance],
+def adapt_and_evaluate(model, omega: np.ndarray, support_tasks: Sequence[TaskInstance],
                        target_task: TaskInstance, cfg: MetaConfig) -> float:
     """Adapt to the target task and return its test MSE.
 
@@ -605,7 +577,7 @@ def adapt_and_evaluate(model, omega: ParamVector, support_tasks: Sequence[TaskIn
     loss reads, so a support task off the target's path that overflows does
     not fail eval. A non-finite value raises DivergenceError in phase "eval".
     """
-    theta = omega
+    theta = omega = _check_omega(model, omega)
     if cfg.mode != "baseline" or cfg.baseline_finetune:
         target = TaskBatch.of([target_task])
         try:

@@ -8,8 +8,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import ParamVector
-
 
 class EmptyBatchError(ValueError):
     """Loss/gradient/HVP asked for on a batch with no points."""
@@ -101,11 +99,11 @@ class BatchStack:
         return BatchStack(tuple(blocks))
 
 
-def _check(params: ParamVector, batch: Batch) -> None:
+def _check(params: np.ndarray, batch: Batch) -> None:
     if len(batch) == 0:
         raise EmptyBatchError("empty batch")
-    if batch.dim != params.dim:
-        raise ValueError(f"batch dim {batch.dim} != params dim {params.dim}")
+    if params.shape != (batch.dim,):
+        raise ValueError(f"batch dim {batch.dim} != params shape {params.shape}")
 
 
 def _check_stack(P: np.ndarray, X: np.ndarray) -> None:
@@ -122,7 +120,8 @@ class LinearRegressionModel:
     The batch_* methods take one task per row: P (m, d) parameters, X (m, n, d)
     inputs and Y (m, n) targets. They are stacked matmuls, which give the
     per-task matrix-vector products bit for bit (np.einsum does not). The
-    single-batch methods are the same formulas on a stack of one.
+    single-batch methods take (d,) arrays and are the same formulas on a
+    stack of one.
     """
 
     dim: int
@@ -149,21 +148,19 @@ class LinearRegressionModel:
         XV = (X @ V[:, :, None])[..., 0]
         return (2.0 / X.shape[1]) * (XV[:, None, :] @ X)[:, 0, :]
 
-    def loss(self, params: ParamVector, batch: Batch) -> float:
+    def loss(self, params: np.ndarray, batch: Batch) -> float:
         """Mean over the batch of (<params, x> - y)^2."""
         _check(params, batch)
-        return float(self.batch_loss(params.values[None], batch.x[None], batch.y[None])[0])
+        return float(self.batch_loss(params[None], batch.x[None], batch.y[None])[0])
 
-    def gradient(self, params: ParamVector, batch: Batch) -> ParamVector:
+    def gradient(self, params: np.ndarray, batch: Batch) -> np.ndarray:
         """Exact gradient of loss: (2/n) * X^T (X p - y)."""
         _check(params, batch)
-        return ParamVector(self.batch_gradient(params.values[None], batch.x[None], batch.y[None])[0])
+        return self.batch_gradient(params[None], batch.x[None], batch.y[None])[0]
 
-    def hessian_vector_product(self, params: ParamVector, batch: Batch, v: ParamVector) -> ParamVector:
+    def hessian_vector_product(self, params: np.ndarray, batch: Batch, v: np.ndarray) -> np.ndarray:
         """H v for the constant MSE Hessian H = (2/n) * X^T X."""
         _check(params, batch)
-        if v.dim != params.dim:
-            raise ValueError(f"vector dim {v.dim} != params dim {params.dim}")
-        return ParamVector(
-            self.batch_hvp(params.values[None], batch.x[None], batch.y[None], v.values[None])[0]
-        )
+        if v.shape != params.shape:
+            raise ValueError(f"vector shape {v.shape} != params shape {params.shape}")
+        return self.batch_hvp(params[None], batch.x[None], batch.y[None], v[None])[0]

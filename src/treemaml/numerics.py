@@ -1,7 +1,11 @@
-"""Parameter vectors, similarity statistics, and a finite-difference oracle.
+"""Similarity statistics, confidence halfwidths, and a finite-difference oracle.
 
-Everything downstream (models, clustering, meta-training) moves data around as
-ParamVector instances, so the finiteness guarantee lives in exactly one place.
+Parameters, gradients and clustering items are plain 1-D float64 arrays
+throughout the package. Finiteness is guaranteed where values enter or are
+computed: the public meta entry points (adapt_tree, meta_gradient,
+outer_update, adapt_and_evaluate) check omega's shape, dtype and finiteness
+once, and the engine checks each step's gradients and parameters, the
+meta-gradient and the outer step as whole arrays.
 """
 
 from __future__ import annotations
@@ -25,69 +29,6 @@ class InsufficientSamplesError(ValueError):
     """A statistic was asked for with fewer samples than it needs."""
 
 
-class ParamVector:
-    """Immutable flat vector of float64 parameters.
-
-    The constructor rejects non-finite entries, so a NaN produced anywhere
-    surfaces at the operation that created it instead of propagating silently
-    through an experiment.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("ParamVector requires a non-empty 1-D sequence")
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError("ParamVector entries must be finite")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self._values = arr
-
-    @classmethod
-    def rows(cls, matrix) -> list:
-        """One ParamVector per row of a 2-D array, checked for finiteness once.
-
-        The rows are read-only views of one frozen copy of the array.
-        """
-        arr = np.array(matrix, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] == 0:
-            raise ValueError("ParamVector.rows requires a 2-D array with non-empty rows")
-        if not np.all(np.isfinite(arr)):
-            raise NumericalError("ParamVector entries must be finite")
-        arr.setflags(write=False)
-        out = []
-        for row in arr:
-            v = object.__new__(cls)
-            v._values = row
-            out.append(v)
-        return out
-
-    @property
-    def values(self) -> np.ndarray:
-        """The underlying read-only float64 array."""
-        return self._values
-
-    @property
-    def dim(self) -> int:
-        return self._values.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._values))
-
-    def to_list(self) -> list:
-        return [float(v) for v in self._values]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParamVector):
-            return NotImplemented
-        return self.dim == other.dim and bool(np.array_equal(self._values, other._values))
-
-    def __repr__(self) -> str:
-        return f"ParamVector({np.array2string(self._values, max_line_width=70)})"
-
-
 @dataclass(frozen=True)
 class SimilarityStats:
     """Mean/std over the pairwise similarities of a vector set.
@@ -101,18 +42,18 @@ class SimilarityStats:
     count_pairs: int
 
 
-def cosine_similarity(a: ParamVector, b: ParamVector) -> float:
-    """Cosine of the angle between a and b, in [-1, 1].
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of the angle between the 1-D arrays a and b, in [-1, 1].
 
     Raises ZeroVectorError when either vector has zero norm.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    na = a.norm()
-    nb = b.norm()
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
         raise ZeroVectorError("cosine similarity undefined for zero vector")
-    return float(a.values @ b.values) / (na * nb)
+    return float(a @ b) / (na * nb)
 
 
 _PAIR_INDEX_CACHE: dict = {}
@@ -128,8 +69,8 @@ def _upper_pairs(n: int):
     return pairs
 
 
-def set_similarity(vectors: Iterable[ParamVector]) -> SimilarityStats:
-    """Pairwise cosine statistics over an unordered set of vectors.
+def set_similarity(vectors: Iterable[np.ndarray]) -> SimilarityStats:
+    """Pairwise cosine statistics over an unordered set of 1-D arrays.
 
     Sets of size 0 or 1 have no pairs; by convention they are maximally
     coherent: mean 1.0, std 0.0, count 0.
@@ -140,7 +81,7 @@ def set_similarity(vectors: Iterable[ParamVector]) -> SimilarityStats:
         return SimilarityStats(1.0, 0.0, 0)
     if n == 2:
         return SimilarityStats(cosine_similarity(vs[0], vs[1]), 0.0, 1)
-    mat = np.stack([v.values for v in vs])
+    mat = np.stack(vs)
     norms = np.linalg.norm(mat, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVectorError("cosine similarity is undefined for a zero vector")
@@ -162,8 +103,8 @@ def confidence_halfwidth_95(samples: Sequence[float]) -> float:
 
 
 def finite_difference_gradient(
-    f: Callable[[ParamVector], float], x: ParamVector, h: float = 1e-5
-) -> ParamVector:
+    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
+) -> np.ndarray:
     """Central-difference gradient of a scalar function at x.
 
     Independent oracle for analytic gradients: evaluates f at x +- h*e_i per
@@ -171,15 +112,15 @@ def finite_difference_gradient(
     """
     if h <= 0.0:
         raise ValueError("step size h must be positive")
-    base = x.values
-    grad = np.empty(x.dim)
-    for i in range(x.dim):
+    base = np.asarray(x, dtype=np.float64)
+    grad = np.empty(base.shape[0])
+    for i in range(base.shape[0]):
         bumped = base.copy()
         bumped[i] = base[i] + h
-        fp = float(f(ParamVector(bumped)))
+        fp = float(f(bumped))
         bumped[i] = base[i] - h
-        fm = float(f(ParamVector(bumped)))
+        fm = float(f(bumped))
         if not (math.isfinite(fp) and math.isfinite(fm)):
             raise NumericalError(f"non-finite f at coordinate {i}")
         grad[i] = (fp - fm) / (2.0 * h)
-    return ParamVector(grad)
+    return grad

@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .models import Batch, BatchStack
-from .numerics import ParamVector
 
 
 class ConfigError(ValueError):
@@ -30,6 +29,7 @@ class TaskGeneratorConfig:
     level_scales has one entry per tree level including the root, so its length
     is len(branching) + 1. task_jitter is the std of the per-task offset around
     its leaf center; None selects the default of 0.1 * level_scales[-1].
+    Scales, noise_std and task_jitter must be finite and non-negative.
     """
 
     dim: int = 64
@@ -50,16 +50,16 @@ class TaskGeneratorConfig:
             raise ConfigError("branching factors must be positive")
         if len(self.level_scales) != len(self.branching) + 1:
             raise ConfigError("need one level scale per tree level including the root")
-        if any(s < 0 for s in self.level_scales):
-            raise ConfigError("level scales must be non-negative")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
+        if not all(0 <= s < math.inf for s in self.level_scales):
+            raise ConfigError("level scales must be finite and non-negative")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError("noise_std must be finite and non-negative")
         if not self.input_low < self.input_high:
             raise ConfigError("input_low must be < input_high")
         if not math.isfinite(self.input_high - self.input_low):
             raise ConfigError("the input range input_high - input_low must be finite")
-        if self.task_jitter is not None and self.task_jitter < 0:
-            raise ConfigError("task_jitter must be non-negative")
+        if self.task_jitter is not None and not 0 <= self.task_jitter < math.inf:
+            raise ConfigError("task_jitter must be finite and non-negative")
 
     @property
     def jitter_std(self) -> float:
@@ -82,7 +82,7 @@ class TaskGeneratorConfig:
 
 @dataclass(frozen=True)
 class ParameterTreeNode:
-    center: ParamVector
+    center: np.ndarray  # read-only (dim,)
     path: tuple
     children: tuple
 
@@ -101,17 +101,22 @@ def build_parameter_tree(cfg: TaskGeneratorConfig) -> ParameterTree:
 
     Nodes are drawn in depth-first pre-order: the root center comes from
     N(0, level_scales[0]^2) per coordinate, and each level-l child adds a
-    N(0, level_scales[l]^2) offset to its parent's center.
+    N(0, level_scales[l]^2) offset to its parent's center. Raises ConfigError
+    naming the level when a center overflows.
     """
     rng = np.random.default_rng(cfg.seed)
 
     def grow(center: np.ndarray, path: tuple, level: int) -> ParameterTreeNode:
+        if not np.isfinite(center).all():
+            raise ConfigError(f"a level-{level} center overflows; level_scales "
+                              f"{list(cfg.level_scales)} are too large")
+        center.setflags(write=False)
         children = []
         if level < len(cfg.branching):
             for b in range(cfg.branching[level]):
                 offset = rng.normal(0.0, cfg.level_scales[level + 1], cfg.dim)
                 children.append(grow(center + offset, path + (b,), level + 1))
-        return ParameterTreeNode(ParamVector(center), path, tuple(children))
+        return ParameterTreeNode(center, path, tuple(children))
 
     root = grow(rng.normal(0.0, cfg.level_scales[0], cfg.dim), (), 0)
 
@@ -129,9 +134,10 @@ def build_parameter_tree(cfg: TaskGeneratorConfig) -> ParameterTree:
 
 @dataclass(frozen=True)
 class RegressionTaskParams:
-    """Ground truth for one task: weights, owning leaf cluster, and tree path."""
+    """Ground truth for one task: weights (a read-only (dim,) array), owning leaf
+    cluster, and tree path."""
 
-    weights: ParamVector
+    weights: np.ndarray
     leaf_cluster_id: int
     path: tuple
 
@@ -182,22 +188,6 @@ class TaskBatch(Sequence):
                          self.val + other.val, self.test + other.test)
 
 
-def sample_task(
-    tree: ParameterTree,
-    rng: np.random.Generator,
-    n_train: int,
-    n_val: int,
-    n_test: int = 0,
-    task_id: int = 0,
-) -> TaskInstance:
-    """Sample one task: uniform leaf, jittered weights, then the three splits.
-
-    A pure function of the RNG state, so replaying a seeded generator replays
-    the exact task. Draw order: leaf index, jitter, train, val, test.
-    """
-    return sample_task_batch(tree, 1, rng, n_train, n_val, n_test, start_id=task_id)[0]
-
-
 def sample_task_batch(
     tree: ParameterTree,
     m: int,
@@ -209,9 +199,10 @@ def sample_task_batch(
 ) -> TaskBatch:
     """Sample m tasks with sequential task_ids start_id..start_id+m-1.
 
-    Task by task, in sample_task's draw order, straight into one (m, n, dim)
-    input and one (m, n) target array per split, which are then frozen; a
-    zero-size split draws nothing.
+    Each task draws a uniform leaf, jittered weights, then its train, val and
+    test splits, so replaying a seeded generator replays the exact batch. The
+    draws go straight into one (m, n, dim) input and one (m, n) target array
+    per split, which are then frozen; a zero-size split draws nothing.
     """
     if m <= 0:
         raise ConfigError("batch size m must be positive")
@@ -226,7 +217,7 @@ def sample_task_batch(
     for i in range(m):
         leaves.append(int(rng.integers(len(tree.leaves))))
         w = weights[i]
-        np.add(tree.leaves[leaves[-1]].center.values, rng.normal(0.0, cfg.jitter_std, cfg.dim), out=w)
+        np.add(tree.leaves[leaves[-1]].center, rng.normal(0.0, cfg.jitter_std, cfg.dim), out=w)
         for x, y in drawn:
             # rng.uniform(low, high)'s own arithmetic, low + (high - low) * u,
             # done in place
@@ -235,6 +226,7 @@ def sample_task_batch(
             x[i] += cfg.input_low
             np.matmul(x[i], w, out=y[i])
             y[i] += rng.normal(0.0, cfg.noise_std, size=y.shape[1])
+    weights.setflags(write=False)
     batches = []
     for x, y in splits:
         x.setflags(write=False)
@@ -245,7 +237,7 @@ def sample_task_batch(
         TaskInstance(RegressionTaskParams(w, leaf_idx, tree.leaves[leaf_idx].path),
                      train, val, test, start_id + i)
         for i, (w, leaf_idx, train, val, test)
-        in enumerate(zip(ParamVector.rows(weights), leaves, *batches))
+        in enumerate(zip(weights, leaves, *batches))
     )
     return TaskBatch(tasks, *(BatchStack(((x, y),)) for x, y in splits))
 
@@ -272,7 +264,7 @@ def distribution_to_dict(tree: ParameterTree) -> dict:
     queue = [tree.root]
     while queue:
         node = queue.pop(0)
-        centers.append(node.center.to_list())
+        centers.append(node.center.tolist())
         queue.extend(node.children)
     return {"config": tree.config.to_dict(), "centers": centers}
 

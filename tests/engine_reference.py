@@ -1,7 +1,7 @@
 """Frozen reference for the per-task meta-learning engine.
 
 This is the engine as it was before it worked on stacked arrays: every inner
-step calls the model once per task, builds a ParamVector per gradient and
+step calls the model once per task, keeps one gradient array per task and
 np.stacks each cluster's member gradients; the reverse pass calls the HVP once
 per task and accumulates the adjoints one cluster at a time. The model's
 loss, gradient and HVP are frozen here too, as the per-batch formulas they
@@ -20,30 +20,29 @@ import numpy as np
 
 from treemaml.clustering import build_tree, clusters_at_level
 from treemaml.models import Batch
-from treemaml.numerics import ParamVector
 from treemaml.tasks import RegressionTaskParams, TaskInstance
 
 
-def loss(params: ParamVector, batch) -> float:
-    r = batch.x @ params.values - batch.y
+def loss(params: np.ndarray, batch) -> float:
+    r = batch.x @ params - batch.y
     return float(np.mean(r * r))
 
 
-def gradient(params: ParamVector, batch) -> ParamVector:
-    r = batch.x @ params.values - batch.y
-    return ParamVector((2.0 / len(batch)) * (batch.x.T @ r))
+def gradient(params: np.ndarray, batch) -> np.ndarray:
+    r = batch.x @ params - batch.y
+    return (2.0 / len(batch)) * (batch.x.T @ r)
 
 
-def hessian_vector_product(params: ParamVector, batch, v: ParamVector) -> ParamVector:
-    return ParamVector((2.0 / len(batch)) * (batch.x.T @ (batch.x @ v.values)))
+def hessian_vector_product(params: np.ndarray, batch, v: np.ndarray) -> np.ndarray:
+    return (2.0 / len(batch)) * (batch.x.T @ (batch.x @ v))
 
 
 @dataclass(frozen=True)
 class ClusterState:
     members: tuple
     parent: int
-    params_in: Optional[ParamVector]
-    params_out: ParamVector
+    params_in: Optional[np.ndarray]
+    params_out: np.ndarray
 
 
 @dataclass
@@ -79,7 +78,7 @@ def _partition_step(tasks, grads, k, cfg, prev_level, index, paths):
         return out
     out = []
     for p_idx, parent in enumerate(prev_level):
-        zero = {tid for tid in parent.members if grads[tid].norm() == 0.0}
+        zero = {tid for tid in parent.members if float(np.linalg.norm(grads[tid])) == 0.0}
         items = [(tid, grads[tid]) for tid in parent.members if tid not in zero]
         if items:
             for cluster in clusters_at_level(build_tree(items, cfg.cluster), 1):
@@ -89,7 +88,7 @@ def _partition_step(tasks, grads, k, cfg, prev_level, index, paths):
     return out
 
 
-def adapt_tree(omega: ParamVector, tasks, cfg) -> Trace:
+def adapt_tree(omega: np.ndarray, tasks, cfg) -> Trace:
     tasks = list(tasks)
     ids = [t.task_id for t in tasks]
     paths = None
@@ -106,8 +105,8 @@ def adapt_tree(omega: ParamVector, tasks, cfg) -> Trace:
         level = []
         for members, p_idx in _partition_step(tasks, grads, k, cfg, prev_level, index, paths):
             params_in = prev_level[p_idx].params_out
-            stack = np.stack([grads[tid].values for tid in members])
-            params_out = ParamVector(params_in.values - cfg.inner_lr * np.mean(stack, axis=0))
+            stack = np.stack([grads[tid] for tid in members])
+            params_out = params_in - cfg.inner_lr * np.mean(stack, axis=0)
             level.append(ClusterState(tuple(members), p_idx, params_in, params_out))
         index = {tid: i for i, cs in enumerate(level) for tid in cs.members}
         levels.append(level)
@@ -121,29 +120,28 @@ def meta_validation_loss(trace: Trace, val_batches: dict) -> float:
     return float(np.mean(losses))
 
 
-def meta_gradient(omega: ParamVector, trace: Trace, val_batches: dict, cfg) -> ParamVector:
+def meta_gradient(omega: np.ndarray, trace: Trace, val_batches: dict, cfg) -> np.ndarray:
     m = len(trace.final_params)
     if not cfg.second_order:
         stack = np.stack(
-            [gradient(theta, val_batches[tid]).values for tid, theta in trace.final_params.items()]
+            [gradient(theta, val_batches[tid]) for tid, theta in trace.final_params.items()]
         )
-        return ParamVector(np.mean(stack, axis=0))
+        return np.mean(stack, axis=0)
 
     n_steps = len(trace.steps)
-    adjoints = [[np.zeros(omega.dim) for _ in level] for level in trace.steps]
+    adjoints = [[np.zeros(omega.shape[0]) for _ in level] for level in trace.steps]
     for ci, cs in enumerate(trace.steps[-1]):
-        acc = np.zeros(omega.dim)
+        acc = np.zeros(omega.shape[0])
         for tid in cs.members:
-            acc = acc + gradient(cs.params_out, val_batches[tid]).values
+            acc = acc + gradient(cs.params_out, val_batches[tid])
         adjoints[-1][ci] = acc / m
 
-    root_acc = np.zeros(omega.dim)
+    root_acc = np.zeros(omega.shape[0])
     for k in range(n_steps - 1, -1, -1):
         for ci, cs in enumerate(trace.steps[k]):
             v = adjoints[k][ci]
-            vv = ParamVector(v)
             hstack = np.stack(
-                [hessian_vector_product(cs.params_in, trace.train_batches[tid], vv).values
+                [hessian_vector_product(cs.params_in, trace.train_batches[tid], v)
                  for tid in cs.members]
             )
             pushed = v - cfg.inner_lr * np.mean(hstack, axis=0)
@@ -151,7 +149,7 @@ def meta_gradient(omega: ParamVector, trace: Trace, val_batches: dict, cfg) -> P
                 root_acc = root_acc + pushed
             else:
                 adjoints[k - 1][cs.parent] = adjoints[k - 1][cs.parent] + pushed
-    return ParamVector(root_acc)
+    return root_acc
 
 
 def sample_task(tree, rng, n_train, n_val, n_test=0, task_id=0):
@@ -165,8 +163,8 @@ def sample_task(tree, rng, n_train, n_val, n_test=0, task_id=0):
 
     leaf_idx = int(rng.integers(len(tree.leaves)))
     leaf = tree.leaves[leaf_idx]
-    weights = leaf.center.values + rng.normal(0.0, cfg.jitter_std, cfg.dim)
-    params = RegressionTaskParams(ParamVector(weights), leaf_idx, leaf.path)
+    weights = leaf.center + rng.normal(0.0, cfg.jitter_std, cfg.dim)
+    params = RegressionTaskParams(weights, leaf_idx, leaf.path)
     train = draw(weights, n_train)
     val = draw(weights, n_val)
     test = draw(weights, n_test)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from treemaml.clustering import ClusterConfig, DuplicateTaskError
-from treemaml.numerics import ParamVector, ZeroVectorError, set_similarity
+from treemaml.numerics import ZeroVectorError, set_similarity
 
 
 class ReferenceNode:
@@ -32,16 +32,16 @@ class ReferenceNode:
     __slots__ = ("node_id", "depth", "task_id", "children", "member_tasks", "_rep_sum", "_count", "_ids", "_rep_vec")
 
     def __init__(self, ids: itertools.count, depth: int, task_id: Optional[int] = None,
-                 vector: Optional[ParamVector] = None):
+                 vector: Optional[np.ndarray] = None):
         self.node_id = next(ids)
         self.depth = depth
         self.task_id = task_id
         self.children: list = []
         self.member_tasks: set = set() if task_id is None else {task_id}
-        self._rep_sum = None if vector is None else vector.values.copy()
+        self._rep_sum = None if vector is None else vector.copy()
         self._count = 0 if vector is None else 1
         self._ids = ids
-        self._rep_vec: Optional[ParamVector] = None
+        self._rep_vec: Optional[np.ndarray] = None
 
     @classmethod
     def new_root(cls) -> "ReferenceNode":
@@ -52,18 +52,18 @@ class ReferenceNode:
         return self.task_id is not None
 
     @property
-    def representative(self) -> ParamVector:
+    def representative(self) -> np.ndarray:
         if self._count == 0:
             raise ValueError("empty node has no representative")
         if self._rep_vec is None:
-            self._rep_vec = ParamVector(self._rep_sum / self._count)
+            self._rep_vec = self._rep_sum / self._count
         return self._rep_vec
 
-    def _absorb(self, vector: ParamVector) -> None:
+    def _absorb(self, vector: np.ndarray) -> None:
         if self._rep_sum is None:
-            self._rep_sum = vector.values.copy()
+            self._rep_sum = vector.copy()
         else:
-            self._rep_sum = self._rep_sum + vector.values
+            self._rep_sum = self._rep_sum + vector
         self._count += 1
         self._rep_vec = None
 
@@ -84,14 +84,14 @@ def _shift_down(node: ReferenceNode) -> None:
         _shift_down(child)
 
 
-def _most_similar_child(node: ReferenceNode, vector: ParamVector) -> int:
+def _most_similar_child(node: ReferenceNode, vector: np.ndarray) -> int:
     """Index of the child whose representative is most similar to vector.
 
     Ties break to the lowest node_id.
     """
-    reps = np.stack([child.representative.values for child in node.children])
+    reps = np.stack([child.representative for child in node.children])
     norms = np.linalg.norm(reps, axis=1)
-    scores = (reps @ vector.values) / (norms * vector.norm())
+    scores = (reps @ vector) / (norms * float(np.linalg.norm(vector)))
     best_idx = -1
     best_score = None
     best_id = None
@@ -107,7 +107,7 @@ def _most_similar_child(node: ReferenceNode, vector: ParamVector) -> int:
     return best_idx
 
 
-def reference_insert(node: ReferenceNode, item: Tuple[int, ParamVector], cfg: ClusterConfig) -> ReferenceNode:
+def reference_insert(node: ReferenceNode, item: Tuple[int, np.ndarray], cfg: ClusterConfig) -> ReferenceNode:
     """Insert (task_id, vector) into the tree rooted at node.
 
     Returns the node now occupying node's position: node itself, or the new
@@ -120,16 +120,16 @@ def reference_insert(node: ReferenceNode, item: Tuple[int, ParamVector], cfg: Cl
         raise ValueError("insertion target must be an internal node")
     if task_id in node.member_tasks:
         raise DuplicateTaskError(f"task {task_id} already in tree")
-    if vector.norm() == 0.0:
+    if float(np.linalg.norm(vector)) == 0.0:
         raise ZeroVectorError("cannot cluster a zero gradient")
     return _insert(node, task_id, vector, cfg)
 
 
-def _append_leaf(node: ReferenceNode, task_id: int, vector: ParamVector) -> None:
+def _append_leaf(node: ReferenceNode, task_id: int, vector: np.ndarray) -> None:
     node.children.append(ReferenceNode(node._ids, node.depth + 1, task_id, vector))
 
 
-def _insert(node: ReferenceNode, task_id: int, vector: ParamVector, cfg: ClusterConfig) -> ReferenceNode:
+def _insert(node: ReferenceNode, task_id: int, vector: np.ndarray, cfg: ClusterConfig) -> ReferenceNode:
     children = node.children
 
     if len(children) <= 1:
@@ -189,7 +189,7 @@ def _insert(node: ReferenceNode, task_id: int, vector: ParamVector, cfg: Cluster
     return node
 
 
-def reference_build_tree(items: Sequence[Tuple[int, ParamVector]], cfg: ClusterConfig) -> ReferenceNode:
+def reference_build_tree(items: Sequence[Tuple[int, np.ndarray]], cfg: ClusterConfig) -> ReferenceNode:
     """Insert items in order into a fresh tree and return the final root."""
     items = list(items)
     if not items:

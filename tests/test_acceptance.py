@@ -20,15 +20,14 @@ from treemaml.meta import (
     FixedTreeSpec,
     MetaConfig,
     adapt_tree,
-    inner_step_task,
     meta_gradient,
     meta_validation_loss,
     single_cluster_tree,
     singleton_tree,
 )
 from treemaml.models import Batch, LinearRegressionModel
-from treemaml.numerics import ParamVector, finite_difference_gradient
-from treemaml.tasks import ConfigError, RegressionTaskParams, TaskInstance
+from treemaml.numerics import finite_difference_gradient
+from treemaml.tasks import ConfigError, RegressionTaskParams, TaskBatch, TaskInstance
 
 BENCHMARK_SPEC = Path(__file__).resolve().parents[1] / "specs" / "benchmark.json"
 
@@ -40,7 +39,7 @@ def random_tasks(rng, m, dim, n=4, path_levels=3):
         xt = rng.uniform(-2, 2, size=(n, dim))
         xv = rng.uniform(-2, 2, size=(n, dim))
         params = RegressionTaskParams(
-            ParamVector(w), 0, tuple(int(rng.integers(0, 2)) for _ in range(path_levels))
+            w, 0, tuple(int(rng.integers(0, 2)) for _ in range(path_levels))
         )
         empty = Batch(np.zeros((0, dim)), np.zeros(0))
         tasks.append(
@@ -76,14 +75,14 @@ def test_criterion_1_meta_gradient_matches_finite_differences():
             fixed = FixedTreeSpec(steps, lambda t, k=steps: t.params.path[:k])
             cfg = MetaConfig(mode="tree_fixed", fixed_tree=fixed, inner_steps=steps,
                              tasks_per_batch=m, inner_lr=float(rng.uniform(0.01, 0.2)))
-        omega = ParamVector(rng.normal(size=dim))
-        vals = {t.task_id: t.val_points for t in tasks}
+        omega = rng.normal(size=dim)
+        vals = TaskBatch.of(tasks).val
         g = meta_gradient(model, omega, adapt_tree(model, omega, tasks, cfg), vals, cfg)
         fd = finite_difference_gradient(
             lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg), vals),
             omega,
         )
-        rel = np.linalg.norm(g.values - fd.values) / max(np.linalg.norm(fd.values), 1e-12)
+        rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)
     assert worst < 1e-4
     assert time.perf_counter() - t0 < 10.0
@@ -100,16 +99,14 @@ def test_criterion_2_singleton_fixed_tree_is_bit_identical_to_maml():
         m = int(rng.integers(2, 7))
         model = LinearRegressionModel(dim)
         tasks = random_tasks(rng, m, dim)
-        omega = ParamVector(rng.normal(size=dim))
+        omega = rng.normal(size=dim)
         lr = float(rng.uniform(0.01, 0.2))
         maml_cfg = MetaConfig(mode="maml", inner_steps=steps, inner_lr=lr, tasks_per_batch=m)
         tree_cfg = MetaConfig(mode="tree_fixed", fixed_tree=singleton_tree(steps),
                               inner_steps=steps, inner_lr=lr, tasks_per_batch=m)
-        a = adapt_tree(model, omega, tasks, maml_cfg).final_params
-        b = adapt_tree(model, omega, tasks, tree_cfg).final_params
-        assert a.keys() == b.keys()
-        for tid in a:
-            assert np.array_equal(a[tid].values, b[tid].values)
+        a = adapt_tree(model, omega, tasks, maml_cfg).task_params(steps)
+        b = adapt_tree(model, omega, tasks, tree_cfg).task_params(steps)
+        assert np.array_equal(a, b)
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -124,20 +121,20 @@ def test_criterion_3_cluster_step_equals_step_on_concatenated_batch():
         n = int(rng.integers(1, 7))
         lr = float(rng.uniform(0.01, 0.5))
         model = LinearRegressionModel(dim)
-        params = ParamVector(rng.normal(size=dim))
+        params = rng.normal(size=dim)
         w = rng.normal(size=dim)
         batches = []
         for _ in range(members):
             x = rng.uniform(-2, 2, size=(n, dim))
             batches.append(Batch(x, x @ w + rng.normal(0, 0.1, n)))
-        tasks = [TaskInstance(RegressionTaskParams(ParamVector(w), 0, (0,)), b, b, b, i)
+        tasks = [TaskInstance(RegressionTaskParams(w, 0, (0,)), b, b, b, i)
                  for i, b in enumerate(batches)]
         cfg = MetaConfig(mode="tree_fixed", fixed_tree=single_cluster_tree(1), inner_steps=1,
                          inner_lr=lr, tasks_per_batch=members)
-        (cluster,) = adapt_tree(model, params, tasks, cfg).steps[0]
-        pooled = cluster.params_out
-        concat = inner_step_task(model, params, Batch.concat(batches), lr)
-        assert np.max(np.abs(pooled.values - concat.values)) <= 1e-12
+        (pooled,) = adapt_tree(model, params, tasks, cfg).params[0]
+        cat = Batch.concat(batches)
+        concat = params - lr * model.batch_gradient(params[None], cat.x[None], cat.y[None])[0]
+        assert np.max(np.abs(pooled - concat)) <= 1e-12
 
 
 def count_leaves(node):
@@ -187,17 +184,17 @@ def test_criterion_4_clustering_structural_properties():
         items = []
         for i in range(n):
             if i > 0 and rng.random() < 0.2:
-                v = items[int(rng.integers(i))][1].values * float(rng.uniform(0.5, 2.0))
+                v = items[int(rng.integers(i))][1] * float(rng.uniform(0.5, 2.0))
             else:
                 v = rng.normal(size=dim)
                 while np.linalg.norm(v) < 1e-6:
                     v = rng.normal(size=dim)
-            items.append((i, ParamVector(v)))
+            items.append((i, v))
         check_structure(items, cfg)
 
     def unit(deg):
         rad = np.deg2rad(deg)
-        return ParamVector([np.cos(rad), np.sin(rad)])
+        return np.array([np.cos(rad), np.sin(rad)])
 
     root = build_tree([(1, unit(0)), (2, unit(90)), (3, unit(5)), (4, unit(85))],
                       ClusterConfig(max_depth=2, xi=1.0))

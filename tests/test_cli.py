@@ -21,7 +21,7 @@ from treemaml.cli import (
 from treemaml.clustering import ClusterConfig
 from treemaml.meta import MetaConfig, adapt_tree, generator_hierarchy_tree
 from treemaml.models import LinearRegressionModel
-from treemaml.numerics import ParamVector, confidence_halfwidth_95
+from treemaml.numerics import confidence_halfwidth_95
 from treemaml.tasks import (
     ConfigError,
     TaskGeneratorConfig,
@@ -210,7 +210,7 @@ def test_trace_tree_to_dict_nests_partitions():
     model = LinearRegressionModel(gen.dim)
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.01, outer_lr=0.01,
                      fixed_tree=generator_hierarchy_tree(3))
-    omega = ParamVector(np.random.default_rng(1).normal(0.0, 0.01, gen.dim))
+    omega = np.random.default_rng(1).normal(0.0, 0.01, gen.dim)
     trace = adapt_tree(model, omega, tasks, cfg)
     dump = trace_tree_to_dict(trace)
     assert dump["depth"] == 0
@@ -286,6 +286,50 @@ def test_main_bad_json_is_a_config_error(tmp_path, capsys):
     p.write_text("{broken")
     assert main(["run", str(p)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("section, field, value, error", [
+    ("generator", "level_scales", [1.0, 1.0, NAN], ConfigError),
+    ("generator", "level_scales", [1.0, INF, 0.5], ConfigError),
+    ("generator", "noise_std", NAN, ConfigError),
+    ("generator", "noise_std", INF, ConfigError),
+    ("generator", "task_jitter", NAN, ConfigError),
+    ("generator", "task_jitter", INF, ConfigError),
+    ("meta", "inner_lr", NAN, ConfigError),
+    ("meta", "inner_lr", INF, ConfigError),
+    ("meta", "outer_lr", NAN, ConfigError),
+    ("meta", "outer_lr", INF, ConfigError),
+    ("clustering", "xi", NAN, ValueError),
+])
+def test_non_finite_config_scalars_are_rejected(tmp_path, capsys, section, field, value, error):
+    d = small_dict()
+    d[section] = {**d[section], field: value}
+    with pytest.raises(error) as err:
+        spec_from_dict(d)
+    assert type(err.value) is error
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(d))  # written as the NaN / Infinity literals
+    assert main(["run", str(p), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_main_set_up_config_error_exits_2(tmp_path, capsys):
+    # finite scales whose centers overflow: build_parameter_tree raises
+    # ConfigError in set-up, before any cell runs
+    d = small_dict()
+    d["generator"]["level_scales"] = [1e308, 1e308, 1e308]
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(d))
+    for argv in (["run", str(p), "--out-dir", str(tmp_path / "out")],
+                 ["export-dist", str(p), "--out", str(tmp_path / "centers.json")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: a level-" in captured.err and "center overflows" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "centers.json").exists()
 
 
 def test_main_divergent_cell_exits_nonzero(tmp_path, capsys):

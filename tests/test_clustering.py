@@ -14,7 +14,7 @@ from treemaml.clustering import (
     otd_insert,
     tree_to_dict,
 )
-from treemaml.numerics import ParamVector, ZeroVectorError, set_similarity
+from treemaml.numerics import ZeroVectorError, set_similarity
 
 from otd_reference import reference_build_tree
 
@@ -24,7 +24,7 @@ XIS = (0.0, 0.5, 1.0, 2.0)
 
 def unit(deg):
     rad = math.radians(deg)
-    return ParamVector([math.cos(rad), math.sin(rad)])
+    return np.array([math.cos(rad), math.sin(rad)])
 
 
 def leaf_depths(node, out=None):
@@ -53,6 +53,9 @@ def test_cluster_config_validation():
         ClusterConfig(similarity="cosine")
     with pytest.raises(TypeError):
         ClusterConfig(most_similar="argmax")
+    # xi = inf is legal and never splits off an outlier (NaN is rejected in test_cli)
+    root = build_tree([(1, unit(0)), (2, unit(1)), (3, unit(180))], ClusterConfig(xi=math.inf))
+    assert [c.is_leaf for c in root.children] == [True, True, True]
 
 
 def test_first_two_insertions_append():
@@ -121,7 +124,7 @@ def test_outlier_appends_when_rerooting_would_break_depth():
 
 
 def test_coherent_items_widen_flat():
-    items = [(i, ParamVector([float(i), 0.0])) for i in range(1, 7)]
+    items = [(i, np.array([float(i), 0.0])) for i in range(1, 7)]
     root = build_tree(items, D2)
     assert len(root.children) == 6
     assert all(c.is_leaf for c in root.children)
@@ -150,13 +153,11 @@ def test_insertion_errors():
     with pytest.raises(DuplicateTaskError):
         otd_insert(root, (1, unit(5)), D2)
     with pytest.raises(ZeroVectorError):
-        otd_insert(root, (3, ParamVector([0.0, 0.0])), D2)
+        otd_insert(root, (3, np.zeros(2)), D2)
     with pytest.raises(ValueError):
         otd_insert(root.children[0], (4, unit(5)), D2)
     with pytest.raises(ValueError):
         build_tree([], D2)
-    with pytest.raises(ValueError):
-        ClusterTreeNode.new_root().representative
 
 
 def test_clusters_at_level_validates_k():
@@ -166,7 +167,7 @@ def test_clusters_at_level_validates_k():
 
 
 def test_flat_tree_gives_singletons_at_every_level():
-    items = [(i, ParamVector([1.0, float(i)])) for i in range(5)]
+    items = [(i, np.array([1.0, float(i)])) for i in range(5)]
     root = build_tree(items, ClusterConfig(max_depth=1))
     for k in (1, 2, 3):
         assert clusters_at_level(root, k) == [(0,), (1,), (2,), (3,), (4,)]
@@ -183,13 +184,17 @@ def test_tree_to_dict_structure():
     assert {g["member_tasks"][0] for g in grand} == {1, 3}
 
 
+def representative(node):
+    return node._rep_sum / node._count
+
+
 def check_representatives(node, vectors):
     # an internal node's representative is the mean of its leaf vectors
     if node.is_leaf:
         return
     members = sorted(node.member_tasks)
-    expected = np.mean([vectors[t].values for t in members], axis=0)
-    assert np.allclose(node.representative.values, expected, atol=1e-9)
+    expected = np.mean([vectors[t] for t in members], axis=0)
+    assert np.allclose(representative(node), expected, atol=1e-9)
     union = set()
     for c in node.children:
         assert c.member_tasks <= node.member_tasks
@@ -206,12 +211,12 @@ def random_items(rng, duplicates=True):
     for i in range(n):
         if duplicates and i > 0 and rng.random() < 0.2:
             # duplicate an earlier direction to exercise the widening branch
-            v = items[int(rng.integers(i))][1].values * float(rng.uniform(0.5, 2.0))
+            v = items[int(rng.integers(i))][1] * float(rng.uniform(0.5, 2.0))
         else:
             v = rng.normal(size=dim)
             while np.linalg.norm(v) < 1e-6:
                 v = rng.normal(size=dim)
-        items.append((i, ParamVector(v)))
+        items.append((i, v))
     return items
 
 
@@ -247,7 +252,7 @@ def assert_matches_reference(items, cfg):
 
 
 def has_collinear_pair(items):
-    mat = np.stack([v.values for _, v in items])
+    mat = np.stack([v for _, v in items])
     unit_rows = mat / np.linalg.norm(mat, axis=1, keepdims=True)
     cos = np.abs(unit_rows @ unit_rows.T)
     np.fill_diagonal(cos, 0.0)
@@ -261,7 +266,7 @@ def clustered_batch(rng, m=96, dim=64):
     leaves = np.repeat(tops, 2, axis=0) + rng.normal(size=(4, dim))
     scale = float(rng.uniform(0.2, 1.0))
     vecs = leaves[rng.integers(0, 4, size=m)] + scale * rng.normal(size=(m, dim))
-    return [(i, ParamVector(v)) for i, v in enumerate(vecs)]
+    return list(enumerate(vecs))
 
 
 def test_cached_ladder_matches_reference_on_random_sequences():
@@ -302,9 +307,9 @@ def check_cache(node, max_depth):
         assert all(child.is_leaf for child in node.children)
         return
     c = len(node.children)
-    reps = [child.representative for child in node.children]
-    assert np.array_equal(node._reps[:c], np.stack([r.values for r in reps]))
-    assert np.allclose(node._norms[:c], [r.norm() for r in reps], rtol=1e-15, atol=0.0)
+    reps = [representative(child) for child in node.children]
+    assert np.array_equal(node._reps[:c], np.stack(reps))
+    assert np.allclose(node._norms[:c], [np.linalg.norm(r) for r in reps], rtol=1e-15, atol=0.0)
     if c >= 2:
         expected = set_similarity(reps)
         pairs = node._pair_cosines(c)

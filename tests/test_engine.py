@@ -31,7 +31,6 @@ from treemaml.meta import (
     meta_validation_loss,
 )
 from treemaml.models import LinearRegressionModel
-from treemaml.numerics import ParamVector
 from treemaml.tasks import TaskBatch, TaskGeneratorConfig, build_parameter_tree, sample_task_batch
 
 DIM, M = 64, 96
@@ -53,8 +52,8 @@ def omegas(seed):
     # one initialization near zero, as meta_train starts, and one near the
     # tasks' common center, where a trained initialization ends up
     rng = np.random.default_rng(seed)
-    yield ParamVector(rng.normal(0.0, 0.01, DIM))
-    yield ParamVector(TREE.root.center.values + rng.normal(0.0, 0.3, DIM))
+    yield rng.normal(0.0, 0.01, DIM)
+    yield TREE.root.center + rng.normal(0.0, 0.3, DIM)
 
 
 @pytest.mark.parametrize("points", [5, 128])
@@ -65,7 +64,8 @@ def test_sampler_matches_the_per_task_sampler(points):
         rng = np.random.default_rng(points)
         for t in batch:
             old = ref.sample_task(TREE, rng, points, n_val, n_test, task_id=t.task_id)
-            assert t.params == old.params
+            assert np.array_equal(t.params.weights, old.params.weights)
+            assert (t.params.leaf_cluster_id, t.params.path) == (old.params.leaf_cluster_id, old.params.path)
             for split in ("train_points", "val_points", "test_points"):
                 assert np.array_equal(getattr(t, split).x, getattr(old, split).x)
                 assert np.array_equal(getattr(t, split).y, getattr(old, split).y)
@@ -79,24 +79,28 @@ def test_sampler_matches_the_per_task_sampler(points):
 @pytest.mark.parametrize("mode", ["maml", "tree_fixed", "tree_learned"])
 def test_engine_is_bit_identical_to_the_per_task_engine(mode, points):
     tasks = sample_task_batch(TREE, M, np.random.default_rng(100 + points), points, points)
+    ids = np.array([t.task_id for t in tasks])
     vals = {t.task_id: t.val_points for t in tasks}
     for omega in omegas(points):
         trace = adapt_tree(MODEL, omega, tasks, config(mode, points))
         old = ref.adapt_tree(omega, list(tasks), config(mode, points))
         assert trace.partition_sizes == old.partition_sizes
-        for level, old_level in zip(trace.steps, old.steps):
-            for cs, old_cs in zip(level, old_level):
-                assert cs.members == old_cs.members
-                assert cs.parent == old_cs.parent
-                assert np.array_equal(cs.params_in.values, old_cs.params_in.values)
-                assert np.array_equal(cs.params_out.values, old_cs.params_out.values)
-        assert trace.final_params == old.final_params
+        params_in = omega[None]
+        for owner, parent, params_out, old_level in zip(trace.owners, trace.parents, trace.params,
+                                                        old.steps):
+            for c, old_cs in enumerate(old_level):
+                assert tuple(ids[owner == c].tolist()) == old_cs.members
+                assert parent[c] == old_cs.parent
+                assert np.array_equal(params_in[parent[c]], old_cs.params_in)
+                assert np.array_equal(params_out[c], old_cs.params_out)
+            params_in = params_out
+        for tid, theta in zip(ids.tolist(), trace.task_params(3)):
+            assert np.array_equal(theta, old.final_params[tid])
         assert meta_validation_loss(MODEL, trace, tasks.val) == ref.meta_validation_loss(old, vals)
-        assert meta_validation_loss(MODEL, trace, vals) == ref.meta_validation_loss(old, vals)
         for second_order in (True, False):
             cfg = config(mode, points, second_order)
             g = meta_gradient(MODEL, omega, trace, tasks.val, cfg)
-            assert np.array_equal(g.values, ref.meta_gradient(omega, old, vals, cfg).values)
+            assert np.array_equal(g, ref.meta_gradient(omega, old, vals, cfg))
 
 
 @pytest.mark.parametrize("points", [5, 128])
@@ -145,7 +149,7 @@ def test_followed_trace_matches_the_full_trace(mode, points):
             for parent, old in zip(followed.parents, full.parents):
                 assert np.array_equal(parent, old)
             expected = full.params[-1][full.owners[-1][row]]
-            assert np.array_equal(followed.followed_params.values, expected)
+            assert np.array_equal(followed.followed_params, expected)
     if mode == "tree_fixed":
         # the last batch's target shares no step-2 cluster with the support
         assert np.sum(full.owners[1] == full.owners[1][M]) == 1
@@ -164,9 +168,7 @@ def test_followed_trace_rejects_what_it_cannot_answer():
     with pytest.raises(ValueError, match="followed task row"):
         meta_gradient(MODEL, omega, followed, tasks.val, cfg)
     with pytest.raises(ValueError, match="followed task row"):
-        followed.final_params
-    with pytest.raises(ValueError, match="followed task row"):
-        followed.steps
+        followed.task_params(1)
     with pytest.raises(ValueError, match="follows no task"):
         adapt_tree(MODEL, omega, tasks, cfg).followed_params
 
@@ -185,7 +187,7 @@ def closed_form(omega, trace, cfg):
         A = step @ A[parent]
         b = (step @ b[parent][:, :, None])[:, :, 0] + lr * r
     A, b = A[trace.owners[-1]], b[trace.owners[-1]]
-    theta = (A @ omega.values) + b
+    theta = (A @ omega) + b
     val = [t.val_points for t in trace.tasks]
     resid = [v.x @ th - v.y for v, th in zip(val, theta)]
     loss = np.mean([np.mean(r * r) for r in resid])
@@ -210,7 +212,7 @@ def test_meta_gradient_matches_the_closed_form(mode, points):
         assert rel(trace.task_params(3), theta) < 1e-10
         assert abs(meta_validation_loss(MODEL, trace, tasks.val) - loss) < 1e-10 * loss
         g2 = meta_gradient(MODEL, omega, trace, tasks.val, config(mode, points))
-        assert rel(g2.values, second) < 1e-9
+        assert rel(g2, second) < 1e-9
         g1 = meta_gradient(MODEL, omega, trace, tasks.val, config(mode, points, second_order=False))
-        assert rel(g1.values, first) < 1e-9
-        assert rel(g1.values, second) > 1e-3  # the two orders differ here
+        assert rel(g1, first) < 1e-9
+        assert rel(g1, second) > 1e-3  # the two orders differ here

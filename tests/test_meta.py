@@ -14,7 +14,6 @@ from treemaml.meta import (
     adapt_and_evaluate,
     adapt_tree,
     generator_hierarchy_tree,
-    inner_step_task,
     meta_gradient,
     meta_train,
     meta_validation_loss,
@@ -24,10 +23,11 @@ from treemaml.meta import (
     stable_hash,
 )
 from treemaml.models import Batch, EmptyBatchError, LinearRegressionModel
-from treemaml.numerics import ParamVector, finite_difference_gradient
+from treemaml.numerics import NumericalError, finite_difference_gradient
 from treemaml.tasks import (
     ConfigError,
     RegressionTaskParams,
+    TaskBatch,
     TaskGeneratorConfig,
     TaskInstance,
     TaskSampler,
@@ -40,7 +40,7 @@ def make_task(tid, x, y, xv=None, yv=None, path=(0,)):
     y = np.asarray(y, dtype=np.float64)
     train = Batch(x, y)
     val = train if xv is None else Batch(xv, yv)
-    params = RegressionTaskParams(ParamVector(np.zeros(x.shape[1])), 0, tuple(path))
+    params = RegressionTaskParams(np.zeros(x.shape[1]), 0, tuple(path))
     empty = Batch(np.zeros((0, x.shape[1])), np.zeros(0))
     return TaskInstance(params, train, val, empty, tid)
 
@@ -62,8 +62,37 @@ def pooled_step(model, params, batches, lr):
     """One pooled step over the member batches: adapt_tree on a one-step single-cluster tree."""
     tasks = [make_task(i, b.x, b.y) for i, b in enumerate(batches)]
     cfg = MetaConfig(mode="tree_fixed", inner_steps=1, inner_lr=lr, fixed_tree=single_cluster_tree(1))
-    (cluster,) = adapt_tree(model, params, tasks, cfg).steps[0]
-    return cluster.params_out
+    (cluster,) = adapt_tree(model, params, tasks, cfg).params[0]
+    return cluster
+
+
+def gradient(model, params, batch):
+    return model.batch_gradient(params[None], batch.x[None], batch.y[None])[0]
+
+
+def plain_step(model, params, batch, lr):
+    """One gradient step on a single batch, the oracle for the engine's per-task step."""
+    return params - lr * gradient(model, params, batch)
+
+
+def task_step(model, params, task, lr):
+    """One maml inner step of one task: adapt_tree with K = 1 on a batch of one."""
+    cfg = MetaConfig(mode="maml", inner_steps=1, inner_lr=lr)
+    return adapt_tree(model, params, [task], cfg).task_params(1)[0]
+
+
+def members(trace, k):
+    """Step k's clusters as tuples of task_ids in batch order."""
+    ids = np.array([t.task_id for t in trace.tasks])
+    return [tuple(ids[trace.owners[k - 1] == c].tolist()) for c in range(trace.partition_sizes[k - 1])]
+
+
+def assert_nested(trace):
+    # every cluster sits inside its parent's member set
+    for k in range(2, len(trace.params) + 1):
+        parents = members(trace, k - 1)
+        for cluster, p in zip(members(trace, k), trace.parents[k - 1]):
+            assert set(cluster) <= set(parents[p])
 
 
 class GradientOnlyModel:
@@ -75,9 +104,6 @@ class GradientOnlyModel:
 
     def loss(self, params, batch):
         return self._inner.loss(params, batch)
-
-    def gradient(self, params, batch):
-        return self._inner.gradient(params, batch)
 
     def batch_loss(self, P, X, Y):
         return self._inner.batch_loss(P, X, Y)
@@ -125,8 +151,8 @@ def test_config_describe_and_hash():
 
 def test_inner_step_task_hand_value():
     model = LinearRegressionModel(1)
-    out = inner_step_task(model, ParamVector([0.0]), Batch([[1.0]], [1.0]), 0.5)
-    assert out.to_list() == [1.0]
+    out = task_step(model, np.array([0.0]), make_task(0, [[1.0]], [1.0]), 0.5)
+    assert out.tolist() == [1.0]
 
 
 def test_inner_step_task_fixed_point_and_descent():
@@ -134,27 +160,27 @@ def test_inner_step_task_fixed_point_and_descent():
     model = LinearRegressionModel(3)
     w = rng.normal(size=3)
     x = rng.uniform(-2, 2, size=(5, 3))
-    noiseless = Batch(x, x @ w)
-    assert inner_step_task(model, ParamVector(w), noiseless, 0.1) == ParamVector(w)
-    params = ParamVector(rng.normal(size=3))
-    stepped = inner_step_task(model, params, noiseless, 0.01)
-    assert model.loss(stepped, noiseless) < model.loss(params, noiseless)
+    noiseless = make_task(0, x, x @ w)
+    assert np.array_equal(task_step(model, w, noiseless, 0.1), w)
+    params = rng.normal(size=3)
+    stepped = task_step(model, params, noiseless, 0.01)
+    assert model.loss(stepped, noiseless.train_points) < model.loss(params, noiseless.train_points)
 
 
 def test_cluster_step_single_member_equals_task_step():
     rng = np.random.default_rng(1)
     model = LinearRegressionModel(2)
-    params = ParamVector(rng.normal(size=2))
+    params = rng.normal(size=2)
     batch = Batch(rng.uniform(-1, 1, size=(4, 2)), rng.normal(size=4))
-    assert pooled_step(model, params, [batch], 0.05) == inner_step_task(model, params, batch, 0.05)
+    assert np.array_equal(pooled_step(model, params, [batch], 0.05), plain_step(model, params, batch, 0.05))
 
 
 def test_cluster_step_opposite_gradients_cancel():
     model = LinearRegressionModel(1)
-    params = ParamVector([0.0])
+    params = np.array([0.0])
     up = Batch([[1.0]], [-1.0])   # gradient +2
     down = Batch([[1.0]], [1.0])  # gradient -2
-    assert pooled_step(model, params, [up, down], 0.3) == params
+    assert np.array_equal(pooled_step(model, params, [up, down], 0.3), params)
 
 
 def test_cluster_step_matches_concatenated_batch():
@@ -162,30 +188,30 @@ def test_cluster_step_matches_concatenated_batch():
     rng = np.random.default_rng(2)
     model = LinearRegressionModel(3)
     for _ in range(50):
-        params = ParamVector(rng.normal(size=3))
+        params = rng.normal(size=3)
         n = int(rng.integers(2, 6))
         members = [
             Batch(rng.uniform(-2, 2, size=(n, 3)), rng.normal(size=n))
             for _ in range(int(rng.integers(1, 5)))
         ]
         pooled = pooled_step(model, params, members, 0.07)
-        direct = inner_step_task(model, params, Batch.concat(members), 0.07)
-        assert np.allclose(pooled.values, direct.values, atol=1e-12)
+        direct = plain_step(model, params, Batch.concat(members), 0.07)
+        assert np.allclose(pooled, direct, atol=1e-12)
 
 
 def test_adapt_tree_maml_equals_independent_steps():
     rng = np.random.default_rng(3)
     model = LinearRegressionModel(3)
     tasks = random_tasks(rng, 4, 3)
-    omega = ParamVector(rng.normal(size=3))
+    omega = rng.normal(size=3)
     cfg = MetaConfig(mode="maml", inner_steps=3, inner_lr=0.05, tasks_per_batch=4)
     trace = adapt_tree(model, omega, tasks, cfg)
     assert trace.partition_sizes == [4, 4, 4]
-    for t in tasks:
+    for t, adapted in zip(tasks, trace.task_params(3)):
         theta = omega
         for _ in range(3):
-            theta = inner_step_task(model, theta, t.train_points, 0.05)
-        assert trace.final_params[t.task_id] == theta
+            theta = plain_step(model, theta, t.train_points, 0.05)
+        assert np.array_equal(adapted, theta)
 
 
 def test_singleton_fixed_tree_is_bit_identical_to_maml():
@@ -193,31 +219,30 @@ def test_singleton_fixed_tree_is_bit_identical_to_maml():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         tasks = random_tasks(rng, 3, 4)
-        omega = ParamVector(rng.normal(size=4))
+        omega = rng.normal(size=4)
         maml = adapt_tree(model, omega, tasks, MetaConfig(mode="maml", inner_steps=2, inner_lr=0.04))
         fixed = adapt_tree(
             model, omega, tasks,
             MetaConfig(mode="tree_fixed", inner_steps=2, inner_lr=0.04, fixed_tree=singleton_tree(2)),
         )
-        for tid in maml.final_params:
-            assert maml.final_params[tid] == fixed.final_params[tid]
+        assert np.array_equal(maml.task_params(2), fixed.task_params(2))
 
 
 def test_single_cluster_tree_pools_everything():
     rng = np.random.default_rng(4)
     model = LinearRegressionModel(2)
     tasks = random_tasks(rng, 3, 2)
-    omega = ParamVector(rng.normal(size=2))
+    omega = rng.normal(size=2)
     cfg = MetaConfig(mode="tree_fixed", inner_steps=2, inner_lr=0.03, fixed_tree=single_cluster_tree(2))
     trace = adapt_tree(model, omega, tasks, cfg)
     assert trace.partition_sizes == [1, 1]
-    finals = list(trace.final_params.values())
-    assert all(f == finals[0] for f in finals)
+    finals = trace.task_params(2)
+    assert all(np.array_equal(f, finals[0]) for f in finals)
     manual = omega
     for _ in range(2):
-        grads = [model.gradient(manual, t.train_points).values for t in tasks]
-        manual = ParamVector(manual.values - 0.03 * np.mean(np.stack(grads), axis=0))
-    assert finals[0] == manual
+        grads = [gradient(model, manual, t.train_points) for t in tasks]
+        manual = manual - 0.03 * np.mean(np.stack(grads), axis=0)
+    assert np.array_equal(finals[0], manual)
 
 
 def test_generator_tree_partitions_coarse_to_fine():
@@ -233,16 +258,12 @@ def test_generator_tree_partitions_coarse_to_fine():
         ))
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.02,
                      fixed_tree=generator_hierarchy_tree(3), tasks_per_batch=8)
-    trace = adapt_tree(model, ParamVector(rng.normal(size=3)), tasks, cfg)
+    trace = adapt_tree(model, rng.normal(size=3), tasks, cfg)
     assert trace.partition_sizes == [2, 4, 8]
     # distinct parameter vectors per level match the cluster counts
-    for level, expect in zip(trace.steps, (2, 4, 8)):
-        assert len({tuple(cs.params_out.values) for cs in level}) == expect
-    # every cluster sits inside its parent's member set
-    for k in range(1, len(trace.steps)):
-        for cs in trace.steps[k]:
-            parent = trace.steps[k - 1][cs.parent]
-            assert set(cs.members) <= set(parent.members)
+    for params, expect in zip(trace.params, (2, 4, 8)):
+        assert len({tuple(row) for row in params}) == expect
+    assert_nested(trace)
 
 
 def test_fixed_tree_wrong_path_length_raises():
@@ -251,7 +272,7 @@ def test_fixed_tree_wrong_path_length_raises():
     bad = FixedTreeSpec(2, lambda t: (0,))
     cfg = MetaConfig(mode="tree_fixed", inner_steps=2, fixed_tree=bad)
     with pytest.raises(TreeShapeError):
-        adapt_tree(LinearRegressionModel(2), ParamVector([0.0, 0.0]), tasks, cfg)
+        adapt_tree(LinearRegressionModel(2), np.zeros(2), tasks, cfg)
 
 
 def test_learned_tree_groups_by_gradient_direction():
@@ -262,13 +283,10 @@ def test_learned_tree_groups_by_gradient_direction():
     tasks = [make_task(i, [list(d)], [1.0]) for i, d in enumerate(dirs)]
     cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01,
                      cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
-    trace = adapt_tree(model, ParamVector([0.0, 0.0]), tasks, cfg)
+    trace = adapt_tree(model, np.zeros(2), tasks, cfg)
     assert trace.partition_sizes == [2, 4, 4]
-    step1 = sorted(tuple(sorted(cs.members)) for cs in trace.steps[0])
-    assert step1 == [(0, 1), (2, 3)]
-    for k in range(1, len(trace.steps)):
-        for cs in trace.steps[k]:
-            assert set(cs.members) <= set(trace.steps[k - 1][cs.parent].members)
+    assert sorted(members(trace, 1)) == [(0, 1), (2, 3)]
+    assert_nested(trace)
 
 
 def test_learned_tree_puts_zero_gradient_tasks_in_singletons():
@@ -276,27 +294,27 @@ def test_learned_tree_puts_zero_gradient_tasks_in_singletons():
     # at every step: it cannot be clustered and must step alone
     rng = np.random.default_rng(16)
     model = LinearRegressionModel(3)
-    omega = ParamVector(rng.normal(size=3))
+    omega = rng.normal(size=3)
     x0 = rng.uniform(-2, 2, size=(4, 3))
-    tasks = [make_task(0, x0, x0 @ omega.values)] + random_tasks(rng, 4, 3)[1:]
+    tasks = [make_task(0, x0, x0 @ omega)] + random_tasks(rng, 4, 3)[1:]
     cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01,
                      cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
     trace = adapt_tree(model, omega, tasks, cfg)
-    for k in (0, 1):
-        assert (0,) in [cs.members for cs in trace.steps[k]]
-        assert sorted(t for cs in trace.steps[k] for t in cs.members) == [0, 1, 2, 3]
-    assert trace.final_params[0] == omega
+    for k in (1, 2):
+        assert (0,) in members(trace, k)
+        assert sorted(t for cluster in members(trace, k) for t in cluster) == [0, 1, 2, 3]
+    assert np.array_equal(trace.task_params(3)[0], omega)
 
-    fitted = [make_task(i, x, x @ omega.values)
+    fitted = [make_task(i, x, x @ omega)
               for i, x in enumerate(rng.uniform(-2, 2, size=(3, 4, 3)))]
     trace = adapt_tree(model, omega, fitted, cfg)
     assert trace.partition_sizes == [3, 3, 3]
-    assert [cs.members for cs in trace.steps[0]] == [(0,), (1,), (2,)]
+    assert members(trace, 1) == [(0,), (1,), (2,)]
 
 
 def test_adapt_tree_input_validation():
     model = LinearRegressionModel(2)
-    omega = ParamVector([0.0, 0.0])
+    omega = np.zeros(2)
     cfg = MetaConfig(mode="maml", inner_steps=1)
     with pytest.raises(EmptyBatchError):
         adapt_tree(model, omega, [], cfg)
@@ -307,15 +325,62 @@ def test_adapt_tree_input_validation():
         adapt_tree(model, omega, [t], MetaConfig(mode="baseline"))
 
 
+def test_omega_is_checked_at_entry():
+    model = LinearRegressionModel(2)
+    task = make_task(0, [[1.0, 0.0]], [1.0])
+    cfg = MetaConfig(mode="maml", inner_steps=1)
+    fixed = MetaConfig(mode="tree_fixed", inner_steps=1, fixed_tree=singleton_tree(1))
+    trace = adapt_tree(model, np.zeros(2), [task], cfg)
+    entries = [
+        lambda w: adapt_tree(model, w, [task], cfg),
+        lambda w: adapt_and_evaluate(model, w, [], task, cfg),
+        lambda w: adapt_and_evaluate(model, w, [task], make_task(1, [[0.0, 1.0]], [1.0]), fixed),
+        lambda w: meta_gradient(model, w, trace, trace.tasks.val, cfg),
+        lambda w: outer_update(model, w, trace, trace.tasks.val, cfg),
+    ]
+    for enter in entries:
+        with pytest.raises(ValueError, match="shape"):
+            enter(np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            enter(np.zeros(3))
+        with pytest.raises(NumericalError):
+            enter(np.array([0.0, np.nan]))
+        with pytest.raises(NumericalError):
+            enter(np.array([np.inf, 0.0]))
+    # a writable omega is copied, so writing into it later changes no trace
+    omega = np.array([0.5, -0.5])
+    trace = adapt_tree(model, omega, [task], cfg)
+    omega[0] = 7.0
+    assert trace.omega.tolist() == [0.5, -0.5]
+
+
+def test_parameters_are_read_only():
+    gen = TaskGeneratorConfig(dim=4, seed=1)
+    tree = build_parameter_tree(gen)
+    model = LinearRegressionModel(4)
+    cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.01, tasks_per_batch=4,
+                     points_train=4, points_val=4, outer_iterations=2,
+                     fixed_tree=generator_hierarchy_tree(3))
+    omega, _ = meta_train(model, TaskSampler(tree, np.random.default_rng(0)), cfg)
+    tasks = TaskSampler(tree, np.random.default_rng(1)).sample_batch(4, 4, 4)
+    full = adapt_tree(model, omega, tasks, cfg)
+    followed = adapt_tree(model, omega, tasks, cfg, follow=3)
+    arrays = [omega, followed.followed_params, full.omega,
+              tasks[0].params.weights, tree.root.center, tree.leaves[2].center]
+    arrays += [full.task_params(k) for k in range(4)] + full.params
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
 def test_meta_validation_loss_is_mean_over_tasks():
     model = LinearRegressionModel(1)
     t1 = make_task(1, [[1.0]], [0.0])
     t2 = make_task(2, [[1.0]], [4.0])
     cfg = MetaConfig(mode="maml", inner_steps=1, inner_lr=0.0)
-    trace = adapt_tree(model, ParamVector([0.0]), [t1, t2], cfg)
-    vals = {1: t1.val_points, 2: t2.val_points}
+    trace = adapt_tree(model, np.zeros(1), [t1, t2], cfg)
     # adapted params stay at 0: losses are 0 and 16
-    assert meta_validation_loss(model, trace, vals) == 8.0
+    assert meta_validation_loss(model, trace, trace.tasks.val) == 8.0
 
 
 def test_meta_gradient_matches_finite_differences():
@@ -332,13 +397,13 @@ def test_meta_gradient_matches_finite_differences():
         fixed = FixedTreeSpec(K, lambda t, k=K: t.params.path[:k]) if mode == "tree_fixed" else None
         cfg = MetaConfig(mode=mode, fixed_tree=fixed, inner_steps=K,
                          inner_lr=float(rng.uniform(0.01, 0.2)), tasks_per_batch=m)
-        omega = ParamVector(rng.normal(size=dim))
-        vals = {t.task_id: t.val_points for t in tasks}
+        omega = rng.normal(size=dim)
+        vals = TaskBatch.of(tasks).val
         g = meta_gradient(model, omega, adapt_tree(model, omega, tasks, cfg), vals, cfg)
         fd = finite_difference_gradient(
             lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg), vals), omega
         )
-        rel = np.linalg.norm(g.values - fd.values) / max(np.linalg.norm(fd.values), 1e-12)
+        rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)
     assert worst < 1e-4
 
@@ -351,13 +416,13 @@ def test_meta_gradient_learned_tree_matches_finite_differences():
     tasks = [make_task(i, [list(d)], [1.0]) for i, d in enumerate(dirs)]
     cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.05,
                      cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
-    omega = ParamVector([0.2, -0.1])
-    vals = {t.task_id: t.val_points for t in tasks}
+    omega = np.array([0.2, -0.1])
+    vals = TaskBatch.of(tasks).val
     g = meta_gradient(model, omega, adapt_tree(model, omega, tasks, cfg), vals, cfg)
     fd = finite_difference_gradient(
         lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg), vals), omega
     )
-    rel = np.linalg.norm(g.values - fd.values) / max(np.linalg.norm(fd.values), 1e-12)
+    rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
     assert rel < 1e-4
 
 
@@ -365,16 +430,16 @@ def test_zero_inner_lr_reduces_to_pooled_validation_gradient():
     rng = np.random.default_rng(8)
     model = LinearRegressionModel(3)
     tasks = random_tasks(rng, 4, 3)
-    omega = ParamVector(rng.normal(size=3))
+    omega = rng.normal(size=3)
     cfg = MetaConfig(mode="maml", inner_steps=2, inner_lr=0.0, outer_lr=0.1)
     trace = adapt_tree(model, omega, tasks, cfg)
-    vals = {t.task_id: t.val_points for t in tasks}
-    assert all(theta == omega for theta in trace.final_params.values())
+    vals = trace.tasks.val
+    assert all(np.array_equal(theta, omega) for theta in trace.task_params(2))
     g = meta_gradient(model, omega, trace, vals, cfg)
-    expected = np.mean([model.gradient(omega, t.val_points).values for t in tasks], axis=0)
-    assert np.allclose(g.values, expected, atol=1e-12)
+    expected = np.mean([gradient(model, omega, t.val_points) for t in tasks], axis=0)
+    assert np.allclose(g, expected, atol=1e-12)
     stepped = outer_update(model, omega, trace, vals, cfg)
-    assert np.allclose(stepped.values, omega.values - 0.1 * g.values, atol=1e-15)
+    assert np.allclose(stepped, omega - 0.1 * g, atol=1e-15)
 
 
 def test_one_step_meta_gradient_closed_form():
@@ -386,49 +451,49 @@ def test_one_step_meta_gradient_closed_form():
     yv = rng.normal(size=3)
     task = make_task(0, xt, yt, xv, yv)
     model = LinearRegressionModel(2)
-    omega = ParamVector(rng.normal(size=2))
+    omega = rng.normal(size=2)
     alpha = 0.05
     cfg = MetaConfig(mode="maml", inner_steps=1, inner_lr=alpha)
     trace = adapt_tree(model, omega, [task], cfg)
-    g = meta_gradient(model, omega, trace, {0: task.val_points}, cfg)
+    g = meta_gradient(model, omega, trace, trace.tasks.val, cfg)
 
     H = (2.0 / len(xt)) * xt.T @ xt
-    theta = omega.values - alpha * (2.0 / len(xt)) * xt.T @ (xt @ omega.values - yt)
+    theta = omega - alpha * (2.0 / len(xt)) * xt.T @ (xt @ omega - yt)
     g_val = (2.0 / len(xv)) * xv.T @ (xv @ theta - yv)
     expected = (np.eye(2) - alpha * H) @ g_val
-    assert np.allclose(g.values, expected, atol=1e-12)
+    assert np.allclose(g, expected, atol=1e-12)
 
 
 def test_first_order_gradient_ignores_the_inner_jacobian():
     rng = np.random.default_rng(10)
     model = LinearRegressionModel(2)
     tasks = random_tasks(rng, 3, 2)
-    omega = ParamVector(rng.normal(size=2))
+    omega = rng.normal(size=2)
     cfg = MetaConfig(mode="maml", inner_steps=2, inner_lr=0.1, second_order=False)
     trace = adapt_tree(model, omega, tasks, cfg)
-    vals = {t.task_id: t.val_points for t in tasks}
+    vals = trace.tasks.val
     g = meta_gradient(model, omega, trace, vals, cfg)
     expected = np.mean(
-        [model.gradient(trace.final_params[t.task_id], t.val_points).values for t in tasks], axis=0
+        [gradient(model, theta, t.val_points) for t, theta in zip(tasks, trace.task_params(2))], axis=0
     )
-    assert np.allclose(g.values, expected, atol=1e-15)
+    assert np.allclose(g, expected, atol=1e-15)
     second = meta_gradient(model, omega, trace, vals, MetaConfig(mode="maml", inner_steps=2, inner_lr=0.1))
-    assert not np.allclose(g.values, second.values)
+    assert not np.allclose(g, second)
 
 
 def test_second_order_needs_hvp_capability():
     rng = np.random.default_rng(11)
     model = GradientOnlyModel(2)
     tasks = random_tasks(rng, 2, 2)
-    omega = ParamVector([0.1, 0.2])
-    vals = {t.task_id: t.val_points for t in tasks}
+    omega = np.array([0.1, 0.2])
     cfg = MetaConfig(mode="maml", inner_steps=1, inner_lr=0.05)
     trace = adapt_tree(model, omega, tasks, cfg)
+    vals = trace.tasks.val
     with pytest.raises(CapabilityError):
         meta_gradient(model, omega, trace, vals, cfg)
     first = meta_gradient(model, omega, trace, vals,
                           MetaConfig(mode="maml", inner_steps=1, inner_lr=0.05, second_order=False))
-    assert first.dim == 2
+    assert first.shape == (2,)
 
 
 def test_inner_steps_do_not_increase_pooled_training_loss():
@@ -437,12 +502,15 @@ def test_inner_steps_do_not_increase_pooled_training_loss():
     tasks = random_tasks(rng, 6, 3, path_levels=2)
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.001,
                      fixed_tree=generator_hierarchy_tree(3), tasks_per_batch=6)
-    trace = adapt_tree(model, ParamVector(rng.normal(size=3)), tasks, cfg)
+    omega = rng.normal(size=3)
+    trace = adapt_tree(model, omega, tasks, cfg)
     batches = {t.task_id: t.train_points for t in tasks}
-    for level in trace.steps:
-        for cs in level:
-            pooled = Batch.concat([batches[tid] for tid in cs.members])
-            assert model.loss(cs.params_out, pooled) <= model.loss(cs.params_in, pooled) + 1e-12
+    params_in = omega[None]
+    for k, params_out in enumerate(trace.params, start=1):
+        for cluster, p, out in zip(members(trace, k), trace.parents[k - 1], params_out):
+            pooled = Batch.concat([batches[tid] for tid in cluster])
+            assert model.loss(out, pooled) <= model.loss(params_in[p], pooled) + 1e-12
+        params_in = params_out
 
 
 def make_sampler(dim=4, seed=0, gen_seed=1):
@@ -459,7 +527,7 @@ def test_meta_train_is_deterministic_and_logs():
                      outer_iterations=10, seed=3)
     w1, log1 = meta_train(model, make_sampler(), cfg)
     w2, log2 = meta_train(model, make_sampler(), cfg)
-    assert w1 == w2
+    assert np.array_equal(w1, w2)
     assert [r["meta_loss"] for r in log1] == [r["meta_loss"] for r in log2]
     assert len(log1) == 10
     assert log1[0]["iter"] == 1
@@ -472,7 +540,7 @@ def test_meta_train_baseline_logs_empty_partitions():
     cfg = MetaConfig(mode="baseline", outer_lr=0.001, tasks_per_batch=4,
                      points_train=4, points_val=4, outer_iterations=5, seed=3)
     omega, log = meta_train(model, make_sampler(), cfg)
-    assert omega.dim == 4
+    assert omega.shape == (4,)
     assert all(r["partitions"] == [] for r in log)
 
 
@@ -528,35 +596,35 @@ def test_non_finite_values_raise_divergence_naming_the_phase():
     # theta_1 = -2e300 is finite, theta_2 = 4e600 is not
     huge = MetaConfig(mode="maml", inner_steps=3, inner_lr=1e300, tasks_per_batch=1,
                       outer_iterations=2)
-    assert phase_of(adapt_tree, model, ParamVector([1.0]), [task], huge) == (
+    assert phase_of(adapt_tree, model, np.array([1.0]), [task], huge) == (
         "inner step 2", None, "non-finite values in inner step 2")
     assert phase_of(meta_train, model, FixedSource([task]), huge) == (
         "inner step 2", 1, "non-finite values in inner step 2 at iteration 1")
-    assert phase_of(adapt_and_evaluate, model, ParamVector([1.0]), [], task, huge)[0] == (
+    assert phase_of(adapt_and_evaluate, model, np.array([1.0]), [], task, huge)[0] == (
         "eval, inner step 2")
     fixed = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=1e300,
                        fixed_tree=singleton_tree(3))
     target = make_task(1, [[1.0]], [0.0])
-    assert phase_of(adapt_and_evaluate, model, ParamVector([1.0]), [task], target, fixed)[0] == (
+    assert phase_of(adapt_and_evaluate, model, np.array([1.0]), [task], target, fixed)[0] == (
         "eval, inner step 2")
 
     # theta_1 = 1 - 2e160 and its validation gradient are finite; the
     # reverse pass multiplies by (1 - 2e160) once more and overflows
     one = MetaConfig(mode="maml", inner_steps=1, inner_lr=1e160)
-    trace = adapt_tree(model, ParamVector([1.0]), [task], one)
-    assert phase_of(meta_gradient, model, ParamVector([1.0]), trace, {0: task.val_points}, one)[0] == (
+    trace = adapt_tree(model, np.array([1.0]), [task], one)
+    assert phase_of(meta_gradient, model, np.array([1.0]), trace, trace.tasks.val, one)[0] == (
         "meta-gradient")
 
     # a finite meta-gradient of 12.8 times outer_lr 1e308 overflows omega
     step = MetaConfig(mode="maml", inner_steps=1, inner_lr=0.1, outer_lr=1e308)
-    omega = ParamVector([10.0])
+    omega = np.array([10.0])
     trace = adapt_tree(model, omega, [task], step)
-    assert phase_of(outer_update, model, omega, trace, {0: task.val_points}, step)[0] == "outer step"
+    assert phase_of(outer_update, model, omega, trace, trace.tasks.val, step)[0] == "outer step"
 
     # finite parameters whose test loss overflows
     frozen = MetaConfig(mode="baseline", baseline_finetune=False)
     tested = TaskInstance(task.params, task.train_points, task.val_points, task.train_points, 2)
-    assert phase_of(adapt_and_evaluate, model, ParamVector([1e200]), [], tested, frozen)[0] == "eval"
+    assert phase_of(adapt_and_evaluate, model, np.array([1e200]), [], tested, frozen)[0] == "eval"
 
 
 def test_eval_checks_finiteness_only_on_the_target_path():
@@ -568,9 +636,9 @@ def test_eval_checks_finiteness_only_on_the_target_path():
     target = TaskInstance(task.params, task.train_points, task.val_points, task.train_points, 1)
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.1, fixed_tree=singleton_tree(3))
     with pytest.raises(DivergenceError), np.errstate(over="ignore"):
-        adapt_tree(model, ParamVector([1.0]), [wild, target], cfg)
+        adapt_tree(model, np.array([1.0]), [wild, target], cfg)
     # theta = 0.8^3 after three steps, whose squared error is 0.8^6
-    assert adapt_and_evaluate(model, ParamVector([1.0]), [wild], target, cfg) == pytest.approx(0.8 ** 6)
+    assert adapt_and_evaluate(model, np.array([1.0]), [wild], target, cfg) == pytest.approx(0.8 ** 6)
 
 
 def test_adapt_and_evaluate_baseline_and_maml_paths():
@@ -580,17 +648,17 @@ def test_adapt_and_evaluate_baseline_and_maml_paths():
     xt = rng.uniform(-2, 2, size=(5, 3))
     xs = rng.uniform(-2, 2, size=(6, 3))
     target = TaskInstance(
-        RegressionTaskParams(ParamVector(w), 0, (0, 0)),
+        RegressionTaskParams(w, 0, (0, 0)),
         Batch(xt, xt @ w), Batch(xt, xt @ w), Batch(xs, xs @ w), 0,
     )
-    omega = ParamVector(rng.normal(size=3))
+    omega = rng.normal(size=3)
     frozen = MetaConfig(mode="baseline", inner_steps=2, inner_lr=0.02, baseline_finetune=False)
     assert adapt_and_evaluate(model, omega, [], target, frozen) == model.loss(omega, target.test_points)
     tuned = MetaConfig(mode="baseline", inner_steps=2, inner_lr=0.02)
     maml = MetaConfig(mode="maml", inner_steps=2, inner_lr=0.02)
     theta = omega
     for _ in range(2):
-        theta = inner_step_task(model, theta, target.train_points, 0.02)
+        theta = plain_step(model, theta, target.train_points, 0.02)
     expected = model.loss(theta, target.test_points)
     assert adapt_and_evaluate(model, omega, [], target, tuned) == expected
     assert adapt_and_evaluate(model, omega, [], target, maml) == expected
@@ -606,14 +674,14 @@ def test_adapt_and_evaluate_tree_fixed_at_the_optimum():
     def noiseless(tid, path):
         x = rng.uniform(-2, 2, size=(4, 3))
         xs = rng.uniform(-2, 2, size=(4, 3))
-        return TaskInstance(RegressionTaskParams(ParamVector(w), 0, path),
+        return TaskInstance(RegressionTaskParams(w, 0, path),
                             Batch(x, x @ w), Batch(x, x @ w), Batch(xs, xs @ w), tid)
 
     support = [noiseless(i, (i % 2, i // 2)) for i in range(4)]
     target = noiseless(99, (0, 1))
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.05,
                      fixed_tree=generator_hierarchy_tree(3))
-    assert adapt_and_evaluate(model, ParamVector(w), support, target, cfg) == 0.0
+    assert adapt_and_evaluate(model, w, support, target, cfg) == 0.0
 
 
 def test_adapt_and_evaluate_tree_learned_runs():
@@ -624,6 +692,6 @@ def test_adapt_and_evaluate_tree_learned_runs():
     target = sampler.sample_batch(1, 5, 0, n_test=10)[0]
     cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01,
                      cluster=ClusterConfig(max_depth=2, xi=1.0))
-    mse = adapt_and_evaluate(model, ParamVector(rng.normal(0, 0.01, 4)), support, target, cfg)
+    mse = adapt_and_evaluate(model, rng.normal(0, 0.01, 4), support, target, cfg)
     assert math.isfinite(mse) and mse >= 0.0
 

@@ -2,24 +2,24 @@ import numpy as np
 import pytest
 
 from treemaml.models import Batch, BatchStack, EmptyBatchError, LinearRegressionModel
-from treemaml.numerics import ParamVector, finite_difference_gradient
+from treemaml.numerics import finite_difference_gradient
 
 
 # The three model methods, each called on a model sized to params.
 def loss(params, batch):
-    return LinearRegressionModel(params.dim).loss(params, batch)
+    return LinearRegressionModel(len(params)).loss(params, batch)
 
 
 def gradient(params, batch):
-    return LinearRegressionModel(params.dim).gradient(params, batch)
+    return LinearRegressionModel(len(params)).gradient(params, batch)
 
 
 def hvp(params, batch, v):
-    return LinearRegressionModel(params.dim).hessian_vector_product(params, batch, v)
+    return LinearRegressionModel(len(params)).hessian_vector_product(params, batch, v)
 
 
 def random_instance(rng, dim=3, n=6):
-    params = ParamVector(rng.normal(size=dim))
+    params = rng.normal(size=dim)
     x = rng.uniform(-2.0, 2.0, size=(n, dim))
     y = rng.normal(size=n)
     return params, Batch(x, y)
@@ -56,7 +56,7 @@ def test_batch_helpers():
 
 def test_mse_loss_hand_values():
     # zero params, single point x=[1], y=2: residual -2, loss 4
-    assert loss(ParamVector([0.0]), Batch([[1.0]], [2.0])) == 4.0
+    assert loss(np.array([0.0]), Batch([[1.0]], [2.0])) == 4.0
 
 
 def test_mse_loss_perfect_fit_is_zero():
@@ -64,7 +64,7 @@ def test_mse_loss_perfect_fit_is_zero():
     w = rng.normal(size=4)
     x = rng.uniform(-3.0, 3.0, size=(7, 4))
     batch = Batch(x, x @ w)
-    assert loss(ParamVector(w), batch) == 0.0
+    assert loss(w, batch) == 0.0
 
 
 def test_mse_loss_matches_loop_oracle():
@@ -73,12 +73,12 @@ def test_mse_loss_matches_loop_oracle():
         params, batch = random_instance(rng)
         total = 0.0
         for xi, yi in zip(batch.x, batch.y):
-            total += (float(np.dot(params.values, xi)) - yi) ** 2
+            total += (float(np.dot(params, xi)) - yi) ** 2
         assert abs(loss(params, batch) - total / len(batch)) < 1e-12
 
 
 def test_empty_batch_raises():
-    p = ParamVector([1.0, 2.0])
+    p = np.array([1.0, 2.0])
     empty = Batch(np.zeros((0, 2)), np.zeros(0))
     with pytest.raises(EmptyBatchError):
         loss(p, empty)
@@ -89,22 +89,22 @@ def test_empty_batch_raises():
 
 
 def test_dim_mismatch_raises():
-    p = ParamVector([1.0, 2.0, 3.0])
+    p = np.array([1.0, 2.0, 3.0])
     b = Batch(np.ones((2, 2)), np.ones(2))
     with pytest.raises(ValueError):
         loss(p, b)
     with pytest.raises(ValueError):
-        hvp(ParamVector([1.0, 1.0]), b, p)
+        hvp(np.array([1.0, 1.0]), b, p)
 
 
 def test_mse_gradient_hand_values():
-    g = gradient(ParamVector([1.0, 1.0]), Batch([[1.0, 0.0]], [0.0]))
-    assert g.to_list() == [2.0, 0.0]
+    g = gradient(np.array([1.0, 1.0]), Batch([[1.0, 0.0]], [0.0]))
+    assert g.tolist() == [2.0, 0.0]
     # perfect fit has zero gradient
     rng = np.random.default_rng(2)
     w = rng.normal(size=3)
     x = rng.uniform(-1.0, 1.0, size=(5, 3))
-    assert gradient(ParamVector(w), Batch(x, x @ w)).norm() == 0.0
+    assert np.linalg.norm(gradient(w, Batch(x, x @ w))) == 0.0
 
 
 def test_mse_gradient_matches_finite_differences():
@@ -113,7 +113,7 @@ def test_mse_gradient_matches_finite_differences():
         params, batch = random_instance(rng)
         fd = finite_difference_gradient(lambda p: loss(p, batch), params)
         g = gradient(params, batch)
-        rel = np.linalg.norm(g.values - fd.values) / max(np.linalg.norm(fd.values), 1e-12)
+        rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-6
 
 
@@ -122,34 +122,34 @@ def test_mse_gradient_linearity_over_batches():
     rng = np.random.default_rng(4)
     params, b1 = random_instance(rng, n=4)
     _, b2 = random_instance(rng, n=8)
-    g1 = gradient(params, b1).values
-    g2 = gradient(params, b2).values
-    combined = gradient(params, Batch.concat([b1, b2])).values
+    g1 = gradient(params, b1)
+    g2 = gradient(params, b2)
+    combined = gradient(params, Batch.concat([b1, b2]))
     weighted = (len(b1) * g1 + len(b2) * g2) / (len(b1) + len(b2))
     assert np.allclose(combined, weighted, atol=1e-12)
 
 
 def test_hvp_hand_values():
-    p = ParamVector([0.5, -0.5, 1.0])
+    p = np.array([0.5, -0.5, 1.0])
     basis = Batch(np.eye(3), np.zeros(3))
-    v = ParamVector([1.0, 1.0, 1.0])
+    v = np.array([1.0, 1.0, 1.0])
     # H = (2/3) I on the standard-basis batch
     got = hvp(p, basis, v)
-    assert got.to_list() == pytest.approx([2.0 / 3.0] * 3, abs=1e-15)
-    zero = hvp(p, basis, ParamVector(np.zeros(3)))
-    assert zero.norm() == 0.0
+    assert got.tolist() == pytest.approx([2.0 / 3.0] * 3, abs=1e-15)
+    zero = hvp(p, basis, np.zeros(3))
+    assert np.linalg.norm(zero) == 0.0
 
 
 def test_hvp_matches_finite_differences_of_gradient():
     rng = np.random.default_rng(5)
     for _ in range(20):
         params, batch = random_instance(rng)
-        v = ParamVector(rng.normal(size=params.dim))
+        v = rng.normal(size=len(params))
         h = 1e-6
-        gp = gradient(ParamVector(params.values + h * v.values), batch).values
-        gm = gradient(ParamVector(params.values - h * v.values), batch).values
+        gp = gradient(params + h * v, batch)
+        gm = gradient(params - h * v, batch)
         fd = (gp - gm) / (2.0 * h)
-        got = hvp(params, batch, v).values
+        got = hvp(params, batch, v)
         rel = np.linalg.norm(got - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-5
 
@@ -158,20 +158,20 @@ def test_hvp_symmetry():
     rng = np.random.default_rng(6)
     for _ in range(20):
         params, batch = random_instance(rng)
-        u = ParamVector(rng.normal(size=params.dim))
-        v = ParamVector(rng.normal(size=params.dim))
+        u = rng.normal(size=len(params))
+        v = rng.normal(size=len(params))
         hu = hvp(params, batch, u)
         hv = hvp(params, batch, v)
-        assert abs(u.values @ hv.values - v.values @ hu.values) < 1e-10
+        assert abs(u @ hv - v @ hu) < 1e-10
 
 
 def test_loss_is_convex_along_segments():
     rng = np.random.default_rng(7)
     for _ in range(20):
         p0, batch = random_instance(rng)
-        p1 = ParamVector(rng.normal(size=p0.dim))
+        p1 = rng.normal(size=len(p0))
         for t in (0.25, 0.5, 0.75):
-            mid = ParamVector((1 - t) * p0.values + t * p1.values)
+            mid = (1 - t) * p0 + t * p1
             chord = (1 - t) * loss(p0, batch) + t * loss(p1, batch)
             assert loss(mid, batch) <= chord + 1e-10
 

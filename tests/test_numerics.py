@@ -6,7 +6,6 @@ import pytest
 from treemaml.numerics import (
     InsufficientSamplesError,
     NumericalError,
-    ParamVector,
     ZeroVectorError,
     confidence_halfwidth_95,
     cosine_similarity,
@@ -15,89 +14,47 @@ from treemaml.numerics import (
 )
 
 
-def test_param_vector_basics():
-    v = ParamVector([1.0, 2.0, 3.0])
-    assert v.dim == 3
-    assert v.to_list() == [1.0, 2.0, 3.0]
-    assert v.values.dtype == np.float64
-    assert ParamVector([1.0, 2.0]).norm() == pytest.approx(math.sqrt(5.0))
-
-
-def test_param_vector_is_immutable():
-    v = ParamVector([1.0, 2.0])
-    with pytest.raises(ValueError):
-        v.values[0] = 9.0
-    # construction copies its input
-    src = np.array([1.0, 2.0])
-    w = ParamVector(src)
-    src[0] = 7.0
-    assert w.to_list() == [1.0, 2.0]
-
-
-def test_param_vector_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        ParamVector([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        ParamVector([])
-
-
-def test_param_vector_rejects_non_finite():
-    with pytest.raises(NumericalError):
-        ParamVector([1.0, float("nan")])
-    with pytest.raises(NumericalError):
-        ParamVector([float("inf")])
-
-
-def test_param_vector_equality_is_bitwise():
-    a = ParamVector([1.0, 2.0])
-    assert a == ParamVector([1.0, 2.0])
-    assert a == ParamVector([1.0, 2.0 + 1e-17])  # rounds to the same float
-    assert a != ParamVector([1.0, 2.0 + 1e-15])
-    assert a != ParamVector([1.0, 2.0000001])
-    assert a != ParamVector([1.0, 2.0, 3.0])
-
-
 def test_cosine_similarity_known_values():
-    e1 = ParamVector([1.0, 0.0])
-    e2 = ParamVector([0.0, 1.0])
-    assert cosine_similarity(e1, ParamVector([1.0, 0.0])) == 1.0
+    e1 = np.array([1.0, 0.0])
+    e2 = np.array([0.0, 1.0])
+    assert cosine_similarity(e1, np.array([1.0, 0.0])) == 1.0
     assert cosine_similarity(e1, e2) == 0.0
     # oracle: 32 / sqrt(14 * 77), computed independently at high precision
-    got = cosine_similarity(ParamVector([1.0, 2.0, 3.0]), ParamVector([4.0, 5.0, 6.0]))
+    got = cosine_similarity(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]))
     assert abs(got - 0.9746318461970762) < 1e-15
 
 
 def test_cosine_similarity_properties():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        a = ParamVector(rng.normal(size=5))
-        b = ParamVector(rng.normal(size=5))
+        a = np.array(rng.normal(size=5))
+        b = np.array(rng.normal(size=5))
         s = cosine_similarity(a, b)
         assert s == cosine_similarity(b, a)
         assert abs(s) <= 1.0 + 1e-12
         c = float(rng.uniform(0.1, 10.0))
-        assert cosine_similarity(a, ParamVector(c * a.values)) == pytest.approx(1.0, abs=1e-12)
-        assert cosine_similarity(a, ParamVector(-c * a.values)) == pytest.approx(-1.0, abs=1e-12)
+        assert cosine_similarity(a, np.array(c * a)) == pytest.approx(1.0, abs=1e-12)
+        assert cosine_similarity(a, np.array(-c * a)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_cosine_similarity_is_deterministic():
-    a = ParamVector([0.3, -1.7, 2.2])
-    b = ParamVector([-0.4, 0.9, 1.1])
+    a = np.array([0.3, -1.7, 2.2])
+    b = np.array([-0.4, 0.9, 1.1])
     assert cosine_similarity(a, b) == cosine_similarity(a, b)
 
 
 def test_cosine_similarity_errors():
-    a = ParamVector([1.0, 0.0])
+    a = np.array([1.0, 0.0])
     with pytest.raises(ZeroVectorError):
-        cosine_similarity(a, ParamVector([0.0, 0.0]))
+        cosine_similarity(a, np.array([0.0, 0.0]))
     with pytest.raises(ZeroVectorError):
-        cosine_similarity(ParamVector([0.0, 0.0]), a)
+        cosine_similarity(np.array([0.0, 0.0]), a)
     with pytest.raises(ValueError):
-        cosine_similarity(a, ParamVector([1.0, 0.0, 0.0]))
+        cosine_similarity(a, np.array([1.0, 0.0, 0.0]))
 
 
 def test_set_similarity_degenerate_sets():
-    for vs in ([], [ParamVector([3.0, 4.0])]):
+    for vs in ([], [np.array([3.0, 4.0])]):
         stats = set_similarity(vs)
         assert stats.mean_pairwise == 1.0
         assert stats.std_pairwise == 0.0
@@ -105,7 +62,7 @@ def test_set_similarity_degenerate_sets():
 
 
 def test_set_similarity_identical_vectors():
-    vs = [ParamVector([1.0, 0.0])] * 3
+    vs = [np.array([1.0, 0.0])] * 3
     stats = set_similarity(vs)
     assert stats.mean_pairwise == pytest.approx(1.0, abs=1e-12)
     assert stats.std_pairwise == pytest.approx(0.0, abs=1e-12)
@@ -116,7 +73,7 @@ def test_set_similarity_oracle_triple():
     # {e1, e2, (e1+e2)/sqrt(2)}: pair sims are 0, sqrt(2)/2, sqrt(2)/2,
     # so mean = sqrt(2)/3 and population std = 1/3 (enumerated by hand).
     s = math.sqrt(0.5)
-    vs = [ParamVector([1.0, 0.0]), ParamVector([0.0, 1.0]), ParamVector([s, s])]
+    vs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([s, s])]
     stats = set_similarity(vs)
     assert abs(stats.mean_pairwise - 0.47140452079103173) < 1e-12
     assert abs(stats.std_pairwise - 1.0 / 3.0) < 1e-12
@@ -126,7 +83,7 @@ def test_set_similarity_oracle_triple():
 def test_set_similarity_matches_brute_force():
     rng = np.random.default_rng(1)
     for n in (2, 3, 5, 8):
-        vs = [ParamVector(rng.normal(size=4)) for _ in range(n)]
+        vs = [np.array(rng.normal(size=4)) for _ in range(n)]
         stats = set_similarity(vs)
         sims = [
             cosine_similarity(vs[i], vs[j])
@@ -152,18 +109,18 @@ def test_confidence_halfwidth_needs_two_samples():
 
 
 def test_finite_difference_on_quadratic():
-    f = lambda v: float(v.values @ v.values)
-    g = finite_difference_gradient(f, ParamVector([1.0, 2.0]), h=1e-5)
-    assert g.to_list() == pytest.approx([2.0, 4.0], rel=1e-9)
+    f = lambda v: float(v @ v)
+    g = finite_difference_gradient(f, np.array([1.0, 2.0]), h=1e-5)
+    assert g.tolist() == pytest.approx([2.0, 4.0], rel=1e-9)
 
 
 def test_finite_difference_on_constant():
-    g = finite_difference_gradient(lambda v: 3.25, ParamVector([1.0, -1.0, 0.5]))
-    assert g.to_list() == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+    g = finite_difference_gradient(lambda v: 3.25, np.array([1.0, -1.0, 0.5]))
+    assert g.tolist() == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
 
 
 def test_finite_difference_errors():
     with pytest.raises(ValueError):
-        finite_difference_gradient(lambda v: 0.0, ParamVector([1.0]), h=0.0)
+        finite_difference_gradient(lambda v: 0.0, np.array([1.0]), h=0.0)
     with pytest.raises(NumericalError):
-        finite_difference_gradient(lambda v: float("nan"), ParamVector([1.0]))
+        finite_difference_gradient(lambda v: float("nan"), np.array([1.0]))

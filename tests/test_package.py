@@ -22,13 +22,13 @@ def test_public_names_are_pinned():
         "AdaptationTrace", "Batch", "BatchStack", "CapabilityError", "ClusterConfig",
         "ClusterTreeNode", "ConfigError", "DivergenceError", "DuplicateTaskError",
         "EmptyBatchError", "FixedTreeSpec", "InsufficientSamplesError", "LinearRegressionModel",
-        "MODES", "MetaConfig", "NumericalError", "ParamVector", "SimilarityStats", "TaskBatch",
+        "MODES", "MetaConfig", "NumericalError", "SimilarityStats", "TaskBatch",
         "TaskGeneratorConfig", "TaskInstance", "TaskSampler", "TreeShapeError", "ZeroVectorError",
         "adapt_and_evaluate", "adapt_tree", "build_parameter_tree", "build_tree",
         "clusters_at_level", "confidence_halfwidth_95", "cosine_similarity",
-        "finite_difference_gradient", "generator_hierarchy_tree", "inner_step_task",
-        "meta_train", "otd_insert", "outer_update", "sample_task", "sample_task_batch",
-        "set_similarity", "single_cluster_tree", "singleton_tree",
+        "finite_difference_gradient", "generator_hierarchy_tree", "meta_train", "otd_insert",
+        "outer_update", "sample_task_batch", "set_similarity", "single_cluster_tree",
+        "singleton_tree",
     }
     assert len(treemaml.__all__) == len(set(treemaml.__all__))
     assert all(hasattr(treemaml, name) for name in treemaml.__all__)

@@ -7,11 +7,14 @@ from treemaml.tasks import (
     TaskSampler,
     build_parameter_tree,
     distribution_to_dict,
-    sample_task,
     sample_task_batch,
 )
 
 SMALL = TaskGeneratorConfig(dim=6, branching=(2, 2), level_scales=(1.0, 1.0, 0.5), seed=3)
+
+
+def sample_task(tree, rng, n_train, n_val, n_test=0, task_id=0):
+    return sample_task_batch(tree, 1, rng, n_train, n_val, n_test, start_id=task_id)[0]
 
 
 def test_config_validation():
@@ -54,22 +57,28 @@ def test_parameter_tree_shape():
     assert len(tree.leaves) == 4
     assert tree.root.path == ()
     assert [leaf.path for leaf in tree.leaves] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert all(leaf.center.dim == SMALL.dim for leaf in tree.leaves)
+    assert all(leaf.center.shape == (SMALL.dim,) for leaf in tree.leaves)
+
+
+def test_overflowing_centers_are_a_config_error():
+    # finite scales whose draws overflow float64
+    with pytest.raises(ConfigError, match=r"a level-\d center overflows"):
+        build_parameter_tree(TaskGeneratorConfig(dim=8, level_scales=(1e308,) * 3))
 
 
 def test_zero_scales_collapse_hierarchy():
     cfg = TaskGeneratorConfig(dim=4, level_scales=(1.0, 0.0, 0.0), seed=9)
     tree = build_parameter_tree(cfg)
     for leaf in tree.leaves:
-        assert leaf.center == tree.root.center
+        assert np.array_equal(leaf.center, tree.root.center)
 
 
 def test_tree_is_deterministic():
     t1 = build_parameter_tree(SMALL)
     t2 = build_parameter_tree(SMALL)
-    assert all(a.center == b.center for a, b in zip(t1.leaves, t2.leaves))
+    assert all(np.array_equal(a.center, b.center) for a, b in zip(t1.leaves, t2.leaves))
     t3 = build_parameter_tree(TaskGeneratorConfig(**{**SMALL.to_dict(), "seed": 4}))
-    assert t3.root.center != t1.root.center
+    assert not np.array_equal(t3.root.center, t1.root.center)
 
 
 def test_sample_task_shapes_and_ranges():
@@ -92,8 +101,8 @@ def test_noiseless_points_satisfy_the_linear_law():
     tree = build_parameter_tree(cfg)
     task = sample_task(tree, np.random.default_rng(5), n_train=8, n_val=8)
     center = tree.leaves[task.params.leaf_cluster_id].center
-    assert task.params.weights == center
-    expected = task.train_points.x @ center.values
+    assert np.array_equal(task.params.weights, center)
+    expected = task.train_points.x @ center
     assert np.array_equal(task.train_points.y, expected)
 
 
@@ -101,7 +110,7 @@ def test_sampling_is_deterministic():
     tree = build_parameter_tree(SMALL)
     t1 = sample_task(tree, np.random.default_rng(11), 4, 4, 2)
     t2 = sample_task(tree, np.random.default_rng(11), 4, 4, 2)
-    assert t1.params.weights == t2.params.weights
+    assert np.array_equal(t1.params.weights, t2.params.weights)
     assert np.array_equal(t1.train_points.x, t2.train_points.x)
     assert np.array_equal(t1.val_points.y, t2.val_points.y)
     assert np.array_equal(t1.test_points.y, t2.test_points.y)
@@ -130,7 +139,7 @@ def test_ols_recovers_noiseless_weights():
     tree = build_parameter_tree(cfg)
     task = sample_task(tree, np.random.default_rng(3), n_train=cfg.dim + 1, n_val=1)
     w_hat, *_ = np.linalg.lstsq(task.train_points.x, task.train_points.y, rcond=None)
-    w = task.params.weights.values
+    w = task.params.weights
     assert np.linalg.norm(w_hat - w) / np.linalg.norm(w) < 1e-8
 
 
@@ -142,7 +151,7 @@ def test_sibling_leaves_are_closer_than_non_siblings():
         leaves = build_parameter_tree(cfg).leaves
         for i in range(4):
             for j in range(i + 1, 4):
-                d = float(np.linalg.norm(leaves[i].center.values - leaves[j].center.values))
+                d = float(np.linalg.norm(leaves[i].center - leaves[j].center))
                 (sib if leaves[i].path[0] == leaves[j].path[0] else non).append(d)
     assert np.mean(sib) < np.mean(non)
 
@@ -164,6 +173,6 @@ def test_distribution_round_trip():
     # the dump holds what rebuilds the distribution: its config and the
     # centers in BFS order (root, two mid nodes, four leaves)
     assert TaskGeneratorConfig(**d["config"]) == SMALL
-    assert d["centers"][0] == tree.root.center.to_list()
-    assert d["centers"][3] == tree.leaves[0].center.to_list()
-    assert d["centers"][6] == tree.leaves[3].center.to_list()
+    assert d["centers"][0] == tree.root.center.tolist()
+    assert d["centers"][3] == tree.leaves[0].center.tolist()
+    assert d["centers"][6] == tree.leaves[3].center.tolist()
