@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from treemaml.meta import MetaConfig, adapt_tree
+from treemaml.models import Batch, LinearRegressionModel
 from treemaml.numerics import (
     InsufficientSamplesError,
     NumericalError,
@@ -12,6 +14,33 @@ from treemaml.numerics import (
     finite_difference_gradient,
     set_similarity,
 )
+from treemaml.tasks import RegressionTaskParams, TaskInstance
+
+
+def _adapt_from(omega, dim):
+    """One MAML step from omega on a one-point task in dim dimensions."""
+    x = np.eye(1, dim)
+    batch = Batch(x, np.ones(1))
+    empty = Batch(np.zeros((0, dim)), np.zeros(0))
+    task = TaskInstance(RegressionTaskParams(np.zeros(dim), 0, (0,)), batch, batch, empty, 0)
+    return adapt_tree(LinearRegressionModel(dim), omega, [task],
+                      MetaConfig(mode="maml", inner_steps=1))
+
+
+def test_param_vector_rejects_bad_shapes():
+    # a parameter vector is a flat (dim,) array; it is checked where it enters
+    with pytest.raises(ValueError, match="shape"):
+        _adapt_from([[1.0, 2.0]], 2)
+    with pytest.raises(ValueError, match="shape"):
+        _adapt_from([], 2)
+    assert _adapt_from([1.0, 2.0], 2).omega.tolist() == [1.0, 2.0]
+
+
+def test_param_vector_rejects_non_finite():
+    with pytest.raises(NumericalError):
+        _adapt_from([1.0, float("nan")], 2)
+    with pytest.raises(NumericalError):
+        _adapt_from([float("inf")], 1)
 
 
 def test_cosine_similarity_known_values():
