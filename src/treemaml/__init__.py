@@ -28,7 +28,6 @@ from .tasks import (
     ConfigError,
     TaskBatch,
     TaskGeneratorConfig,
-    TaskInstance,
     TaskSampler,
     build_parameter_tree,
     sample_task_batch,
@@ -66,7 +65,7 @@ __all__ = [
     # models
     "Batch", "BatchStack", "EmptyBatchError", "LinearRegressionModel",
     # tasks
-    "ConfigError", "TaskBatch", "TaskGeneratorConfig", "TaskInstance", "TaskSampler",
+    "ConfigError", "TaskBatch", "TaskGeneratorConfig", "TaskSampler",
     "build_parameter_tree", "sample_task_batch",
     # clustering
     "ClusterConfig", "ClusterTreeNode", "DuplicateTaskError", "build_tree",

@@ -69,6 +69,8 @@ class ExperimentSpec:
             raise ConfigError(f"unknown modes {unknown}; allowed: {list(MODES)}")
         if not self.modes or not self.points_sweep or not self.replicate_seeds:
             raise ConfigError("modes, points_sweep and replicate_seeds must be non-empty")
+        if any(s < 0 for s in self.replicate_seeds):
+            raise ConfigError("replicate_seeds entries must be non-negative")
         if any(p < 1 for p in self.points_sweep):
             raise ConfigError("points_sweep entries must be >= 1")
         if self.meta_test_tasks < 2:
@@ -167,8 +169,8 @@ def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: i
             tree, 1, np.random.default_rng(target_ss),
             n_train=points, n_val=0, n_test=spec.eval_test_points,
             start_id=_TARGET_ID_BASE + i,
-        )[0]
-        support = []
+        )
+        support = None
         if needs_support:
             support = sample_task_batch(
                 tree, m, np.random.default_rng(support_ss),
@@ -241,7 +243,7 @@ def run_experiment(spec: ExperimentSpec, dump_tree: bool = False, echo=None) -> 
 
 def trace_tree_to_dict(trace: AdaptationTrace) -> dict:
     """Render an adaptation trace's nested partitions as a cluster-tree dump."""
-    task_ids = np.array([t.task_id for t in trace.tasks])
+    task_ids = trace.tasks.ids
     ids = itertools.count(1)
     root = {"node_id": 0, "depth": 0, "member_tasks": sorted(task_ids.tolist()), "children": []}
     prev_nodes = [root]

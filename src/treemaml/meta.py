@@ -56,14 +56,14 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .clustering import ClusterConfig, build_tree, clusters_at_level
 from .models import Batch, BatchStack, EmptyBatchError, _frozen
 from .numerics import NumericalError
-from .tasks import ConfigError, TaskBatch, TaskInstance
+from .tasks import ConfigError, TaskBatch
 
 MODES = ("baseline", "maml", "tree_fixed", "tree_learned")
 
@@ -98,37 +98,39 @@ class DivergenceError(RuntimeError):
 class FixedTreeSpec:
     """Known cluster assignments, one key per inner step per task.
 
-    path_of(task) returns a length-num_levels tuple of hashable keys; tasks
-    sharing a length-k prefix share a cluster at step k. label identifies the
-    assignment rule in config hashes (the callable itself is not serializable).
+    path_of(tasks) returns an (m, num_levels) integer array, row i task i's keys;
+    tasks sharing a length-k prefix share a cluster at step k. label identifies
+    the assignment rule in config hashes (the callable is not serializable).
     """
 
     num_levels: int
-    path_of: Callable[[TaskInstance], tuple]
+    path_of: Callable[[TaskBatch], np.ndarray]
     label: str = "custom"
 
 
 def generator_hierarchy_tree(num_levels: int) -> FixedTreeSpec:
     """Fixed tree reading each task's known generator path, final step task-specific."""
 
-    def path_of(task: TaskInstance) -> tuple:
-        levels = list(task.params.path[: num_levels - 1])
-        while len(levels) < num_levels - 1:
-            levels.append(0)
-        levels.append(task.task_id)
-        return tuple(levels)
+    def path_of(tasks: TaskBatch) -> np.ndarray:
+        keys = np.zeros((len(tasks), num_levels), dtype=np.int64)
+        known = min(num_levels - 1, tasks.paths.shape[1])
+        keys[:, :known] = tasks.paths[:, :known]
+        keys[:, -1] = tasks.ids
+        return keys
 
     return FixedTreeSpec(num_levels, path_of, label="generator")
 
 
 def singleton_tree(num_levels: int) -> FixedTreeSpec:
     """Every task alone at every step (the maml-degenerate fixed tree)."""
-    return FixedTreeSpec(num_levels, lambda t: (t.task_id,) * num_levels, label="singleton")
+    return FixedTreeSpec(num_levels, lambda t: np.repeat(t.ids[:, None], num_levels, axis=1),
+                         label="singleton")
 
 
 def single_cluster_tree(num_levels: int) -> FixedTreeSpec:
     """All tasks pooled at every step (one gradient averaged across all tasks)."""
-    return FixedTreeSpec(num_levels, lambda t: (0,) * num_levels, label="single-cluster")
+    return FixedTreeSpec(num_levels, lambda t: np.zeros((len(t), num_levels), dtype=np.int64),
+                         label="single-cluster")
 
 
 @dataclass(frozen=True)
@@ -321,54 +323,53 @@ def _per_task(method, P: np.ndarray, stack: BatchStack, *extra: np.ndarray) -> n
     return out[0] if len(out) == 1 else np.concatenate(out)
 
 
-def _fixed_paths(tasks: TaskBatch, cfg: MetaConfig) -> list:
-    paths = []
-    for t in tasks:
-        p = tuple(cfg.fixed_tree.path_of(t))
-        if len(p) != cfg.inner_steps:
-            raise TreeShapeError(
-                f"task {t.task_id}: fixed path has {len(p)} levels, expected {cfg.inner_steps}"
-            )
-        paths.append(p)
+def _fixed_paths(tasks: TaskBatch, cfg: MetaConfig) -> np.ndarray:
+    paths = np.asarray(cfg.fixed_tree.path_of(tasks))
+    if paths.shape != (len(tasks), cfg.inner_steps):
+        raise TreeShapeError(f"fixed paths have shape {paths.shape}, expected "
+                             f"({len(tasks)}, {cfg.inner_steps}): one key per task per step")
     return paths
 
 
-def _fixed_partition(paths: list, k: int, prev_owner: np.ndarray):
-    """Step-k clusters = length-k path prefixes, numbered by first appearance."""
-    index: dict = {}
-    owner = np.empty(len(paths), dtype=np.intp)
-    parent: list = []
-    for i, path in enumerate(paths):
-        key = path[:k]
-        c = index.setdefault(key, len(index))
-        if c == len(parent):
-            parent.append(prev_owner[i])
-        elif parent[c] != prev_owner[i]:
-            raise TreeShapeError(f"step-{k} cluster {key} spans multiple parents")
-        owner[i] = c
-    return owner, np.array(parent, dtype=np.intp)
+def _fixed_partition(paths: np.ndarray, k: int, prev_owner: np.ndarray):
+    """Step-k clusters = length-k path prefixes, numbered by first appearance.
+
+    Equal length-k prefixes have equal length-(k-1) prefixes, so a step-k
+    cluster is a step-(k-1) cluster paired with a step-k key.
+    """
+    keys = paths[:, k - 1]
+    order = np.lexsort((keys, prev_owner))  # stable: a run lists its rows in order
+    sorted_keys, sorted_prev = keys[order], prev_owner[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]) | (sorted_prev[1:] != sorted_prev[:-1])
+    firsts = order[starts]  # each cluster's first row
+    number = np.empty(len(firsts), dtype=np.intp)
+    number[np.argsort(firsts)] = np.arange(len(firsts))
+    owner = np.empty(len(order), dtype=np.intp)
+    owner[order] = number[np.cumsum(starts) - 1]
+    return owner, prev_owner[np.sort(firsts)]
 
 
-def _learned_partition(ids: list, G: np.ndarray, prev_owner: np.ndarray, n_prev: int,
+def _learned_partition(G: np.ndarray, prev_owner: np.ndarray, n_prev: int,
                        cluster: ClusterConfig):
     """Regroup by OTD clustering of the gradient rows, independently inside each
     previous cluster, so the new partition refines the old one. A zero gradient
     (an exactly fitted task) has no direction to cluster on, so that task steps
     alone, after the clustered tasks and in batch order."""
     zero = np.linalg.norm(G, axis=1) == 0.0
-    owner = np.empty(len(ids), dtype=np.intp)
+    owner = np.empty(len(G), dtype=np.intp)
     parent: list = []
     for p in range(n_prev):
         members = np.flatnonzero(prev_owner == p)
-        items = [(ids[i], G[i]) for i in members if not zero[i]]
-        if items:
-            row = {ids[i]: i for i in members}
-            for cluster_ids in clusters_at_level(build_tree(items, cluster), 1):
-                owner[[row[tid] for tid in cluster_ids]] = len(parent)
+        rows = members[~zero[members]]
+        if len(rows):
+            items = list(zip(rows.tolist(), G[rows]))
+            for cluster_rows in clusters_at_level(build_tree(items, cluster), 1):
+                owner[list(cluster_rows)] = len(parent)
                 parent.append(p)
-        for i in members[zero[members]]:
-            owner[i] = len(parent)
-            parent.append(p)
+        alone = members[zero[members]]
+        owner[alone] = len(parent) + np.arange(len(alone))
+        parent += [p] * len(alone)
     return owner, np.array(parent, dtype=np.intp)
 
 
@@ -377,7 +378,6 @@ def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: st
     """adapt_tree's K-step inner loop, with mode choosing the partitions and
     follow, when not None, the one task whose path is stepped."""
     m, K = len(tasks), cfg.inner_steps
-    ids = [t.task_id for t in tasks]
     paths = _fixed_paths(tasks, cfg) if mode == "tree_fixed" else None
     P = omega[None]  # a row per cluster, or the followed cluster's alone
     owner = np.zeros(m, dtype=np.intp)
@@ -394,7 +394,7 @@ def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: st
         elif mode == "tree_fixed":
             owner, parent = _fixed_partition(paths, k, owner)
         else:
-            owner, parent = _learned_partition(ids, G, owner, len(P), cfg.cluster)
+            owner, parent = _learned_partition(G, owner, len(P), cfg.cluster)
         if follow is None or (mode == "tree_learned" and k <= K - 2):
             # every cluster: the trace is full, or the next clustering step
             # reads the gradients at every cluster's parameters
@@ -424,7 +424,7 @@ def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: st
     return trace
 
 
-def adapt_tree(model, omega: np.ndarray, task_batch: Sequence[TaskInstance], cfg: MetaConfig,
+def adapt_tree(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig,
                follow: Optional[int] = None) -> AdaptationTrace:
     """Run the K-step inner loop for a batch of tasks and record the trace.
 
@@ -444,11 +444,9 @@ def adapt_tree(model, omega: np.ndarray, task_batch: Sequence[TaskInstance], cfg
     parameter goes non-finite.
     """
     omega = _check_omega(model, omega)
-    tasks = TaskBatch.of(task_batch)
     if not len(tasks):
         raise EmptyBatchError("adapt_tree needs a non-empty task batch")
-    ids = [t.task_id for t in tasks]
-    if len(set(ids)) != len(ids):
+    if len(set(tasks.ids.tolist())) != len(tasks):
         raise ValueError("task_ids in a batch must be unique")
     if cfg.mode not in ("maml", "tree_fixed", "tree_learned"):
         raise ConfigError(f"mode {cfg.mode!r} has no inner adaptation")
@@ -533,16 +531,17 @@ def meta_train(model, task_source, cfg: MetaConfig):
     log = []
     for it in range(1, cfg.outer_iterations + 1):
         t0 = time.perf_counter()
-        batch = TaskBatch.of(task_source.sample_batch(cfg.tasks_per_batch, cfg.points_train, cfg.points_val))
+        batch = task_source.sample_batch(cfg.tasks_per_batch, cfg.points_train, cfg.points_val)
         try:
             if cfg.mode == "baseline":
-                val_pool = Batch.concat([t.val_points for t in batch])
-                loss_now = model.loss(omega, val_pool)
+                Xt, Yt, Xv, Yv = (np.concatenate(a) for s in (batch.train, batch.val)
+                                  for a in zip(*s.blocks))
+                loss_now = model.loss(omega, Batch(Xv.reshape(-1, model.dim), Yv.reshape(-1)))
                 _check_meta_loss(loss_now)
-                pooled = Batch.concat(
-                    [b for t in batch for b in (t.train_points, t.val_points)]
-                )
-                g = model.batch_gradient(omega[None], pooled.x[None], pooled.y[None])[0]
+                # the pool is each task's train rows, then its val rows, in task order
+                X = np.concatenate((Xt, Xv), axis=1).reshape(1, -1, model.dim)
+                Y = np.concatenate((Yt, Yv), axis=1).reshape(1, -1)
+                g = model.batch_gradient(omega[None], X, Y)[0]
                 _require_finite(g, "meta-gradient")
                 omega = _outer_step(omega, g, cfg.outer_lr)
                 partitions = []
@@ -565,31 +564,34 @@ def meta_train(model, task_source, cfg: MetaConfig):
     return omega, log
 
 
-def adapt_and_evaluate(model, omega: np.ndarray, support_tasks: Sequence[TaskInstance],
-                       target_task: TaskInstance, cfg: MetaConfig) -> float:
-    """Adapt to the target task and return its test MSE.
+def adapt_and_evaluate(model, omega: np.ndarray, support: Optional[TaskBatch],
+                       target: TaskBatch, cfg: MetaConfig) -> float:
+    """Adapt to the target, a one-task batch, and return its test MSE.
 
     Tree modes adapt support + target jointly, target ordered last so each
     regroup inserts it into an already-built structure, and follow the
     target: only what its parameters depend on is computed (see adapt_tree).
     maml adapts the target alone; baseline optionally fine-tunes with the
-    same step count and rate. Finiteness is checked only on what the target's
-    loss reads, so a support task off the target's path that overflows does
-    not fail eval. A non-finite value raises DivergenceError in phase "eval".
+    same step count and rate; neither reads support, which may be None.
+    Finiteness is checked only on what the target's loss reads, so a support
+    task off the target's path that overflows does not fail eval. A
+    non-finite value raises DivergenceError in phase "eval".
     """
     theta = omega = _check_omega(model, omega)
+    if len(target) != 1:
+        raise ValueError(f"the target must be a one-task batch, not {len(target)} tasks")
     if cfg.mode != "baseline" or cfg.baseline_finetune:
-        target = TaskBatch.of([target_task])
         try:
             if cfg.mode in ("maml", "baseline"):
                 trace = _adapt(model, omega, target, cfg, "maml", follow=0)
             else:
-                joint = TaskBatch.of(support_tasks) + target
+                joint = support + target
                 trace = adapt_tree(model, omega, joint, cfg, follow=len(joint) - 1)
         except DivergenceError as e:
             raise DivergenceError(e.what, f"eval, {e.phase}") from None
         theta = trace.followed_params
-    mse = model.loss(theta, target_task.test_points)
+    (X, Y), = target.test.blocks
+    mse = model.loss(theta, Batch(X[0], Y[0]))
     if not math.isfinite(mse):
         raise DivergenceError(f"test loss {mse}", "eval")
     return mse

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,15 +47,6 @@ class Batch:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    @staticmethod
-    def concat(batches: Sequence["Batch"]) -> "Batch":
-        if not batches:
-            raise ValueError("cannot concatenate zero batches")
-        return Batch(
-            np.concatenate([b.x for b in batches], axis=0),
-            np.concatenate([b.y for b in batches], axis=0),
-        )
-
 
 @dataclass(frozen=True)
 class BatchStack:
@@ -68,18 +57,6 @@ class BatchStack:
     """
 
     blocks: tuple
-
-    @staticmethod
-    def of(batches: Sequence[Batch]) -> "BatchStack":
-        """Stack runs of consecutive equal-size batches (a copy, except for a run of one)."""
-        blocks = []
-        for _, group in itertools.groupby(batches, key=len):
-            run = list(group)
-            if len(run) == 1:
-                blocks.append((run[0].x[None], run[0].y[None]))
-            else:
-                blocks.append((np.stack([b.x for b in run]), np.stack([b.y for b in run])))
-        return BatchStack(tuple(blocks))
 
     def __add__(self, other: "BatchStack") -> "BatchStack":
         return BatchStack(self.blocks + other.blocks)

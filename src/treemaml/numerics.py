@@ -56,19 +56,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (na * nb)
 
 
-_PAIR_INDEX_CACHE: dict = {}
-
-
-def _upper_pairs(n: int):
-    # Index arrays for the strict upper triangle, reused across calls because
-    # clustering evaluates similarity statistics on every insertion.
-    pairs = _PAIR_INDEX_CACHE.get(n)
-    if pairs is None:
-        pairs = np.triu_indices(n, k=1)
-        _PAIR_INDEX_CACHE[n] = pairs
-    return pairs
-
-
 def set_similarity(vectors: Iterable[np.ndarray]) -> SimilarityStats:
     """Pairwise cosine statistics over an unordered set of 1-D arrays.
 
@@ -86,7 +73,7 @@ def set_similarity(vectors: Iterable[np.ndarray]) -> SimilarityStats:
     if np.any(norms == 0.0):
         raise ZeroVectorError("cosine similarity is undefined for a zero vector")
     gram = mat @ mat.T
-    rows, cols = _upper_pairs(n)
+    rows, cols = np.triu_indices(n, k=1)
     arr = gram[rows, cols] / (norms[rows] * norms[cols])
     return SimilarityStats(float(arr.mean()), float(arr.std(ddof=0)), arr.size)
 

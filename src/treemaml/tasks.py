@@ -9,13 +9,12 @@ targets carry additive Gaussian noise.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .models import Batch, BatchStack
+from .models import BatchStack
 
 
 class ConfigError(ValueError):
@@ -132,60 +131,44 @@ def build_parameter_tree(cfg: TaskGeneratorConfig) -> ParameterTree:
     return ParameterTree(root, tuple(leaves), cfg)
 
 
-@dataclass(frozen=True)
-class RegressionTaskParams:
-    """Ground truth for one task: weights (a read-only (dim,) array), owning leaf
-    cluster, and tree path."""
+@dataclass(frozen=True, eq=False)
+class TaskBatch:
+    """m tasks as arrays, row i of each being task i.
 
-    weights: np.ndarray
-    leaf_cluster_id: int
-    path: tuple
-
-
-@dataclass(frozen=True)
-class TaskInstance:
-    params: RegressionTaskParams
-    train_points: Batch
-    val_points: Batch
-    test_points: Batch
-    task_id: int
-
-
-class TaskBatch(Sequence):
-    """A sequence of tasks whose train, val and test splits are also stacked.
-
-    train, val and test are BatchStacks in task order; each task's Batches
-    are read-only views of their arrays. `+` joins two batches without
-    copying, so a support batch and its target adapt as one.
+    ids (m,) are the task_ids, leaves (m,) each task's generator leaf index,
+    paths (m, L) that leaf's path (L = len(branching)) and weights (m, dim)
+    the ground-truth weights; all four are made read-only in place. train,
+    val and test are the splits as BatchStacks in task order. batch[i] is
+    task i as a one-task batch of views, and `+` joins two batches without
+    copying their splits, so a support batch and its target adapt as one.
     """
 
-    def __init__(self, tasks: tuple, train: BatchStack, val: BatchStack, test: BatchStack):
-        self.tasks = tasks
-        self.train = train
-        self.val = val
-        self.test = test
+    ids: np.ndarray
+    leaves: np.ndarray
+    paths: np.ndarray
+    weights: np.ndarray
+    train: BatchStack
+    val: BatchStack
+    test: BatchStack
 
-    @staticmethod
-    def of(tasks) -> "TaskBatch":
-        """tasks as a TaskBatch: itself if it is one, else its splits stacked."""
-        if isinstance(tasks, TaskBatch):
-            return tasks
-        tasks = tuple(tasks)
-        return TaskBatch(tasks, *(BatchStack.of([getattr(t, f"{split}_points") for t in tasks])
-                                  for split in ("train", "val", "test")))
+    _ARRAYS = ("ids", "leaves", "paths", "weights")
+
+    def __post_init__(self):
+        for name in self._ARRAYS:
+            getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self.tasks)
+        return len(self.ids)
 
-    def __getitem__(self, i):
-        return self.tasks[i]
-
-    def __iter__(self):
-        return iter(self.tasks)
+    def __getitem__(self, i: int) -> "TaskBatch":
+        i = range(len(self))[i]
+        return TaskBatch(*(getattr(self, name)[i:i + 1] for name in self._ARRAYS),
+                         *(s.take(np.array([i])) for s in (self.train, self.val, self.test)))
 
     def __add__(self, other: "TaskBatch") -> "TaskBatch":
-        return TaskBatch(self.tasks + other.tasks, self.train + other.train,
-                         self.val + other.val, self.test + other.test)
+        return TaskBatch(*(np.concatenate((getattr(self, name), getattr(other, name)))
+                           for name in self._ARRAYS),
+                         self.train + other.train, self.val + other.val, self.test + other.test)
 
 
 def sample_task_batch(
@@ -202,7 +185,8 @@ def sample_task_batch(
     Each task draws a uniform leaf, jittered weights, then its train, val and
     test splits, so replaying a seeded generator replays the exact batch. The
     draws go straight into one (m, n, dim) input and one (m, n) target array
-    per split, which are then frozen; a zero-size split draws nothing.
+    per split, which are then frozen; a zero-size split draws nothing. Raises
+    ConfigError when the drawn weights or targets overflow.
     """
     if m <= 0:
         raise ConfigError("batch size m must be positive")
@@ -212,34 +196,33 @@ def sample_task_batch(
     splits = [(np.empty((m, n, cfg.dim)), np.empty((m, n))) for n in (n_train, n_val, n_test)]
     drawn = [(x, y) for x, y in splits if y.shape[1]]
     weights = np.empty((m, cfg.dim))
-    leaves = []
+    leaves = np.empty(m, dtype=np.intp)
     span = cfg.input_high - cfg.input_low
-    for i in range(m):
-        leaves.append(int(rng.integers(len(tree.leaves))))
-        w = weights[i]
-        np.add(tree.leaves[leaves[-1]].center, rng.normal(0.0, cfg.jitter_std, cfg.dim), out=w)
-        for x, y in drawn:
-            # rng.uniform(low, high)'s own arithmetic, low + (high - low) * u,
-            # done in place
-            rng.random(out=x[i])
-            x[i] *= span
-            x[i] += cfg.input_low
-            np.matmul(x[i], w, out=y[i])
-            y[i] += rng.normal(0.0, cfg.noise_std, size=y.shape[1])
-    weights.setflags(write=False)
-    batches = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the RNG stream is drawn task by task, in this order
+        for i in range(m):
+            leaves[i] = rng.integers(len(tree.leaves))
+            w = weights[i]
+            np.add(tree.leaves[leaves[i]].center, rng.normal(0.0, cfg.jitter_std, cfg.dim), out=w)
+            for x, y in drawn:
+                # rng.uniform(low, high)'s own arithmetic, low + (high - low) * u,
+                # done in place
+                rng.random(out=x[i])
+                x[i] *= span
+                x[i] += cfg.input_low
+                np.matmul(x[i], w, out=y[i])
+                y[i] += rng.normal(0.0, cfg.noise_std, size=y.shape[1])
+    if not (np.isfinite(weights).all() and all(np.isfinite(y).all() for _, y in drawn)):
+        raise ConfigError(
+            f"sampled task weights or targets overflow; task_jitter {cfg.jitter_std}, "
+            f"level_scales {list(cfg.level_scales)} or noise_std {cfg.noise_std} are too large"
+        )
     for x, y in splits:
         x.setflags(write=False)
         y.setflags(write=False)
-        # every task shares one empty Batch for a zero-size split
-        batches.append([Batch(x[i], y[i]) for i in range(m)] if y.shape[1] else [Batch(x[0], y[0])] * m)
-    tasks = tuple(
-        TaskInstance(RegressionTaskParams(w, leaf_idx, tree.leaves[leaf_idx].path),
-                     train, val, test, start_id + i)
-        for i, (w, leaf_idx, train, val, test)
-        in enumerate(zip(weights, leaves, *batches))
-    )
-    return TaskBatch(tasks, *(BatchStack(((x, y),)) for x, y in splits))
+    paths = np.array([leaf.path for leaf in tree.leaves], dtype=np.intp)
+    ids = np.arange(start_id, start_id + m, dtype=np.int64)
+    return TaskBatch(ids, leaves, paths[leaves], weights, *(BatchStack(((x, y),)) for x, y in splits))
 
 
 class TaskSampler:

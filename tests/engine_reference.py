@@ -8,7 +8,8 @@ loss, gradient and HVP are frozen here too, as the per-batch formulas they
 were, so the differential tests in test_engine.py compare the batched engine
 against arithmetic that shares no code with it. sample_task is the task sampler
 as it was, one task and three freshly drawn splits at a time. Do not optimise
-this file: it is the reference.
+this file: it is the reference. Only its containers follow the package: it
+reads a TaskBatch through tasks_of, one Task record per row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,28 @@ import numpy as np
 
 from treemaml.clustering import build_tree, clusters_at_level
 from treemaml.models import Batch
-from treemaml.tasks import RegressionTaskParams, TaskInstance
+
+
+@dataclass(frozen=True)
+class Task:
+    """One task as the per-task engine reads it."""
+
+    task_id: int
+    weights: np.ndarray
+    leaf: int
+    path: tuple
+    train_points: Batch
+    val_points: Batch
+    test_points: Batch
+
+
+def tasks_of(batch) -> list:
+    """A TaskBatch's rows as Task records whose Batches are views of its stacks."""
+    splits = [[Batch(X[i], Y[i]) for X, Y in stack.blocks for i in range(len(X))]
+              for stack in (batch.train, batch.val, batch.test)]
+    return [Task(tid, w, leaf, tuple(path), *points) for tid, w, leaf, path, *points
+            in zip(batch.ids.tolist(), batch.weights, batch.leaves.tolist(), batch.paths.tolist(),
+                   *splits)]
 
 
 def loss(params: np.ndarray, batch) -> float:
@@ -88,12 +110,12 @@ def _partition_step(tasks, grads, k, cfg, prev_level, index, paths):
     return out
 
 
-def adapt_tree(omega: np.ndarray, tasks, cfg) -> Trace:
-    tasks = list(tasks)
+def adapt_tree(omega: np.ndarray, batch, cfg) -> Trace:
+    tasks = tasks_of(batch)
     ids = [t.task_id for t in tasks]
     paths = None
     if cfg.mode == "tree_fixed":
-        paths = {t.task_id: tuple(cfg.fixed_tree.path_of(t)) for t in tasks}
+        paths = dict(zip(ids, map(tuple, cfg.fixed_tree.path_of(batch).tolist())))
     prev_level = [ClusterState(tuple(ids), -1, None, omega)]
     index = {tid: 0 for tid in ids}
     levels = []
@@ -164,8 +186,7 @@ def sample_task(tree, rng, n_train, n_val, n_test=0, task_id=0):
     leaf_idx = int(rng.integers(len(tree.leaves)))
     leaf = tree.leaves[leaf_idx]
     weights = leaf.center + rng.normal(0.0, cfg.jitter_std, cfg.dim)
-    params = RegressionTaskParams(weights, leaf_idx, leaf.path)
     train = draw(weights, n_train)
     val = draw(weights, n_val)
     test = draw(weights, n_test)
-    return TaskInstance(params, train, val, test, task_id)
+    return Task(task_id, weights, leaf_idx, leaf.path, train, val, test)

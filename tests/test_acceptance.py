@@ -25,11 +25,20 @@ from treemaml.meta import (
     single_cluster_tree,
     singleton_tree,
 )
-from treemaml.models import Batch, LinearRegressionModel
+from treemaml.models import Batch, BatchStack, LinearRegressionModel
 from treemaml.numerics import finite_difference_gradient
-from treemaml.tasks import ConfigError, RegressionTaskParams, TaskBatch, TaskInstance
+from treemaml.tasks import ConfigError, TaskBatch
 
 BENCHMARK_SPEC = Path(__file__).resolve().parents[1] / "specs" / "benchmark.json"
+
+
+def one_task(tid, weights, path, train, val, test):
+    """A one-task batch from its weights, path and (x, y) splits."""
+    def stack(x, y):
+        return BatchStack(((x[None], y[None]),))
+
+    return TaskBatch(np.array([tid]), np.zeros(1, dtype=np.intp), np.array([path]),
+                     weights[None], stack(*train), stack(*val), stack(*test))
 
 
 def random_tasks(rng, m, dim, n=4, path_levels=3):
@@ -38,20 +47,13 @@ def random_tasks(rng, m, dim, n=4, path_levels=3):
         w = rng.normal(size=dim)
         xt = rng.uniform(-2, 2, size=(n, dim))
         xv = rng.uniform(-2, 2, size=(n, dim))
-        params = RegressionTaskParams(
-            w, 0, tuple(int(rng.integers(0, 2)) for _ in range(path_levels))
-        )
-        empty = Batch(np.zeros((0, dim)), np.zeros(0))
-        tasks.append(
-            TaskInstance(
-                params,
-                Batch(xt, xt @ w + rng.normal(0, 0.1, n)),
-                Batch(xv, xv @ w + rng.normal(0, 0.1, n)),
-                empty,
-                i,
-            )
-        )
-    return tasks
+        path = tuple(int(rng.integers(0, 2)) for _ in range(path_levels))
+        empty = (np.zeros((0, dim)), np.zeros(0))
+        tasks.append(one_task(i, w, path,
+                              (xt, xt @ w + rng.normal(0, 0.1, n)),
+                              (xv, xv @ w + rng.normal(0, 0.1, n)),
+                              empty))
+    return sum(tasks[1:], tasks[0])
 
 
 def test_criterion_1_meta_gradient_matches_finite_differences():
@@ -72,11 +74,11 @@ def test_criterion_1_meta_gradient_matches_finite_differences():
             cfg = MetaConfig(mode="maml", inner_steps=steps, tasks_per_batch=m,
                              inner_lr=float(rng.uniform(0.01, 0.2)))
         else:
-            fixed = FixedTreeSpec(steps, lambda t, k=steps: t.params.path[:k])
+            fixed = FixedTreeSpec(steps, lambda t, k=steps: t.paths[:, :k])
             cfg = MetaConfig(mode="tree_fixed", fixed_tree=fixed, inner_steps=steps,
                              tasks_per_batch=m, inner_lr=float(rng.uniform(0.01, 0.2)))
         omega = rng.normal(size=dim)
-        vals = TaskBatch.of(tasks).val
+        vals = tasks.val
         g = meta_gradient(model, omega, adapt_tree(model, omega, tasks, cfg), vals, cfg)
         fd = finite_difference_gradient(
             lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg), vals),
@@ -127,12 +129,12 @@ def test_criterion_3_cluster_step_equals_step_on_concatenated_batch():
         for _ in range(members):
             x = rng.uniform(-2, 2, size=(n, dim))
             batches.append(Batch(x, x @ w + rng.normal(0, 0.1, n)))
-        tasks = [TaskInstance(RegressionTaskParams(w, 0, (0,)), b, b, b, i)
+        tasks = [one_task(i, w, (0,), (b.x, b.y), (b.x, b.y), (b.x, b.y))
                  for i, b in enumerate(batches)]
         cfg = MetaConfig(mode="tree_fixed", fixed_tree=single_cluster_tree(1), inner_steps=1,
                          inner_lr=lr, tasks_per_batch=members)
-        (pooled,) = adapt_tree(model, params, tasks, cfg).params[0]
-        cat = Batch.concat(batches)
+        (pooled,) = adapt_tree(model, params, sum(tasks[1:], tasks[0]), cfg).params[0]
+        cat = Batch(np.concatenate([b.x for b in batches]), np.concatenate([b.y for b in batches]))
         concat = params - lr * model.batch_gradient(params[None], cat.x[None], cat.y[None])[0]
         assert np.max(np.abs(pooled - concat)) <= 1e-12
 

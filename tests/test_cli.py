@@ -214,7 +214,7 @@ def test_trace_tree_to_dict_nests_partitions():
     trace = adapt_tree(model, omega, tasks, cfg)
     dump = trace_tree_to_dict(trace)
     assert dump["depth"] == 0
-    assert dump["member_tasks"] == sorted(t.task_id for t in tasks)
+    assert dump["member_tasks"] == sorted(tasks.ids.tolist())
     level1 = dump["children"]
     assert [c["depth"] for c in level1] == [1] * len(level1)
     assert sum(len(c["member_tasks"]) for c in level1) == 8
@@ -330,6 +330,32 @@ def test_main_set_up_config_error_exits_2(tmp_path, capsys):
         assert "error: a level-" in captured.err and "center overflows" in captured.err
         assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists() and not (tmp_path / "centers.json").exists()
+
+
+def test_negative_replicate_seed_is_a_spec_error(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="replicate_seeds"):
+        small_spec(replicate_seeds=[0, -1])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(small_dict(replicate_seeds=[-1])))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(small_dict()))
+    for argv in (["run", str(bad)], ["run", str(good), "--seed", "-1"]):
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "error: replicate_seeds" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_task_jitter_fails_the_cell_as_a_config_error(tmp_path, capsys):
+    # the spec passes its range checks, but every sampled task overflows
+    d = small_dict(modes=["maml"])
+    d["generator"]["task_jitter"] = 1e308
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(d))
+    assert main(["run", str(p), "--out-dir", str(tmp_path / "out")]) == 1
+    failure = "maml/4/0: ConfigError: sampled task weights or targets overflow; task_jitter 1e+308"
+    assert failure in capsys.readouterr().err
 
 
 def test_main_divergent_cell_exits_nonzero(tmp_path, capsys):

@@ -62,15 +62,15 @@ def test_sampler_matches_the_per_task_sampler(points):
         new_rng = np.random.default_rng(points)
         batch = sample_task_batch(TREE, 12, new_rng, points, n_val, n_test, start_id=40)
         rng = np.random.default_rng(points)
-        for t in batch:
+        for t in ref.tasks_of(batch):
             old = ref.sample_task(TREE, rng, points, n_val, n_test, task_id=t.task_id)
-            assert np.array_equal(t.params.weights, old.params.weights)
-            assert (t.params.leaf_cluster_id, t.params.path) == (old.params.leaf_cluster_id, old.params.path)
+            assert np.array_equal(t.weights, old.weights)
+            assert (t.leaf, t.path) == (old.leaf, old.path)
             for split in ("train_points", "val_points", "test_points"):
                 assert np.array_equal(getattr(t, split).x, getattr(old, split).x)
                 assert np.array_equal(getattr(t, split).y, getattr(old, split).y)
-        # the stacks are the tasks' batches, not copies of them
-        assert np.shares_memory(batch.train.blocks[0][0], batch[3].train_points.x)
+        # a task of the batch is a view of its stacks, not a copy
+        assert np.shares_memory(batch.train.blocks[0][0], batch[3].train.blocks[0][0])
         # zero-size splits draw nothing, in either sampler
         assert new_rng.bit_generator.state == rng.bit_generator.state
 
@@ -79,11 +79,11 @@ def test_sampler_matches_the_per_task_sampler(points):
 @pytest.mark.parametrize("mode", ["maml", "tree_fixed", "tree_learned"])
 def test_engine_is_bit_identical_to_the_per_task_engine(mode, points):
     tasks = sample_task_batch(TREE, M, np.random.default_rng(100 + points), points, points)
-    ids = np.array([t.task_id for t in tasks])
-    vals = {t.task_id: t.val_points for t in tasks}
+    ids = tasks.ids
+    vals = {t.task_id: t.val_points for t in ref.tasks_of(tasks)}
     for omega in omegas(points):
         trace = adapt_tree(MODEL, omega, tasks, config(mode, points))
-        old = ref.adapt_tree(omega, list(tasks), config(mode, points))
+        old = ref.adapt_tree(omega, tasks, config(mode, points))
         assert trace.partition_sizes == old.partition_sizes
         params_in = omega[None]
         for owner, parent, params_out, old_level in zip(trace.owners, trace.parents, trace.params,
@@ -111,12 +111,13 @@ def test_meta_test_loss_is_bit_identical_to_the_per_task_engine(mode, points):
     for i in range(3):
         rng = np.random.default_rng([points, i])
         support = sample_task_batch(TREE, M, rng, points, 0, start_id=1000)
-        target = sample_task_batch(TREE, 1, rng, points, 0, n_test=20, start_id=5000)[0]
+        target = sample_task_batch(TREE, 1, rng, points, 0, n_test=20, start_id=5000)
         if mode == "maml":
-            old = ref.adapt_tree(omega, [target], cfg)
+            old = ref.adapt_tree(omega, target, cfg)
         else:
-            old = ref.adapt_tree(omega, list(support) + [target], cfg)
-        expected = ref.loss(old.final_params[target.task_id], target.test_points)
+            old = ref.adapt_tree(omega, support + target, cfg)
+        (task,) = ref.tasks_of(target)
+        expected = ref.loss(old.final_params[task.task_id], task.test_points)
         assert adapt_and_evaluate(MODEL, omega, support, target, cfg) == expected
 
 
@@ -129,8 +130,9 @@ def joint_batches(points, rng):
         yield support + target
     pool = sample_task_batch(TREE, 2 * M, rng, points, 0, start_id=1000)
     target = sample_task_batch(TREE, 1, rng, points, 0, start_id=5000)
-    alone = [t for t in pool if t.params.path != target[0].params.path]
-    yield TaskBatch.of(alone[:M]) + target
+    alone = np.flatnonzero((pool.paths != target.paths).any(axis=1))[:M]
+    yield TaskBatch(pool.ids[alone], pool.leaves[alone], pool.paths[alone], pool.weights[alone],
+                    pool.train.take(alone), pool.val.take(alone), pool.test.take(alone)) + target
 
 
 @pytest.mark.parametrize("points", [5, 128])
@@ -176,7 +178,7 @@ def test_followed_trace_rejects_what_it_cannot_answer():
 def closed_form(omega, trace, cfg):
     """theta_i, meta-loss and its exact gradient from the trace's partitions."""
     lr = cfg.inner_lr
-    train = [t.train_points for t in trace.tasks]
+    train = [t.train_points for t in ref.tasks_of(trace.tasks)]
     hess = np.stack([(2.0 / len(b)) * b.x.T @ b.x for b in train])
     pull = np.stack([(2.0 / len(b)) * b.x.T @ b.y for b in train])
     A = np.eye(DIM)[None]  # per cluster, starting from the root
@@ -188,7 +190,7 @@ def closed_form(omega, trace, cfg):
         b = (step @ b[parent][:, :, None])[:, :, 0] + lr * r
     A, b = A[trace.owners[-1]], b[trace.owners[-1]]
     theta = (A @ omega) + b
-    val = [t.val_points for t in trace.tasks]
+    val = [t.val_points for t in ref.tasks_of(trace.tasks)]
     resid = [v.x @ th - v.y for v, th in zip(val, theta)]
     loss = np.mean([np.mean(r * r) for r in resid])
     g_val = np.stack([(2.0 / len(v)) * v.x.T @ r for v, r in zip(val, resid)])

@@ -22,27 +22,47 @@ from treemaml.meta import (
     singleton_tree,
     stable_hash,
 )
-from treemaml.models import Batch, EmptyBatchError, LinearRegressionModel
+from treemaml.models import Batch, BatchStack, EmptyBatchError, LinearRegressionModel
 from treemaml.numerics import NumericalError, finite_difference_gradient
 from treemaml.tasks import (
     ConfigError,
-    RegressionTaskParams,
     TaskBatch,
     TaskGeneratorConfig,
-    TaskInstance,
     TaskSampler,
     build_parameter_tree,
 )
 
 
-def make_task(tid, x, y, xv=None, yv=None, path=(0,)):
+def stack(x, y):
+    """One task's (n, d) inputs and (n,) targets as a one-task BatchStack."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return BatchStack(((x[None], y[None]),))
+
+
+def make_task(tid, x, y, xv=None, yv=None, path=(0,), test=None):
+    """A one-task batch; val defaults to the train points, test (an (x, y)
+    pair) to no points."""
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    train = Batch(x, y)
-    val = train if xv is None else Batch(xv, yv)
-    params = RegressionTaskParams(np.zeros(x.shape[1]), 0, tuple(path))
-    empty = Batch(np.zeros((0, x.shape[1])), np.zeros(0))
-    return TaskInstance(params, train, val, empty, tid)
+    train = stack(x, y)
+    val = train if xv is None else stack(xv, yv)
+    test = stack(np.zeros((0, x.shape[1])), np.zeros(0)) if test is None else stack(*test)
+    return TaskBatch(np.array([tid]), np.zeros(1, dtype=np.intp), np.array([path]),
+                     np.zeros((1, x.shape[1])), train, val, test)
+
+
+def join(tasks):
+    """One batch of the given batches, in order."""
+    return sum(tasks[1:], tasks[0])
+
+
+def split(task, name="train"):
+    """A one-task batch's split as a Batch."""
+    (X, Y), = getattr(task, name).blocks
+    return Batch(X[0], Y[0])
+
+
+def concat(batches):
+    return Batch(np.concatenate([b.x for b in batches]), np.concatenate([b.y for b in batches]))
 
 
 def random_tasks(rng, m, dim, n=4, path_levels=0):
@@ -55,12 +75,12 @@ def random_tasks(rng, m, dim, n=4, path_levels=0):
         t = make_task(i, xt, xt @ w + rng.normal(0, 0.1, n),
                       xv, xv @ w + rng.normal(0, 0.1, n), path=path or (0,))
         tasks.append(t)
-    return tasks
+    return join(tasks)
 
 
 def pooled_step(model, params, batches, lr):
     """One pooled step over the member batches: adapt_tree on a one-step single-cluster tree."""
-    tasks = [make_task(i, b.x, b.y) for i, b in enumerate(batches)]
+    tasks = join([make_task(i, b.x, b.y) for i, b in enumerate(batches)])
     cfg = MetaConfig(mode="tree_fixed", inner_steps=1, inner_lr=lr, fixed_tree=single_cluster_tree(1))
     (cluster,) = adapt_tree(model, params, tasks, cfg).params[0]
     return cluster
@@ -78,12 +98,12 @@ def plain_step(model, params, batch, lr):
 def task_step(model, params, task, lr):
     """One maml inner step of one task: adapt_tree with K = 1 on a batch of one."""
     cfg = MetaConfig(mode="maml", inner_steps=1, inner_lr=lr)
-    return adapt_tree(model, params, [task], cfg).task_params(1)[0]
+    return adapt_tree(model, params, task, cfg).task_params(1)[0]
 
 
 def members(trace, k):
     """Step k's clusters as tuples of task_ids in batch order."""
-    ids = np.array([t.task_id for t in trace.tasks])
+    ids = trace.tasks.ids
     return [tuple(ids[trace.owners[k - 1] == c].tolist()) for c in range(trace.partition_sizes[k - 1])]
 
 
@@ -114,12 +134,12 @@ class GradientOnlyModel:
 
 def test_fixed_tree_factories():
     t = make_task(42, [[1.0, 0.0]], [1.0], path=(0, 1))
-    assert generator_hierarchy_tree(3).path_of(t) == (0, 1, 42)
-    assert generator_hierarchy_tree(2).path_of(t) == (0, 42)
+    assert generator_hierarchy_tree(3).path_of(t).tolist() == [[0, 1, 42]]
+    assert generator_hierarchy_tree(2).path_of(t).tolist() == [[0, 42]]
     shallow = make_task(7, [[1.0]], [1.0], path=(1,))
-    assert generator_hierarchy_tree(3).path_of(shallow) == (1, 0, 7)
-    assert singleton_tree(2).path_of(t) == (42, 42)
-    assert single_cluster_tree(2).path_of(t) == (0, 0)
+    assert generator_hierarchy_tree(3).path_of(shallow).tolist() == [[1, 0, 7]]
+    assert singleton_tree(2).path_of(t).tolist() == [[42, 42]]
+    assert single_cluster_tree(2).path_of(t).tolist() == [[0, 0]]
     assert generator_hierarchy_tree(3).label == "generator"
 
 
@@ -164,7 +184,7 @@ def test_inner_step_task_fixed_point_and_descent():
     assert np.array_equal(task_step(model, w, noiseless, 0.1), w)
     params = rng.normal(size=3)
     stepped = task_step(model, params, noiseless, 0.01)
-    assert model.loss(stepped, noiseless.train_points) < model.loss(params, noiseless.train_points)
+    assert model.loss(stepped, split(noiseless)) < model.loss(params, split(noiseless))
 
 
 def test_cluster_step_single_member_equals_task_step():
@@ -195,7 +215,7 @@ def test_cluster_step_matches_concatenated_batch():
             for _ in range(int(rng.integers(1, 5)))
         ]
         pooled = pooled_step(model, params, members, 0.07)
-        direct = plain_step(model, params, Batch.concat(members), 0.07)
+        direct = plain_step(model, params, concat(members), 0.07)
         assert np.allclose(pooled, direct, atol=1e-12)
 
 
@@ -210,7 +230,7 @@ def test_adapt_tree_maml_equals_independent_steps():
     for t, adapted in zip(tasks, trace.task_params(3)):
         theta = omega
         for _ in range(3):
-            theta = plain_step(model, theta, t.train_points, 0.05)
+            theta = plain_step(model, theta, split(t), 0.05)
         assert np.array_equal(adapted, theta)
 
 
@@ -240,7 +260,7 @@ def test_single_cluster_tree_pools_everything():
     assert all(np.array_equal(f, finals[0]) for f in finals)
     manual = omega
     for _ in range(2):
-        grads = [gradient(model, manual, t.train_points) for t in tasks]
+        grads = [gradient(model, manual, split(t)) for t in tasks]
         manual = manual - 0.03 * np.mean(np.stack(grads), axis=0)
     assert np.array_equal(finals[0], manual)
 
@@ -251,11 +271,10 @@ def test_generator_tree_partitions_coarse_to_fine():
     paths = [(0, 0), (0, 0), (0, 1), (0, 1), (1, 0), (1, 0), (1, 1), (1, 1)]
     tasks = []
     for i, p in enumerate(paths):
-        t = random_tasks(rng, 1, 3)[0]
-        tasks.append(TaskInstance(
-            RegressionTaskParams(t.params.weights, 0, p),
-            t.train_points, t.val_points, t.test_points, i,
-        ))
+        t = random_tasks(rng, 1, 3)
+        tasks.append(TaskBatch(np.array([i]), t.leaves, np.array([p]), t.weights,
+                               t.train, t.val, t.test))
+    tasks = join(tasks)
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.02,
                      fixed_tree=generator_hierarchy_tree(3), tasks_per_batch=8)
     trace = adapt_tree(model, rng.normal(size=3), tasks, cfg)
@@ -269,7 +288,7 @@ def test_generator_tree_partitions_coarse_to_fine():
 def test_fixed_tree_wrong_path_length_raises():
     rng = np.random.default_rng(6)
     tasks = random_tasks(rng, 2, 2)
-    bad = FixedTreeSpec(2, lambda t: (0,))
+    bad = FixedTreeSpec(2, lambda t: np.zeros((len(t), 1), dtype=np.int64))
     cfg = MetaConfig(mode="tree_fixed", inner_steps=2, fixed_tree=bad)
     with pytest.raises(TreeShapeError):
         adapt_tree(LinearRegressionModel(2), np.zeros(2), tasks, cfg)
@@ -280,7 +299,7 @@ def test_learned_tree_groups_by_gradient_direction():
     # near-orthogonal direction pairs should split 2 then 4 then 4
     model = LinearRegressionModel(2)
     dirs = [(1.0, 0.0), (0.996, 0.087), (0.0, 1.0), (0.087, 0.996)]
-    tasks = [make_task(i, [list(d)], [1.0]) for i, d in enumerate(dirs)]
+    tasks = join([make_task(i, [list(d)], [1.0]) for i, d in enumerate(dirs)])
     cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01,
                      cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
     trace = adapt_tree(model, np.zeros(2), tasks, cfg)
@@ -296,7 +315,8 @@ def test_learned_tree_puts_zero_gradient_tasks_in_singletons():
     model = LinearRegressionModel(3)
     omega = rng.normal(size=3)
     x0 = rng.uniform(-2, 2, size=(4, 3))
-    tasks = [make_task(0, x0, x0 @ omega)] + random_tasks(rng, 4, 3)[1:]
+    rest = random_tasks(rng, 4, 3)
+    tasks = join([make_task(0, x0, x0 @ omega), rest[1], rest[2], rest[3]])
     cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01,
                      cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
     trace = adapt_tree(model, omega, tasks, cfg)
@@ -305,8 +325,8 @@ def test_learned_tree_puts_zero_gradient_tasks_in_singletons():
         assert sorted(t for cluster in members(trace, k) for t in cluster) == [0, 1, 2, 3]
     assert np.array_equal(trace.task_params(3)[0], omega)
 
-    fitted = [make_task(i, x, x @ omega)
-              for i, x in enumerate(rng.uniform(-2, 2, size=(3, 4, 3)))]
+    fitted = join([make_task(i, x, x @ omega)
+                   for i, x in enumerate(rng.uniform(-2, 2, size=(3, 4, 3)))])
     trace = adapt_tree(model, omega, fitted, cfg)
     assert trace.partition_sizes == [3, 3, 3]
     assert members(trace, 1) == [(0,), (1,), (2,)]
@@ -316,13 +336,16 @@ def test_adapt_tree_input_validation():
     model = LinearRegressionModel(2)
     omega = np.zeros(2)
     cfg = MetaConfig(mode="maml", inner_steps=1)
+    empty = BatchStack(())
+    no_tasks = TaskBatch(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp),
+                         np.zeros((0, 1), dtype=np.intp), np.zeros((0, 2)), empty, empty, empty)
     with pytest.raises(EmptyBatchError):
-        adapt_tree(model, omega, [], cfg)
+        adapt_tree(model, omega, no_tasks, cfg)
     t = make_task(1, [[1.0, 0.0]], [1.0])
     with pytest.raises(ValueError):
-        adapt_tree(model, omega, [t, t], cfg)
+        adapt_tree(model, omega, t + t, cfg)
     with pytest.raises(ConfigError):
-        adapt_tree(model, omega, [t], MetaConfig(mode="baseline"))
+        adapt_tree(model, omega, t, MetaConfig(mode="baseline"))
 
 
 def test_omega_is_checked_at_entry():
@@ -330,11 +353,11 @@ def test_omega_is_checked_at_entry():
     task = make_task(0, [[1.0, 0.0]], [1.0])
     cfg = MetaConfig(mode="maml", inner_steps=1)
     fixed = MetaConfig(mode="tree_fixed", inner_steps=1, fixed_tree=singleton_tree(1))
-    trace = adapt_tree(model, np.zeros(2), [task], cfg)
+    trace = adapt_tree(model, np.zeros(2), task, cfg)
     entries = [
-        lambda w: adapt_tree(model, w, [task], cfg),
-        lambda w: adapt_and_evaluate(model, w, [], task, cfg),
-        lambda w: adapt_and_evaluate(model, w, [task], make_task(1, [[0.0, 1.0]], [1.0]), fixed),
+        lambda w: adapt_tree(model, w, task, cfg),
+        lambda w: adapt_and_evaluate(model, w, None, task, cfg),
+        lambda w: adapt_and_evaluate(model, w, task, make_task(1, [[0.0, 1.0]], [1.0]), fixed),
         lambda w: meta_gradient(model, w, trace, trace.tasks.val, cfg),
         lambda w: outer_update(model, w, trace, trace.tasks.val, cfg),
     ]
@@ -349,7 +372,7 @@ def test_omega_is_checked_at_entry():
             enter(np.array([np.inf, 0.0]))
     # a writable omega is copied, so writing into it later changes no trace
     omega = np.array([0.5, -0.5])
-    trace = adapt_tree(model, omega, [task], cfg)
+    trace = adapt_tree(model, omega, task, cfg)
     omega[0] = 7.0
     assert trace.omega.tolist() == [0.5, -0.5]
 
@@ -366,7 +389,7 @@ def test_parameters_are_read_only():
     full = adapt_tree(model, omega, tasks, cfg)
     followed = adapt_tree(model, omega, tasks, cfg, follow=3)
     arrays = [omega, followed.followed_params, full.omega,
-              tasks[0].params.weights, tree.root.center, tree.leaves[2].center]
+              tasks.weights, tree.root.center, tree.leaves[2].center]
     arrays += [full.task_params(k) for k in range(4)] + full.params
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -378,7 +401,7 @@ def test_meta_validation_loss_is_mean_over_tasks():
     t1 = make_task(1, [[1.0]], [0.0])
     t2 = make_task(2, [[1.0]], [4.0])
     cfg = MetaConfig(mode="maml", inner_steps=1, inner_lr=0.0)
-    trace = adapt_tree(model, np.zeros(1), [t1, t2], cfg)
+    trace = adapt_tree(model, np.zeros(1), t1 + t2, cfg)
     # adapted params stay at 0: losses are 0 and 16
     assert meta_validation_loss(model, trace, trace.tasks.val) == 8.0
 
@@ -394,11 +417,11 @@ def test_meta_gradient_matches_finite_differences():
         model = model_cache.setdefault(dim, LinearRegressionModel(dim))
         tasks = random_tasks(rng, m, dim, path_levels=K)
         mode = ["maml", "tree_fixed"][trial % 2]
-        fixed = FixedTreeSpec(K, lambda t, k=K: t.params.path[:k]) if mode == "tree_fixed" else None
+        fixed = FixedTreeSpec(K, lambda t, k=K: t.paths[:, :k]) if mode == "tree_fixed" else None
         cfg = MetaConfig(mode=mode, fixed_tree=fixed, inner_steps=K,
                          inner_lr=float(rng.uniform(0.01, 0.2)), tasks_per_batch=m)
         omega = rng.normal(size=dim)
-        vals = TaskBatch.of(tasks).val
+        vals = tasks.val
         g = meta_gradient(model, omega, adapt_tree(model, omega, tasks, cfg), vals, cfg)
         fd = finite_difference_gradient(
             lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg), vals), omega
@@ -413,11 +436,11 @@ def test_meta_gradient_learned_tree_matches_finite_differences():
     # finite-difference bumps, so the piecewise-smooth loss is locally smooth
     model = LinearRegressionModel(2)
     dirs = [(1.0, 0.0), (0.996, 0.087), (0.0, 1.0), (0.087, 0.996)]
-    tasks = [make_task(i, [list(d)], [1.0]) for i, d in enumerate(dirs)]
+    tasks = join([make_task(i, [list(d)], [1.0]) for i, d in enumerate(dirs)])
     cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.05,
                      cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
     omega = np.array([0.2, -0.1])
-    vals = TaskBatch.of(tasks).val
+    vals = tasks.val
     g = meta_gradient(model, omega, adapt_tree(model, omega, tasks, cfg), vals, cfg)
     fd = finite_difference_gradient(
         lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg), vals), omega
@@ -436,7 +459,7 @@ def test_zero_inner_lr_reduces_to_pooled_validation_gradient():
     vals = trace.tasks.val
     assert all(np.array_equal(theta, omega) for theta in trace.task_params(2))
     g = meta_gradient(model, omega, trace, vals, cfg)
-    expected = np.mean([gradient(model, omega, t.val_points) for t in tasks], axis=0)
+    expected = np.mean([gradient(model, omega, split(t, "val")) for t in tasks], axis=0)
     assert np.allclose(g, expected, atol=1e-12)
     stepped = outer_update(model, omega, trace, vals, cfg)
     assert np.allclose(stepped, omega - 0.1 * g, atol=1e-15)
@@ -454,7 +477,7 @@ def test_one_step_meta_gradient_closed_form():
     omega = rng.normal(size=2)
     alpha = 0.05
     cfg = MetaConfig(mode="maml", inner_steps=1, inner_lr=alpha)
-    trace = adapt_tree(model, omega, [task], cfg)
+    trace = adapt_tree(model, omega, task, cfg)
     g = meta_gradient(model, omega, trace, trace.tasks.val, cfg)
 
     H = (2.0 / len(xt)) * xt.T @ xt
@@ -474,7 +497,8 @@ def test_first_order_gradient_ignores_the_inner_jacobian():
     vals = trace.tasks.val
     g = meta_gradient(model, omega, trace, vals, cfg)
     expected = np.mean(
-        [gradient(model, theta, t.val_points) for t, theta in zip(tasks, trace.task_params(2))], axis=0
+        [gradient(model, theta, split(t, "val")) for t, theta in zip(tasks, trace.task_params(2))],
+        axis=0
     )
     assert np.allclose(g, expected, atol=1e-15)
     second = meta_gradient(model, omega, trace, vals, MetaConfig(mode="maml", inner_steps=2, inner_lr=0.1))
@@ -504,11 +528,11 @@ def test_inner_steps_do_not_increase_pooled_training_loss():
                      fixed_tree=generator_hierarchy_tree(3), tasks_per_batch=6)
     omega = rng.normal(size=3)
     trace = adapt_tree(model, omega, tasks, cfg)
-    batches = {t.task_id: t.train_points for t in tasks}
+    batches = {int(t.ids[0]): split(t) for t in tasks}
     params_in = omega[None]
     for k, params_out in enumerate(trace.params, start=1):
         for cluster, p, out in zip(members(trace, k), trace.parents[k - 1], params_out):
-            pooled = Batch.concat([batches[tid] for tid in cluster])
+            pooled = concat([batches[tid] for tid in cluster])
             assert model.loss(out, pooled) <= model.loss(params_in[p], pooled) + 1e-12
         params_in = params_out
 
@@ -596,35 +620,35 @@ def test_non_finite_values_raise_divergence_naming_the_phase():
     # theta_1 = -2e300 is finite, theta_2 = 4e600 is not
     huge = MetaConfig(mode="maml", inner_steps=3, inner_lr=1e300, tasks_per_batch=1,
                       outer_iterations=2)
-    assert phase_of(adapt_tree, model, np.array([1.0]), [task], huge) == (
+    assert phase_of(adapt_tree, model, np.array([1.0]), task, huge) == (
         "inner step 2", None, "non-finite values in inner step 2")
-    assert phase_of(meta_train, model, FixedSource([task]), huge) == (
+    assert phase_of(meta_train, model, FixedSource(task), huge) == (
         "inner step 2", 1, "non-finite values in inner step 2 at iteration 1")
-    assert phase_of(adapt_and_evaluate, model, np.array([1.0]), [], task, huge)[0] == (
+    assert phase_of(adapt_and_evaluate, model, np.array([1.0]), None, task, huge)[0] == (
         "eval, inner step 2")
     fixed = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=1e300,
                        fixed_tree=singleton_tree(3))
     target = make_task(1, [[1.0]], [0.0])
-    assert phase_of(adapt_and_evaluate, model, np.array([1.0]), [task], target, fixed)[0] == (
+    assert phase_of(adapt_and_evaluate, model, np.array([1.0]), task, target, fixed)[0] == (
         "eval, inner step 2")
 
     # theta_1 = 1 - 2e160 and its validation gradient are finite; the
     # reverse pass multiplies by (1 - 2e160) once more and overflows
     one = MetaConfig(mode="maml", inner_steps=1, inner_lr=1e160)
-    trace = adapt_tree(model, np.array([1.0]), [task], one)
+    trace = adapt_tree(model, np.array([1.0]), task, one)
     assert phase_of(meta_gradient, model, np.array([1.0]), trace, trace.tasks.val, one)[0] == (
         "meta-gradient")
 
     # a finite meta-gradient of 12.8 times outer_lr 1e308 overflows omega
     step = MetaConfig(mode="maml", inner_steps=1, inner_lr=0.1, outer_lr=1e308)
     omega = np.array([10.0])
-    trace = adapt_tree(model, omega, [task], step)
+    trace = adapt_tree(model, omega, task, step)
     assert phase_of(outer_update, model, omega, trace, trace.tasks.val, step)[0] == "outer step"
 
     # finite parameters whose test loss overflows
     frozen = MetaConfig(mode="baseline", baseline_finetune=False)
-    tested = TaskInstance(task.params, task.train_points, task.val_points, task.train_points, 2)
-    assert phase_of(adapt_and_evaluate, model, np.array([1e200]), [], tested, frozen)[0] == "eval"
+    tested = make_task(2, [[1.0]], [0.0], test=([[1.0]], [0.0]))
+    assert phase_of(adapt_and_evaluate, model, np.array([1e200]), None, tested, frozen)[0] == "eval"
 
 
 def test_eval_checks_finiteness_only_on_the_target_path():
@@ -632,13 +656,12 @@ def test_eval_checks_finiteness_only_on_the_target_path():
     # infinite first gradient, but the target's parameters never read it
     model = LinearRegressionModel(1)
     wild = make_task(0, [[1e200]], [0.0])
-    task = make_task(1, [[1.0]], [0.0])
-    target = TaskInstance(task.params, task.train_points, task.val_points, task.train_points, 1)
+    target = make_task(1, [[1.0]], [0.0], test=([[1.0]], [0.0]))
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.1, fixed_tree=singleton_tree(3))
     with pytest.raises(DivergenceError), np.errstate(over="ignore"):
-        adapt_tree(model, np.array([1.0]), [wild, target], cfg)
+        adapt_tree(model, np.array([1.0]), wild + target, cfg)
     # theta = 0.8^3 after three steps, whose squared error is 0.8^6
-    assert adapt_and_evaluate(model, np.array([1.0]), [wild], target, cfg) == pytest.approx(0.8 ** 6)
+    assert adapt_and_evaluate(model, np.array([1.0]), wild, target, cfg) == pytest.approx(0.8 ** 6)
 
 
 def test_adapt_and_evaluate_baseline_and_maml_paths():
@@ -647,21 +670,19 @@ def test_adapt_and_evaluate_baseline_and_maml_paths():
     w = rng.normal(size=3)
     xt = rng.uniform(-2, 2, size=(5, 3))
     xs = rng.uniform(-2, 2, size=(6, 3))
-    target = TaskInstance(
-        RegressionTaskParams(w, 0, (0, 0)),
-        Batch(xt, xt @ w), Batch(xt, xt @ w), Batch(xs, xs @ w), 0,
-    )
+    target = make_task(0, xt, xt @ w, path=(0, 0), test=(xs, xs @ w))
     omega = rng.normal(size=3)
     frozen = MetaConfig(mode="baseline", inner_steps=2, inner_lr=0.02, baseline_finetune=False)
-    assert adapt_and_evaluate(model, omega, [], target, frozen) == model.loss(omega, target.test_points)
+    zero_shot = model.loss(omega, split(target, "test"))
+    assert adapt_and_evaluate(model, omega, None, target, frozen) == zero_shot
     tuned = MetaConfig(mode="baseline", inner_steps=2, inner_lr=0.02)
     maml = MetaConfig(mode="maml", inner_steps=2, inner_lr=0.02)
     theta = omega
     for _ in range(2):
-        theta = plain_step(model, theta, target.train_points, 0.02)
-    expected = model.loss(theta, target.test_points)
-    assert adapt_and_evaluate(model, omega, [], target, tuned) == expected
-    assert adapt_and_evaluate(model, omega, [], target, maml) == expected
+        theta = plain_step(model, theta, split(target), 0.02)
+    expected = model.loss(theta, split(target, "test"))
+    assert adapt_and_evaluate(model, omega, None, target, tuned) == expected
+    assert adapt_and_evaluate(model, omega, None, target, maml) == expected
 
 
 def test_adapt_and_evaluate_tree_fixed_at_the_optimum():
@@ -674,10 +695,9 @@ def test_adapt_and_evaluate_tree_fixed_at_the_optimum():
     def noiseless(tid, path):
         x = rng.uniform(-2, 2, size=(4, 3))
         xs = rng.uniform(-2, 2, size=(4, 3))
-        return TaskInstance(RegressionTaskParams(w, 0, path),
-                            Batch(x, x @ w), Batch(x, x @ w), Batch(xs, xs @ w), tid)
+        return make_task(tid, x, x @ w, path=path, test=(xs, xs @ w))
 
-    support = [noiseless(i, (i % 2, i // 2)) for i in range(4)]
+    support = join([noiseless(i, (i % 2, i // 2)) for i in range(4)])
     target = noiseless(99, (0, 1))
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.05,
                      fixed_tree=generator_hierarchy_tree(3))
@@ -689,7 +709,7 @@ def test_adapt_and_evaluate_tree_learned_runs():
     model = LinearRegressionModel(4)
     sampler = make_sampler(seed=9)
     support = sampler.sample_batch(4, 5, 5)
-    target = sampler.sample_batch(1, 5, 0, n_test=10)[0]
+    target = sampler.sample_batch(1, 5, 0, n_test=10)
     cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01,
                      cluster=ClusterConfig(max_depth=2, xi=1.0))
     mse = adapt_and_evaluate(model, rng.normal(0, 0.01, 4), support, target, cfg)

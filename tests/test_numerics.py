@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treemaml.meta import MetaConfig, adapt_tree
-from treemaml.models import Batch, LinearRegressionModel
+from treemaml.models import BatchStack, LinearRegressionModel
 from treemaml.numerics import (
     InsufficientSamplesError,
     NumericalError,
@@ -14,16 +14,16 @@ from treemaml.numerics import (
     finite_difference_gradient,
     set_similarity,
 )
-from treemaml.tasks import RegressionTaskParams, TaskInstance
+from treemaml.tasks import TaskBatch
 
 
 def _adapt_from(omega, dim):
     """One MAML step from omega on a one-point task in dim dimensions."""
-    x = np.eye(1, dim)
-    batch = Batch(x, np.ones(1))
-    empty = Batch(np.zeros((0, dim)), np.zeros(0))
-    task = TaskInstance(RegressionTaskParams(np.zeros(dim), 0, (0,)), batch, batch, empty, 0)
-    return adapt_tree(LinearRegressionModel(dim), omega, [task],
+    batch = BatchStack(((np.eye(1, dim)[None], np.ones((1, 1))),))
+    empty = BatchStack(((np.zeros((1, 0, dim)), np.zeros((1, 0))),))
+    task = TaskBatch(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp),
+                     np.zeros((1, 1), dtype=np.intp), np.zeros((1, dim)), batch, batch, empty)
+    return adapt_tree(LinearRegressionModel(dim), omega, task,
                       MetaConfig(mode="maml", inner_steps=1))
 
 

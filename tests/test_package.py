@@ -23,7 +23,7 @@ def test_public_names_are_pinned():
         "ClusterTreeNode", "ConfigError", "DivergenceError", "DuplicateTaskError",
         "EmptyBatchError", "FixedTreeSpec", "InsufficientSamplesError", "LinearRegressionModel",
         "MODES", "MetaConfig", "NumericalError", "SimilarityStats", "TaskBatch",
-        "TaskGeneratorConfig", "TaskInstance", "TaskSampler", "TreeShapeError", "ZeroVectorError",
+        "TaskGeneratorConfig", "TaskSampler", "TreeShapeError", "ZeroVectorError",
         "adapt_and_evaluate", "adapt_tree", "build_parameter_tree", "build_tree",
         "clusters_at_level", "confidence_halfwidth_95", "cosine_similarity",
         "finite_difference_gradient", "generator_hierarchy_tree", "meta_train", "otd_insert",

@@ -14,7 +14,13 @@ SMALL = TaskGeneratorConfig(dim=6, branching=(2, 2), level_scales=(1.0, 1.0, 0.5
 
 
 def sample_task(tree, rng, n_train, n_val, n_test=0, task_id=0):
-    return sample_task_batch(tree, 1, rng, n_train, n_val, n_test, start_id=task_id)[0]
+    return sample_task_batch(tree, 1, rng, n_train, n_val, n_test, start_id=task_id)
+
+
+def points(task, split):
+    """A one-task batch's split as its (n, dim) inputs and (n,) targets."""
+    (X, Y), = getattr(task, split).blocks
+    return X[0], Y[0]
 
 
 def test_config_validation():
@@ -84,36 +90,85 @@ def test_tree_is_deterministic():
 def test_sample_task_shapes_and_ranges():
     tree = build_parameter_tree(SMALL)
     task = sample_task(tree, np.random.default_rng(0), n_train=5, n_val=5, n_test=3, task_id=17)
-    assert task.task_id == 17
-    assert len(task.train_points) == 5
-    assert len(task.val_points) == 5
-    assert len(task.test_points) == 3
-    assert task.train_points.x.min() >= SMALL.input_low
-    assert task.train_points.x.max() <= SMALL.input_high
-    assert 0 <= task.params.leaf_cluster_id < 4
-    assert task.params.path == tree.leaves[task.params.leaf_cluster_id].path
+    assert task.ids.tolist() == [17]
+    assert len(points(task, "train")[0]) == 5
+    assert len(points(task, "val")[0]) == 5
+    assert len(points(task, "test")[0]) == 3
+    assert points(task, "train")[0].min() >= SMALL.input_low
+    assert points(task, "train")[0].max() <= SMALL.input_high
+    assert 0 <= task.leaves[0] < 4
+    assert tuple(task.paths[0].tolist()) == tree.leaves[task.leaves[0]].path
     with pytest.raises(ConfigError):
         sample_task(tree, np.random.default_rng(0), n_train=-1, n_val=5)
+
+
+def test_overflowing_task_weights_are_a_config_error():
+    # task_jitter passes the config's range check, but its draws overflow
+    tree = build_parameter_tree(TaskGeneratorConfig(dim=6, task_jitter=1e308, seed=3))
+    with pytest.raises(ConfigError, match="task_jitter 1e[+]308, level_scales"):
+        sample_task_batch(tree, 4, np.random.default_rng(0), 5, 5)
+
+
+def test_task_batch_arrays():
+    tree = build_parameter_tree(SMALL)
+    batch = sample_task_batch(tree, 5, np.random.default_rng(1), 3, 2, 4, start_id=20)
+    assert (batch.ids.dtype, batch.ids.shape) == (np.int64, (5,))
+    assert (batch.leaves.dtype, batch.leaves.shape) == (np.intp, (5,))
+    assert (batch.paths.dtype, batch.paths.shape) == (np.intp, (5, 2))
+    assert (batch.weights.dtype, batch.weights.shape) == (np.float64, (5, SMALL.dim))
+    splits = {"train": batch.train, "val": batch.val, "test": batch.test}
+    for name, n in (("train", 3), ("val", 2), ("test", 4)):
+        (X, Y), = splits[name].blocks
+        assert (X.dtype, X.shape) == (np.float64, (5, n, SMALL.dim))
+        assert (Y.dtype, Y.shape) == (np.float64, (5, n))
+    arrays = [batch.ids, batch.leaves, batch.paths, batch.weights]
+    arrays += [a for stack in splits.values() for block in stack.blocks for a in block]
+    assert not any(a.flags.writeable for a in arrays)
+
+    # batch[i] is task i as a one-task batch of views of the batch's arrays
+    task = batch[3]
+    assert len(task) == 1 and task.ids.tolist() == [23] and batch[-1].ids.tolist() == [24]
+    for name in ("ids", "leaves", "paths", "weights"):
+        assert np.shares_memory(getattr(task, name), getattr(batch, name))
+        assert np.array_equal(getattr(task, name)[0], getattr(batch, name)[3])
+    for name, stack in splits.items():
+        (X, Y), = getattr(task, name).blocks
+        assert np.shares_memory(X, stack.blocks[0][0]) and np.shares_memory(Y, stack.blocks[0][1])
+        assert np.array_equal(X[0], stack.blocks[0][0][3])
+        assert np.array_equal(Y[0], stack.blocks[0][1][3])
+    with pytest.raises(IndexError):
+        batch[5]
+
+    # + joins the splits' blocks as they are, without copying them
+    joined = batch + task
+    assert joined.ids.tolist() == [20, 21, 22, 23, 24, 23]
+    assert np.array_equal(joined.paths, np.concatenate([batch.paths, task.paths]))
+    assert not joined.weights.flags.writeable
+    for name, stack in splits.items():
+        parts = stack.blocks + getattr(task, name).blocks
+        assert len(getattr(joined, name).blocks) == len(parts)
+        assert all(a is b for block, part in zip(getattr(joined, name).blocks, parts)
+                   for a, b in zip(block, part))
 
 
 def test_noiseless_points_satisfy_the_linear_law():
     cfg = TaskGeneratorConfig(dim=5, noise_std=0.0, task_jitter=0.0, seed=2)
     tree = build_parameter_tree(cfg)
     task = sample_task(tree, np.random.default_rng(5), n_train=8, n_val=8)
-    center = tree.leaves[task.params.leaf_cluster_id].center
-    assert np.array_equal(task.params.weights, center)
-    expected = task.train_points.x @ center
-    assert np.array_equal(task.train_points.y, expected)
+    center = tree.leaves[task.leaves[0]].center
+    assert np.array_equal(task.weights[0], center)
+    x, y = points(task, "train")
+    assert np.array_equal(y, x @ center)
 
 
 def test_sampling_is_deterministic():
     tree = build_parameter_tree(SMALL)
     t1 = sample_task(tree, np.random.default_rng(11), 4, 4, 2)
     t2 = sample_task(tree, np.random.default_rng(11), 4, 4, 2)
-    assert np.array_equal(t1.params.weights, t2.params.weights)
-    assert np.array_equal(t1.train_points.x, t2.train_points.x)
-    assert np.array_equal(t1.val_points.y, t2.val_points.y)
-    assert np.array_equal(t1.test_points.y, t2.test_points.y)
+    assert np.array_equal(t1.weights, t2.weights)
+    assert np.array_equal(points(t1, "train")[0], points(t2, "train")[0])
+    assert np.array_equal(points(t1, "val")[1], points(t2, "val")[1])
+    assert np.array_equal(points(t1, "test")[1], points(t2, "test")[1])
 
 
 def test_sample_task_batch():
@@ -121,14 +176,14 @@ def test_sample_task_batch():
     with pytest.raises(ConfigError):
         sample_task_batch(tree, 0, np.random.default_rng(0), 5, 5)
     batch = sample_task_batch(tree, 8, np.random.default_rng(0), 5, 5, start_id=100)
-    assert [t.task_id for t in batch] == list(range(100, 108))
-    assert all(t.params.leaf_cluster_id in (0, 1, 2, 3) for t in batch)
+    assert batch.ids.tolist() == list(range(100, 108))
+    assert set(batch.leaves.tolist()) <= {0, 1, 2, 3}
 
 
 def test_leaf_occupancy_is_roughly_uniform():
     tree = build_parameter_tree(SMALL)
     batch = sample_task_batch(tree, 1000, np.random.default_rng(123), 1, 1)
-    counts = np.bincount([t.params.leaf_cluster_id for t in batch], minlength=4)
+    counts = np.bincount(batch.leaves, minlength=4)
     # binomial(1000, 1/4): mean 250, 5-sigma band
     bound = 5.0 * np.sqrt(250.0 * 0.75)
     assert all(abs(c - 250.0) <= bound for c in counts)
@@ -138,8 +193,8 @@ def test_ols_recovers_noiseless_weights():
     cfg = TaskGeneratorConfig(dim=8, noise_std=0.0, seed=21)
     tree = build_parameter_tree(cfg)
     task = sample_task(tree, np.random.default_rng(3), n_train=cfg.dim + 1, n_val=1)
-    w_hat, *_ = np.linalg.lstsq(task.train_points.x, task.train_points.y, rcond=None)
-    w = task.params.weights
+    w_hat, *_ = np.linalg.lstsq(*points(task, "train"), rcond=None)
+    w = task.weights[0]
     assert np.linalg.norm(w_hat - w) / np.linalg.norm(w) < 1e-8
 
 
@@ -160,9 +215,9 @@ def test_task_sampler_ids_increase():
     tree = build_parameter_tree(SMALL)
     sampler = TaskSampler(tree, np.random.default_rng(7), start_id=50)
     b1 = sampler.sample_batch(3, 2, 2)
-    single = sampler.sample_batch(1, 2, 2)[0]
+    single = sampler.sample_batch(1, 2, 2)
     b2 = sampler.sample_batch(2, 2, 2)
-    ids = [t.task_id for t in b1] + [single.task_id] + [t.task_id for t in b2]
+    ids = (b1 + single + b2).ids.tolist()
     assert ids == list(range(50, 56))
 
 
