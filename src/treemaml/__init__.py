@@ -38,7 +38,6 @@ from .clustering import (
     DuplicateTaskError,
     build_tree,
     clusters_at_level,
-    otd_insert,
 )
 from .meta import (
     MODES,
@@ -69,7 +68,7 @@ __all__ = [
     "build_parameter_tree", "sample_task_batch",
     # clustering
     "ClusterConfig", "ClusterTreeNode", "DuplicateTaskError", "build_tree",
-    "clusters_at_level", "otd_insert",
+    "clusters_at_level",
     # meta
     "MODES", "AdaptationTrace", "CapabilityError", "DivergenceError", "FixedTreeSpec",
     "MetaConfig", "TreeShapeError", "adapt_and_evaluate", "adapt_tree",

@@ -214,15 +214,15 @@ def run_experiment(spec: ExperimentSpec, dump_tree: bool = False, echo=None) -> 
                         model, tree, spec, mode, points, seed, dump_tree
                     )
                 except Exception as e:  # one bad cell must not sink the rest of the grid
-                    diverged = isinstance(e, DivergenceError)
-                    if diverged:
+                    if isinstance(e, DivergenceError):
                         error = f"diverged: {e}"
                     else:
                         error = f"{type(e).__name__}: {e}"
                     outcome.failures.append(CellFailure(mode, points, seed, error))
                     if echo:
                         echo(f"[{mode} points={points} seed={seed}] FAILED: {error}")
-                        if not diverged:
+                        # a divergence or a spec error names its cause; anything else is a bug
+                        if not isinstance(e, (DivergenceError, ConfigError)):
                             echo(traceback.format_exc().rstrip())
                     continue
                 outcome.results.append(result)

@@ -19,26 +19,31 @@ current node:
 Internal nodes are represented by the arithmetic mean of their descendant leaf
 vectors; similarities always compare these representatives.
 
+build_tree works in the Gram space of its items. It forms D = G G^T once (G
+holds one item per row) and reads nothing else of G. A cosine ignores scale,
+so the cosine of two representatives is <S_a, S_b> / (|S_a| |S_b|) for their
+member sums S, and every such dot is a sum of entries of D. Each internal node
+below the root keeps its row S G^T, the dot of its member sum with every item
+(one numpy add per absorbed item), and |S|^2; a leaf's row is its row of D.
+The root needs no row until branch 4 demotes it, so only then is it built.
+The item's dots with a node's children are thus scalar reads of their rows.
+
 An internal node at the bottom level, depth max_depth - 1, only ever widens
 (branch 3 appends at the depth budget, branch 4 cannot lift a node with
 leaves at max_depth, and branches 1, 2 and 5 append), so it appends each item
-without scoring it and keeps no cache. Every internal node above it caches
-array state for its c children: their stacked
-representatives (_reps[:c]), the norms of those rows (_norms[:c]) and their
-pairwise cosines (_cos[i, j] for i != j < c). The invariant, restored before
-each insertion returns, is that row i of the cache is children[i]'s current
-representative and its norm, and _cos[i, j] = <r_i, r_j> / (|r_i| |r_j|).
-An insertion computes the item's cosines against the children once, as one
-matrix-vector product stored in column c of _cos. The "before" statistics read
-the upper triangle of _cos[:c, :c] and the "after" mean that of
-_cos[:c+1, :c+1], in the row-major order numerics.set_similarity uses, and
-branch 3 picks its child from the same column. Only one child's
-representative changes per insertion (the one the item descended into), so
-only its row and column are recomputed; an appended leaf copies the column it
-was scored with. Nodes created by branch 3 or 4 start with a fresh two-child
-cache, unless they sit at the bottom level; a node that branch 4 shifts down
-to the bottom level drops its cache. Norms are sqrt(sum(x * x)) as in
-numpy.linalg.norm(axis=1).
+without scoring it. Every internal node above it caches its children's
+pairwise dots and cosines as Python floats, in two flat lists that hold the
+pair (a, b), a < b, at b (b - 1) / 2 + a, so a new child's pairs go on the
+end. The "before" statistics read the cached cosines and the "after" mean
+adds the item's cosine column; sums are math.fsum, so they do not depend on
+the order of the pairs. Only the child the item descends into changes, and
+its dots with its siblings grow by the item's dots with them, so only its
+pairs are recomputed. Nodes made by branch 3 or 4 start with a two-child
+cache.
+
+ClusterTreeNode is a read-only view of the finished tree, made on demand for
+clusters_at_level, tree_to_dict and other walkers; the engine reads
+level1_labels instead.
 """
 
 from __future__ import annotations
@@ -78,249 +83,211 @@ class ClusterConfig:
             raise ValueError("xi must be non-negative")
 
 
-class ClusterTreeNode:
-    """One tree node; leaves carry a task_id, internal nodes carry children.
+class _Node:
+    """One node under construction. A leaf has kids None and item, its row of
+    D; an internal node has item -1. members lists the items below in arrival
+    order, height the levels between the node and its deepest leaf. row, sq
+    and norm are the member sum's dots with every item, squared norm and norm
+    (row is None for a root never demoted); dot and cos are the children's
+    pairwise caches of a node that scores insertions, else None."""
 
-    node_id is unique within a tree and increases with creation order, which is
-    what similarity ties break on. member_tasks and the running representative
-    sum are maintained incrementally along every insertion path, and internal
-    nodes keep the children's cosine cache described in the module docstring.
+    __slots__ = ("node_id", "item", "kids", "members", "height", "row", "sq", "norm", "dot", "cos")
+
+    def __init__(self, node_id: int, item: int, members: list, row, sq: float, cache: bool):
+        self.node_id = node_id
+        self.item = item
+        self.kids = None if item >= 0 else []
+        self.members = members
+        self.height = 0
+        self.row = row
+        self.sq = sq
+        self.norm = math.sqrt(sq)
+        self.dot = [] if cache else None
+        self.cos = [] if cache else None
+
+
+def _std(pairs: list, mean: float) -> float:
+    # Population std in ndarray.std's order of operations, with an fsum.
+    return math.sqrt(math.fsum([(x - mean) * (x - mean) for x in pairs]) / len(pairs))
+
+
+class _Ladder:
+    """The insertion ladder over one batch's Gram matrix D."""
+
+    def __init__(self, D: np.ndarray, cfg: ClusterConfig):
+        self.D = D
+        self.dsq = D.diagonal().tolist()
+        self.dnorm = [math.sqrt(s) for s in self.dsq]
+        self.max_depth = cfg.max_depth
+        self.xi = cfg.xi
+        self._ids = itertools.count()
+
+    def root(self) -> _Node:
+        return _Node(next(self._ids), -1, [], None, 0.0, self.max_depth > 1)
+
+    def _leaf(self, i: int) -> _Node:
+        return _Node(next(self._ids), i, [i], self.D[i], self.dsq[i], False)
+
+    def _absorb(self, v: _Node, i: int) -> None:
+        v.members.append(i)
+        if v.row is not None:
+            v.sq += 2.0 * v.row.item(i) + self.dsq[i]
+            v.norm = math.sqrt(v.sq)
+            v.row += self.D[i]
+
+    def _append(self, v: _Node, i: int, dots: list, col: list) -> None:
+        """Absorb item i into the scoring node v as a new leaf child, whose
+        dots and cosines with v's other children are dots and col."""
+        self._absorb(v, i)
+        v.kids.append(self._leaf(i))
+        v.height = max(v.height, 1)
+        v.dot += dots
+        v.cos += col
+
+    def _pair(self, inner: _Node, i: int, dot: float, depth: int) -> _Node:
+        """New node at depth whose children are inner and a leaf for item i;
+        dot is <S_inner, g_i>."""
+        row = None if depth == 0 else inner.row + self.D[i]
+        outer = _Node(next(self._ids), -1, inner.members + [i], row,
+                      inner.sq + 2.0 * dot + self.dsq[i], depth + 1 < self.max_depth)
+        outer.kids = [inner, self._leaf(i)]
+        outer.height = inner.height + 1
+        if outer.dot is not None:
+            outer.dot.append(dot)
+            outer.cos.append(dot / (inner.norm * self.dnorm[i]))
+        return outer
+
+    def _refresh(self, v: _Node, idx: int, dots: list) -> None:
+        """Recompute child idx's pairs in v's cache after it absorbed the item
+        whose dots with the children were dots."""
+        dot, cos, norm = v.dot, v.cos, v.kids[idx].norm
+        base = idx * (idx - 1) // 2
+        for j, k in enumerate(v.kids):
+            if j != idx:
+                p = base + j if j < idx else j * (j - 1) // 2 + idx
+                dot[p] += dots[j]
+                cos[p] = dot[p] / (norm * k.norm)
+
+    def insert(self, v: _Node, depth: int, i: int) -> _Node:
+        """Insert item i below v, which sits at depth; return the node now in v's place."""
+        kids = v.kids
+        if depth + 1 == self.max_depth:
+            # A bottom-level node only widens: branch 3 appends at the depth
+            # budget, branch 4 cannot lift a node with leaves at max_depth, and
+            # branches 1, 2 and 5 append. So it scores nothing.
+            self._absorb(v, i)
+            kids.append(self._leaf(i))
+            v.height = 1
+            return v
+        dots = [k.row.item(i) for k in kids]
+        ni = self.dnorm[i]
+        col = [d / (k.norm * ni) for d, k in zip(dots, kids)]
+        if len(kids) >= 2:
+            pairs = v.cos
+            before = math.fsum(pairs) / len(pairs)
+            after = math.fsum(pairs + col) / (len(pairs) + len(col))
+            if after > before:
+                # Branch 3: the item agrees with this node; push it toward its
+                # closest child, ties to the lowest node_id.
+                self._absorb(v, i)
+                best = max(col)
+                idx = col.index(best)
+                if col.count(best) > 1:
+                    idx = min((k.node_id, j) for j, k in enumerate(kids) if col[j] == best)[1]
+                target = kids[idx]
+                if target.kids is None:
+                    kids[idx] = self._pair(target, i, dots[idx], depth + 1)
+                else:
+                    kids[idx] = self.insert(target, depth + 1, i)
+                v.height = max(v.height, kids[idx].height + 1)
+                self._refresh(v, idx, dots)
+                return v
+            threshold = before - self.xi * _std(pairs, before)
+            if after < threshold and depth + v.height + 1 <= self.max_depth:
+                # Branch 4: outlier; this whole node and the item become
+                # siblings under a fresh parent occupying the node's slot.
+                if v.row is None:  # the root, about to become a child
+                    v.row = self.D[v.members].sum(axis=0)
+                    v.sq = float(v.row[v.members].sum())
+                    v.norm = math.sqrt(v.sq)
+                return self._pair(v, i, v.row.item(i), depth)
+        # Branches 1, 2 and 5 (and branch 4's depth fallback): widen this node.
+        self._append(v, i, dots, col)
+        return v
+
+
+class ClusterTreeNode:
+    """Read-only view of one node of a tree from build_tree.
+
+    Leaves carry a task_id, internal nodes children. node_id is unique within a
+    tree and increases with creation order, which is what similarity ties break
+    on. children and member_tasks are made on each read.
     """
 
-    __slots__ = ("node_id", "depth", "task_id", "children", "member_tasks", "_rep_sum", "_count",
-                 "_ids", "_reps", "_norms", "_cos")
+    __slots__ = ("_node", "_ids", "depth")
 
-    def __init__(self, ids: itertools.count, depth: int, task_id: Optional[int] = None,
-                 vector: Optional[np.ndarray] = None):
-        self.node_id = next(ids)
-        self.depth = depth
-        self.task_id = task_id
-        self.children: list = []
-        self.member_tasks: set = set() if task_id is None else {task_id}
-        self._rep_sum = None if vector is None else vector.copy()
-        self._count = 0 if vector is None else 1
+    def __init__(self, node: _Node, ids: list, depth: int):
+        self._node = node
         self._ids = ids
-        self._reps = self._norms = self._cos = None
+        self.depth = depth
 
-    @classmethod
-    def new_root(cls) -> "ClusterTreeNode":
-        return cls(itertools.count(), depth=0)
+    @property
+    def node_id(self) -> int:
+        return self._node.node_id
 
     @property
     def is_leaf(self) -> bool:
-        return self.task_id is not None
+        return self._node.kids is None
 
-    def _absorb(self, task_id: int, values: np.ndarray) -> None:
-        if self._rep_sum is None:
-            self._rep_sum = values.copy()
-        else:
-            self._rep_sum += values
-        self._count += 1
-        self.member_tasks.add(task_id)
+    @property
+    def task_id(self) -> Optional[int]:
+        return self._ids[self._node.item] if self.is_leaf else None
 
-    def _score(self, values: np.ndarray, norm: float) -> np.ndarray:
-        """Cosines of values against the c children, also stored in _cos[:c, c]."""
-        c = len(self.children)
-        if self._reps is None or c == len(self._reps):
-            cap = max(8, 2 * c)
-            reps, norms, cos = self._reps, self._norms, self._cos
-            self._reps = np.empty((cap, values.shape[0]))
-            self._norms = np.empty(cap)
-            self._cos = np.empty((cap, cap))
-            if c:
-                self._reps[:c] = reps
-                self._norms[:c] = norms
-                self._cos[:c, :c] = cos
-        col = (self._reps[:c] @ values) / (self._norms[:c] * norm)
-        self._cos[:c, c] = col
-        return col
+    @property
+    def children(self) -> list:
+        return [ClusterTreeNode(k, self._ids, self.depth + 1) for k in self._node.kids or ()]
 
-    def _append(self, child: "ClusterTreeNode", values: np.ndarray, norm: float,
-                col: np.ndarray) -> None:
-        """Add child, whose representative is values, scored by _score(values, norm) as col."""
-        c = len(self.children)
-        self._reps[c] = values
-        self._norms[c] = norm
-        self._cos[c, :c] = col
-        self.children.append(child)
-
-    def _adopt(self, child: "ClusterTreeNode", values: np.ndarray, norm: float) -> None:
-        self._append(child, values, norm, self._score(values, norm))
-
-    def _refresh(self, idx: int) -> None:
-        """Recompute row and column idx after children[idx] absorbed an item."""
-        child = self.children[idx]
-        rep = child._rep_sum / child._count
-        norm = _norm(rep)
-        c = len(self.children)
-        self._reps[idx] = rep
-        self._norms[idx] = norm
-        col = (self._reps[:c] @ rep) / (self._norms[:c] * norm)
-        self._cos[idx, :c] = col
-        self._cos[:c, idx] = col
-
-    def _pair_cosines(self, n: int) -> np.ndarray:
-        """Cosines of the first n children's unordered pairs, upper triangle row-major."""
-        return self._cos.take(_flat_pairs(n, self._cos.shape[1]))
+    @property
+    def member_tasks(self) -> set:
+        return {self._ids[i] for i in self._node.members}
 
     def __repr__(self) -> str:
-        kind = f"task={self.task_id}" if self.is_leaf else f"children={len(self.children)}"
+        kind = f"task={self.task_id}" if self.is_leaf else f"children={len(self._node.kids)}"
         return f"ClusterTreeNode(id={self.node_id}, depth={self.depth}, {kind})"
 
 
-_FLAT_PAIRS: dict = {}
-
-
-def _flat_pairs(n: int, stride: int) -> np.ndarray:
-    # Flat indices of the strict upper triangle of an n x n block in a matrix
-    # with `stride` columns, memoised because every insertion reads two.
-    idx = _FLAT_PAIRS.get((n, stride))
-    if idx is None:
-        rows, cols = np.triu_indices(n, k=1)
-        idx = _FLAT_PAIRS[(n, stride)] = rows * stride + cols
-    return idx
-
-
-def _norm(values: np.ndarray) -> float:
-    return math.sqrt(float(np.add.reduce(values * values)))
-
-
-def _mean(arr: np.ndarray) -> float:
-    # Same reduction as ndarray.mean, so the statistics round like set_similarity's.
-    return float(np.add.reduce(arr)) / arr.size
-
-
-def _std(arr: np.ndarray, mean: float) -> float:
-    # Population std in ndarray.std's order of operations.
-    dev = arr - mean
-    return math.sqrt(float(np.add.reduce(dev * dev)) / arr.size)
-
-
-def _max_leaf_depth(node: ClusterTreeNode) -> int:
-    if not node.children:
-        return node.depth
-    return max(_max_leaf_depth(c) for c in node.children)
-
-
-def _shift_down(node: ClusterTreeNode, cfg: ClusterConfig) -> None:
-    node.depth += 1
-    if node.depth + 1 == cfg.max_depth:
-        node._reps = node._norms = node._cos = None  # bottom level: only widens from now on
-    for child in node.children:
-        _shift_down(child, cfg)
-
-
-def _most_similar_child(node: ClusterTreeNode, col: np.ndarray) -> int:
-    """Index of the child with the highest cosine in col, the item's cosine column.
-
-    Ties break to the lowest node_id.
-    """
-    first = int(col.argmax())
-    if first == len(col) - 1 - int(col[::-1].argmax()):
-        return first  # the maximum is unique
-    hits = np.flatnonzero(col == col[first])
-    return int(min(hits, key=lambda i: node.children[i].node_id))
-
-
-def otd_insert(node: ClusterTreeNode, item: Tuple[int, np.ndarray], cfg: ClusterConfig) -> ClusterTreeNode:
-    """Insert (task_id, vector), a finite 1-D float64 vector, into the tree rooted at node.
-
-    Returns the node now occupying node's position: node itself, or the new
-    parent created by branch 4. Callers must use the return value as the new
-    root. Raises DuplicateTaskError for a repeated task_id and ZeroVectorError
-    for a zero-norm vector (cosine similarity would be undefined).
-    """
-    task_id, vector = item
-    if node.is_leaf:
-        raise ValueError("insertion target must be an internal node")
-    if task_id in node.member_tasks:
-        raise DuplicateTaskError(f"task {task_id} already in tree")
-    norm = _norm(vector)
-    if norm == 0.0:
-        raise ZeroVectorError("cannot cluster a zero gradient")
-    return _insert(node, task_id, vector, norm, cfg)
-
-
-def _leaf(parent: ClusterTreeNode, task_id: int, vector: np.ndarray) -> ClusterTreeNode:
-    return ClusterTreeNode(parent._ids, parent.depth + 1, task_id, vector)
-
-
-def _pair_with_item(inner: ClusterTreeNode, inner_rep: np.ndarray, inner_norm: float, depth: int,
-                    task_id: int, vector: np.ndarray, norm: float, cfg: ClusterConfig) -> ClusterTreeNode:
-    """New node at depth whose two children are inner and a leaf for the item."""
-    outer = ClusterTreeNode(inner._ids, depth)
-    outer.member_tasks = set(inner.member_tasks)
-    outer._rep_sum = inner._rep_sum.copy()
-    outer._count = inner._count
-    outer._absorb(task_id, vector)
-    if depth + 1 == cfg.max_depth:
-        outer.children = [inner, _leaf(outer, task_id, vector)]
-    else:
-        outer._adopt(inner, inner_rep, inner_norm)
-        outer._adopt(_leaf(outer, task_id, vector), vector, norm)
-    return outer
-
-
-def _insert(node: ClusterTreeNode, task_id: int, values: np.ndarray, norm: float,
-            cfg: ClusterConfig) -> ClusterTreeNode:
-    if node.depth + 1 == cfg.max_depth:
-        # A bottom-level node only widens: branch 3 appends at the depth
-        # budget, branch 4 cannot lift a node with leaves at max_depth, and
-        # branches 1, 2 and 5 append. So it keeps no cosine cache.
-        node._absorb(task_id, values)
-        node.children.append(_leaf(node, task_id, values))
-        return node
-    c = len(node.children)
-    col = node._score(values, norm)
-
-    if c <= 1:
-        node._absorb(task_id, values)
-        node._append(_leaf(node, task_id, values), values, norm, col)
-        return node
-
-    before = node._pair_cosines(c)
-    before_mean = _mean(before)
-    after_mean = _mean(node._pair_cosines(c + 1))
-
-    if after_mean > before_mean:
-        # Branch 3: the item agrees with this node; push it toward its closest
-        # child (a bottom-level node, which could only widen, returned above).
-        node._absorb(task_id, values)
-        idx = _most_similar_child(node, col)
-        target = node.children[idx]
-        if target.is_leaf:
-            target.depth += 1
-            node.children[idx] = _pair_with_item(target, node._reps[idx], node._norms[idx],
-                                                 node.depth + 1, task_id, values, norm, cfg)
-        else:
-            node.children[idx] = _insert(target, task_id, values, norm, cfg)
-        node._refresh(idx)
-        return node
-
-    threshold = before_mean - cfg.xi * _std(before, before_mean)
-    if after_mean < threshold and _max_leaf_depth(node) + 1 <= cfg.max_depth:
-        # Branch 4: outlier; this whole node and the item become siblings
-        # under a fresh parent occupying the node's slot.
-        depth = node.depth
-        _shift_down(node, cfg)
-        rep = node._rep_sum / node._count
-        return _pair_with_item(node, rep, _norm(rep), depth, task_id, values, norm, cfg)
-
-    # Branch 5 (and branch 4's depth fallback): widen this node.
-    node._absorb(task_id, values)
-    node._append(_leaf(node, task_id, values), values, norm, col)
-    return node
-
-
 def build_tree(items: Sequence[Tuple[int, np.ndarray]], cfg: ClusterConfig) -> ClusterTreeNode:
-    """Insert items in order into a fresh tree and return the final root."""
+    """Insert items, (task_id, finite 1-D float64 vector) pairs, in order into a
+    fresh tree and return a view of its root.
+
+    Raises ValueError for no items, DuplicateTaskError for a repeated task_id
+    and ZeroVectorError for a zero-norm vector (cosine similarity would be
+    undefined).
+    """
     items = list(items)
     if not items:
         raise ValueError("build_tree needs at least one item")
-    root = ClusterTreeNode.new_root()
-    for item in items:
-        root = otd_insert(root, item, cfg)
-    return root
+    ids = [task_id for task_id, _ in items]
+    if len(set(ids)) < len(ids):
+        dup = next(t for n, t in enumerate(ids) if t in ids[:n])
+        raise DuplicateTaskError(f"task {dup} already in tree")
+    G = np.array([vector for _, vector in items], dtype=np.float64)
+    ladder = _Ladder(G @ G.T, cfg)
+    if 0.0 in ladder.dsq:
+        raise ZeroVectorError("cannot cluster a zero gradient")
+    root = ladder.root()
+    for i in range(len(items)):
+        root = ladder.insert(root, 0, i)
+    return ClusterTreeNode(root, ids, 0)
+
+
+def level1_labels(root: ClusterTreeNode) -> np.ndarray:
+    """Each item's level-1 cluster, in build_tree's item order, numbered as
+    clusters_at_level(root, 1) lists them."""
+    labels = np.empty(len(root._node.members), dtype=np.intp)
+    for k, child in enumerate(root._node.kids):
+        labels[child.members] = k
+    return labels
 
 
 def clusters_at_level(root: ClusterTreeNode, k: int) -> list:

@@ -60,7 +60,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clustering import ClusterConfig, build_tree, clusters_at_level
+from .clustering import ClusterConfig, build_tree, level1_labels
 from .models import Batch, BatchStack, EmptyBatchError, _frozen
 from .numerics import NumericalError
 from .tasks import ConfigError, TaskBatch
@@ -363,10 +363,9 @@ def _learned_partition(G: np.ndarray, prev_owner: np.ndarray, n_prev: int,
         members = np.flatnonzero(prev_owner == p)
         rows = members[~zero[members]]
         if len(rows):
-            items = list(zip(rows.tolist(), G[rows]))
-            for cluster_rows in clusters_at_level(build_tree(items, cluster), 1):
-                owner[list(cluster_rows)] = len(parent)
-                parent.append(p)
+            labels = level1_labels(build_tree(list(zip(rows.tolist(), G[rows])), cluster))
+            owner[rows] = len(parent) + labels
+            parent += [p] * (int(labels.max()) + 1)
         alone = members[zero[members]]
         owner[alone] = len(parent) + np.arange(len(alone))
         parent += [p] * len(alone)
@@ -382,6 +381,7 @@ def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: st
     P = omega[None]  # a row per cluster, or the followed cluster's alone
     owner = np.zeros(m, dtype=np.intp)
     stepped_all = True
+    train = None  # a followed run's first stepped members, gathered once
     trace = AdaptationTrace(omega, tasks, [], [], [], [], follow)
     for k in range(1, K + 1):
         phase = f"inner step {k}"
@@ -409,9 +409,20 @@ def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: st
             if clustering:
                 G_c = G[members]
             else:
+                if train is None:
+                    # The followed clusters nest, so gather these members once,
+                    # deeper clusters first: each later step's members are then
+                    # the first ones, and their batches views.
+                    gathered = members
+                    if paths is not None:
+                        shared = np.cumprod(paths[members] == paths[follow], axis=1).sum(axis=1)
+                        gathered = members[np.argsort(-shared, kind="stable")]
+                    train = tasks.train.take(gathered)
                 G_c = _per_task(model.batch_gradient, np.repeat(p[None], len(members), axis=0),
-                                tasks.train.take(members))
+                                train.head(len(members)))
                 _require_finite(G_c, phase)
+                if len(members) > 1:  # back to task-row order, which the sum adds in
+                    G_c = G_c[np.argsort(gathered[:len(members)])]
             # the member-order sum and the division _Groups.mean does for one cluster
             mean = G_c.sum(axis=0) / len(members) if len(members) > 1 else G_c[0]
             P = (p - cfg.inner_lr * mean)[None]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +64,36 @@ class BatchStack:
         return BatchStack(self.blocks + other.blocks)
 
     def take(self, rows: np.ndarray) -> "BatchStack":
-        """The batches at rows (ascending), block by block; a run of adjacent rows is a view."""
+        """The batches at rows, in that order. Each run of rows from one block
+        is one block of the result: a view when the rows are adjacent and
+        ascending, else a copy."""
+        ends = list(itertools.accumulate(len(X) for X, _ in self.blocks))
+        rows_ = rows.tolist()  # a Python walk beats numpy's per-call cost at these sizes
         blocks = []
         a = 0
-        for X, Y in self.blocks:
-            local = rows[(rows >= a) & (rows < a + len(X))] - a
-            a += len(X)
-            if not len(local):
-                continue
-            if local[-1] - local[0] + 1 == len(local):
-                local = slice(local[0], local[-1] + 1)
+        while a < len(rows_):
+            k = bisect.bisect_right(ends, rows_[a])
+            X, Y = self.blocks[k]
+            start = ends[k] - len(X)
+            b = a + 1
+            while b < len(rows_) and start <= rows_[b] < ends[k]:
+                b += 1
+            if rows_[a:b] == list(range(rows_[a], rows_[a] + b - a)):
+                local = slice(rows_[a] - start, rows_[b - 1] + 1 - start)
+            else:
+                local = rows[a:b] - start
             blocks.append((X[local], Y[local]))
+            a = b
+        return BatchStack(tuple(blocks))
+
+    def head(self, count: int) -> "BatchStack":
+        """The first count batches, as views."""
+        blocks = []
+        for X, Y in self.blocks:
+            if count <= 0:
+                break
+            blocks.append((X[:count], Y[:count]))
+            count -= len(X)
         return BatchStack(tuple(blocks))
 
 

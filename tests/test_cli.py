@@ -358,6 +358,20 @@ def test_overflowing_task_jitter_fails_the_cell_as_a_config_error(tmp_path, caps
     assert failure in capsys.readouterr().err
 
 
+def test_config_error_in_a_cell_is_reported_on_one_line(tmp_path, capsys):
+    # a ConfigError names the spec fields at fault, as a DivergenceError names
+    # its phase, so neither echoes a traceback; the exit code stays 1
+    d = small_dict(modes=["maml", "baseline"])
+    d["generator"]["task_jitter"] = 1e308
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(d))
+    assert main(["run", str(p), "--out-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    failed = [line for line in captured.out.splitlines() if "FAILED: ConfigError: " in line]
+    assert [line.split("]")[0] for line in failed] == ["[maml points=4 seed=0", "[baseline points=4 seed=0"]
+
+
 def test_main_divergent_cell_exits_nonzero(tmp_path, capsys):
     d = small_dict(modes=["maml"])
     d["meta"]["inner_lr"] = 5.0

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from treemaml import meta
 from treemaml.clustering import (
     ClusterConfig,
-    ClusterTreeNode,
     DuplicateTaskError,
-    _mean,
     _std,
     build_tree,
     clusters_at_level,
-    otd_insert,
+    level1_labels,
     tree_to_dict,
 )
+from treemaml.models import LinearRegressionModel
 from treemaml.numerics import ZeroVectorError, set_similarity
+from treemaml.tasks import TaskGeneratorConfig, build_parameter_tree, sample_task_batch
 
 from otd_reference import reference_build_tree
 
@@ -59,12 +60,11 @@ def test_cluster_config_validation():
 
 
 def test_first_two_insertions_append():
-    root = ClusterTreeNode.new_root()
-    root = otd_insert(root, (1, unit(0)), D2)
+    root = build_tree([(1, unit(0))], D2)
     assert len(root.children) == 1
     assert root.children[0].task_id == 1
     assert root.children[0].depth == 1
-    root = otd_insert(root, (2, unit(90)), D2)
+    root = build_tree([(1, unit(0)), (2, unit(90))], D2)
     assert [c.task_id for c in root.children] == [1, 2]
     assert root.member_tasks == {1, 2}
 
@@ -149,13 +149,10 @@ def test_ties_break_to_lowest_node_id():
 
 
 def test_insertion_errors():
-    root = build_tree([(1, unit(0)), (2, unit(90))], D2)
-    with pytest.raises(DuplicateTaskError):
-        otd_insert(root, (1, unit(5)), D2)
+    with pytest.raises(DuplicateTaskError, match="task 1 "):
+        build_tree([(1, unit(0)), (2, unit(90)), (1, unit(5))], D2)
     with pytest.raises(ZeroVectorError):
-        otd_insert(root, (3, np.zeros(2)), D2)
-    with pytest.raises(ValueError):
-        otd_insert(root.children[0], (4, unit(5)), D2)
+        build_tree([(1, unit(0)), (2, unit(90)), (3, np.zeros(2))], D2)
     with pytest.raises(ValueError):
         build_tree([], D2)
 
@@ -184,23 +181,23 @@ def test_tree_to_dict_structure():
     assert {g["member_tasks"][0] for g in grand} == {1, 3}
 
 
-def representative(node):
-    return node._rep_sum / node._count
+def member_sum(node, vectors):
+    return np.sum([vectors[t] for t in sorted(node.member_tasks)], axis=0)
 
 
-def check_representatives(node, vectors):
-    # an internal node's representative is the mean of its leaf vectors
+def check_representatives(node, vectors, G):
+    # an internal node below the root holds its member sum's dots with every
+    # item (so its representative, the mean of its leaf vectors, up to scale)
     if node.is_leaf:
         return
-    members = sorted(node.member_tasks)
-    expected = np.mean([vectors[t] for t in members], axis=0)
-    assert np.allclose(representative(node), expected, atol=1e-9)
+    if node.depth > 0:
+        assert np.allclose(node._node.row, G @ member_sum(node, vectors), atol=1e-9)
     union = set()
     for c in node.children:
         assert c.member_tasks <= node.member_tasks
         assert not (union & c.member_tasks)
         union |= c.member_tasks
-        check_representatives(c, vectors)
+        check_representatives(c, vectors, G)
     assert union == node.member_tasks
 
 
@@ -235,7 +232,7 @@ def check_structure(items, cfg):
             for cluster in partition:
                 assert len({owner[t] for t in cluster}) == 1
         previous = partition
-    check_representatives(root, dict(items))
+    check_representatives(root, dict(items), np.stack([v for _, v in items]))
     assert tree_to_dict(build_tree(items, cfg)) == tree_to_dict(root)
 
 
@@ -298,34 +295,99 @@ def test_cached_ladder_differs_from_reference_only_on_collinear_ties():
             assert has_collinear_pair(items)
 
 
-def check_cache(node, max_depth):
+def check_cache(node, max_depth, vectors):
     if node.is_leaf:
         return
+    children = node.children
     if node.depth + 1 == max_depth:
-        # a bottom-level node only widens and keeps no cache
-        assert node._reps is None and node._norms is None and node._cos is None
-        assert all(child.is_leaf for child in node.children)
+        # a bottom-level node only widens: it scores nothing
+        assert all(child.is_leaf for child in children)
         return
-    c = len(node.children)
-    reps = [representative(child) for child in node.children]
-    assert np.array_equal(node._reps[:c], np.stack(reps))
-    assert np.allclose(node._norms[:c], [np.linalg.norm(r) for r in reps], rtol=1e-15, atol=0.0)
+    sums = [member_sum(child, vectors) for child in children]
+    c = len(children)
+    # the pair (a, b), a < b, sits at b (b - 1) / 2 + a
+    pairs = [(a, b) for b in range(c) for a in range(b)]
+    assert len(node._node.dot) == len(node._node.cos) == len(pairs)
+    norms = [child._node.norm for child in children]
+    assert np.allclose(norms, [np.linalg.norm(s) for s in sums], rtol=1e-15, atol=0.0)
+    for p, (a, b) in enumerate(pairs):
+        # a dot is off by at most an ulp or so of the cosine it gives
+        assert abs(node._node.dot[p] - sums[a] @ sums[b]) <= 1e-15 * norms[a] * norms[b]
+        assert node._node.cos[p] == node._node.dot[p] / (norms[a] * norms[b])
     if c >= 2:
-        expected = set_similarity(reps)
-        pairs = node._pair_cosines(c)
-        mean, std = _mean(pairs), _std(pairs, _mean(pairs))
-        # the ladder's helpers round exactly as ndarray.mean and ndarray.std
-        assert mean == pairs.mean() and std == pairs.std()
+        expected = set_similarity([s / len(child.member_tasks) for child, s in zip(children, sums)])
+        # the "before" statistics as the ladder takes them
+        cos = node._node.cos
+        mean = math.fsum(cos) / len(cos)
+        std = _std(cos, mean)
         assert abs(mean - expected.mean_pairwise) <= 1e-12
         assert abs(std - expected.std_pairwise) <= 1e-12
-    for child in node.children:
-        check_cache(child, max_depth)
+    for child in children:
+        check_cache(child, max_depth, vectors)
 
 
 def test_cached_statistics_match_set_similarity():
     rng = np.random.default_rng(9)
     for trial in range(200):
         cfg = ClusterConfig(max_depth=int(rng.integers(1, 5)), xi=XIS[trial % 4])
-        check_cache(build_tree(random_items(rng), cfg), cfg.max_depth)
+        items = random_items(rng)
+        check_cache(build_tree(items, cfg), cfg.max_depth, dict(items))
     for _ in range(5):
-        check_cache(build_tree(clustered_batch(rng), D2), D2.max_depth)
+        items = clustered_batch(rng)
+        check_cache(build_tree(items, D2), D2.max_depth, dict(items))
+
+
+def reference_labels(items, cfg):
+    root = reference_build_tree(items, cfg)
+    cluster = {t: k for k, child in enumerate(root.children) for t in child.member_tasks}
+    return np.array([cluster[t] for t, _ in items])
+
+
+def test_level1_labels_match_reference_on_recorded_gradients(monkeypatch):
+    # every build_tree call of a tiny tree_learned adaptation, fed the engine's
+    # own gradient rows, labels its items as the reference tree's root does
+    tree = build_parameter_tree(TaskGeneratorConfig(dim=8, branching=(2, 2),
+                                                    level_scales=(1.0, 1.0, 0.5), seed=3))
+    tasks = sample_task_batch(tree, 24, np.random.default_rng(5), n_train=5, n_val=5)
+    cfg = meta.MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.05, tasks_per_batch=24,
+                          cluster=ClusterConfig(max_depth=2, xi=1.0))
+    calls = []
+
+    def recording(items, cluster):
+        calls.append(([(t, v.copy()) for t, v in items], cluster))
+        return build_tree(items, cluster)
+
+    monkeypatch.setattr(meta, "build_tree", recording)
+    trace = meta.adapt_tree(LinearRegressionModel(8), np.zeros(8), tasks, cfg)
+    assert len(calls) == 1 + trace.partition_sizes[0]
+    for items, cluster in calls:
+        assert np.array_equal(level1_labels(build_tree(items, cluster)),
+                              reference_labels(items, cluster))
+
+
+@pytest.mark.parametrize("cfg, items", [
+    (D2, [(7, unit(30))]),  # a single item
+    (ClusterConfig(max_depth=1), [(i, unit(10 * i)) for i in range(6)]),
+    (ClusterConfig(xi=math.inf), [(1, unit(0)), (2, unit(1)), (3, unit(180)), (4, unit(90))]),
+    (D2, [(5, unit(0)), (3, unit(90)), (9, unit(5)), (1, unit(85)), (2, unit(180))]),
+    # exact cosine ties: between two leaves, and between a leaf (node 2) and a
+    # later-made cluster (node 3) that sits first among the root's children
+    (D2, [(1, np.array([1.0, 0.0])), (2, np.array([0.0, 1.0])), (3, np.array([1.0, 1.0]))]),
+    (D2, [(0, np.array([1.0, -1.0])), (1, np.array([-1.0, 2.0])), (2, np.array([0.0, -1.0])),
+          (3, np.array([2.0, 1.0]))]),
+])
+def test_edge_cases_match_reference(cfg, items):
+    root = build_tree(items, cfg)
+    assert tree_to_dict(root) == tree_to_dict(reference_build_tree(items, cfg))
+    assert np.array_equal(level1_labels(root), reference_labels(items, cfg))
+    if cfg.max_depth == 1:
+        assert np.array_equal(level1_labels(root), np.arange(len(items)))
+
+
+def test_bad_items_raise_before_any_insertion():
+    with pytest.raises(DuplicateTaskError):
+        build_tree([(4, unit(0)), (4, unit(0))], D2)
+    with pytest.raises(ZeroVectorError):
+        build_tree([(0, np.zeros(3))], D2)
+    with pytest.raises(ZeroVectorError):
+        build_tree([(0, unit(0)), (1, np.zeros(2))], ClusterConfig(max_depth=1))

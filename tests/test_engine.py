@@ -30,7 +30,7 @@ from treemaml.meta import (
     meta_gradient,
     meta_validation_loss,
 )
-from treemaml.models import LinearRegressionModel
+from treemaml.models import BatchStack, LinearRegressionModel
 from treemaml.tasks import TaskBatch, TaskGeneratorConfig, build_parameter_tree, sample_task_batch
 
 DIM, M = 64, 96
@@ -155,6 +155,27 @@ def test_followed_trace_matches_the_full_trace(mode, points):
     if mode == "tree_fixed":
         # the last batch's target shares no step-2 cluster with the support
         assert np.sum(full.owners[1] == full.owners[1][M]) == 1
+
+
+def test_followed_tree_fixed_gathers_its_members_once(monkeypatch):
+    # the followed clusters nest, so only the first gather copies rows; the
+    # later steps' members are a prefix of it, and their batches views
+    copies = []
+
+    def counting(method):
+        def wrapper(self, arg):
+            out = method(self, arg)
+            copies.append(sum(not any(np.shares_memory(X, src) for src, _ in self.blocks)
+                              for X, _ in out.blocks))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(BatchStack, "take", counting(BatchStack.take))
+    monkeypatch.setattr(BatchStack, "head", counting(BatchStack.head))
+    tasks = next(joint_batches(128, np.random.default_rng(2)))
+    trace = adapt_tree(MODEL, next(omegas(2)), tasks, config("tree_fixed", 128), follow=M)
+    assert [np.sum(owner == owner[M]) > 1 for owner in trace.owners[:2]] == [True, True]
+    assert copies == [1, 0, 0, 0]  # the gather, then one view per step
 
 
 def test_followed_trace_rejects_what_it_cannot_answer():

@@ -191,7 +191,7 @@ def test_batch_stack_take_gathers_rows_across_blocks():
         return BatchStack(((np.stack([b.x for b in run]), np.stack([b.y for b in run])),))
 
     stack = stacked(batches[:4]) + stacked(batches[4:])
-    for rows in ([0, 2, 5], [1, 2, 3], [4], [0, 1, 2, 3, 4, 5]):
+    for rows in ([0, 2, 5], [1, 2, 3], [4], [0, 1, 2, 3, 4, 5], [5, 0, 2], [4, 1, 2, 3]):
         taken = stack.take(np.array(rows))
         X = np.concatenate([x for x, _ in taken.blocks])
         Y = np.concatenate([y for _, y in taken.blocks])
@@ -200,3 +200,6 @@ def test_batch_stack_take_gathers_rows_across_blocks():
     # adjacent rows inside one block are a view of it, not a copy
     (X, _), = stack.take(np.array([1, 2, 3])).blocks
     assert np.shares_memory(X, stack.blocks[0][0])
+    # rows keep their order: a run from one block is one block of the result
+    (X4, _), (X123, _) = stack.take(np.array([4, 1, 2, 3])).blocks
+    assert np.shares_memory(X4, stack.blocks[1][0]) and np.shares_memory(X123, stack.blocks[0][0])

@@ -26,7 +26,7 @@ def test_public_names_are_pinned():
         "TaskGeneratorConfig", "TaskSampler", "TreeShapeError", "ZeroVectorError",
         "adapt_and_evaluate", "adapt_tree", "build_parameter_tree", "build_tree",
         "clusters_at_level", "confidence_halfwidth_95", "cosine_similarity",
-        "finite_difference_gradient", "generator_hierarchy_tree", "meta_train", "otd_insert",
+        "finite_difference_gradient", "generator_hierarchy_tree", "meta_train",
         "outer_update", "sample_task_batch", "set_similarity", "single_cluster_tree",
         "singleton_tree",
     }
