@@ -1,6 +1,6 @@
 """treemaml: MAML and tree-structured MAML over task hierarchies.
 
-Library layout: numerics (similarity stats, finite differences),
+Library layout: numerics (similarity stats, confidence halfwidths),
 models (batches, their stacked form, and linear regression with closed-form
 derivatives), tasks (synthetic hierarchical task distribution, sampled into
 stacked task batches), clustering (online top-down tree building), meta
@@ -20,7 +20,6 @@ from .numerics import (
     ZeroVectorError,
     confidence_halfwidth_95,
     cosine_similarity,
-    finite_difference_gradient,
     set_similarity,
 )
 from .models import Batch, BatchStack, EmptyBatchError, LinearRegressionModel
@@ -59,8 +58,7 @@ from .meta import (
 __all__ = [
     # numerics
     "InsufficientSamplesError", "NumericalError", "SimilarityStats", "ZeroVectorError",
-    "confidence_halfwidth_95", "cosine_similarity", "finite_difference_gradient",
-    "set_similarity",
+    "confidence_halfwidth_95", "cosine_similarity", "set_similarity",
     # models
     "Batch", "BatchStack", "EmptyBatchError", "LinearRegressionModel",
     # tasks

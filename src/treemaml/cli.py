@@ -10,6 +10,7 @@ are paired.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -61,14 +62,19 @@ class ExperimentSpec:
     eval_test_points: int = 20
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "points_sweep", tuple(int(p) for p in self.points_sweep))
-        object.__setattr__(self, "replicate_seeds", tuple(int(s) for s in self.replicate_seeds))
+        for name in ("modes", "points_sweep", "replicate_seeds"):
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} has a duplicate entry: {list(values)}")
         unknown = [m for m in self.modes if m not in MODES]
         if unknown:
             raise ConfigError(f"unknown modes {unknown}; allowed: {list(MODES)}")
         if not self.modes or not self.points_sweep or not self.replicate_seeds:
             raise ConfigError("modes, points_sweep and replicate_seeds must be non-empty")
+        for name in ("points_sweep", "replicate_seeds"):
+            if any(type(v) is not int for v in getattr(self, name)):  # not a bool either
+                raise ConfigError(f"{name} entries must be integers: {list(getattr(self, name))}")
         if any(s < 0 for s in self.replicate_seeds):
             raise ConfigError("replicate_seeds entries must be non-negative")
         if any(p < 1 for p in self.points_sweep):
@@ -77,19 +83,34 @@ class ExperimentSpec:
             raise ConfigError("meta_test_tasks must be >= 2 (CI needs two samples)")
         if self.eval_test_points < 1:
             raise ConfigError("eval_test_points must be >= 1")
+        for mode in self.modes:  # a mode's own checks fail the spec, not its cells
+            cell_config(self, mode, self.points_sweep[0], self.replicate_seeds[0])
+
+
+def _checked(section: str, cls, values: dict) -> dict:
+    """values, after checking that each of cls's int, float and bool fields
+    holds a value of that type (a bool is no number here, an int is a float);
+    section names the field in the ConfigError."""
+    for f in dataclasses.fields(cls):
+        want = {"int": (int,), "float": (int, float), "bool": (bool,)}.get(f.type)
+        if want and f.name in values and type(values[f.name]) not in want:
+            where = f"{section}.{f.name}" if section else f.name
+            raise ConfigError(f"{where} must be {f.type}, not {values[f.name]!r}")
+    return values
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    cluster = ClusterConfig(**d.get("clustering", {}))
-    meta = MetaConfig(**{**d.get("meta", {}), "cluster": cluster})
+    cluster = ClusterConfig(**_checked("clustering", ClusterConfig, d.get("clustering", {})))
+    meta = MetaConfig(**{**_checked("meta", MetaConfig, d.get("meta", {})), "cluster": cluster})
     fields = {}
     for key in ("modes", "points_sweep", "meta_test_tasks", "replicate_seeds", "eval_test_points"):
         if key in d:
             fields[key] = d[key]
     return ExperimentSpec(
-        generator=TaskGeneratorConfig(**d.get("generator", {})),
+        generator=TaskGeneratorConfig(**_checked("generator", TaskGeneratorConfig,
+                                                 d.get("generator", {}))),
         meta=meta,
-        **fields,
+        **_checked("", ExperimentSpec, fields),
     )
 
 
@@ -139,7 +160,7 @@ class ExperimentOutcome:
 
 def cell_config(spec: ExperimentSpec, mode: str, points: int, seed: int) -> MetaConfig:
     """Specialize the spec's meta template to one grid cell."""
-    fixed = generator_hierarchy_tree(spec.meta.inner_steps) if mode == "tree_fixed" else None
+    fixed = generator_hierarchy_tree() if mode == "tree_fixed" else None
     return replace(
         spec.meta,
         mode=mode,

@@ -1,8 +1,8 @@
 """Online top-down (OTD) clustering with non-binary nodes.
 
-Items arrive one at a time as (task_id, 1-D float64 gradient row) and are
-routed into a bounded-depth tree. Each arrival runs a branch ladder at the
-current node:
+Items, the rows of a float64 gradient matrix G with one task_id each, arrive
+one at a time and are routed into a bounded-depth tree. Each arrival runs a
+branch ladder at the current node:
 
 1. no children yet: the item becomes the sole child;
 2. one child: append (a pair is the smallest set with a similarity);
@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -256,27 +256,28 @@ class ClusterTreeNode:
         return f"ClusterTreeNode(id={self.node_id}, depth={self.depth}, {kind})"
 
 
-def build_tree(items: Sequence[Tuple[int, np.ndarray]], cfg: ClusterConfig) -> ClusterTreeNode:
-    """Insert items, (task_id, finite 1-D float64 vector) pairs, in order into a
-    fresh tree and return a view of its root.
+def build_tree(ids: Sequence[int], G: np.ndarray, cfg: ClusterConfig) -> ClusterTreeNode:
+    """Insert the rows of G, finite float64 vectors with task_ids ids, in order
+    into a fresh tree and return a view of its root.
 
-    Raises ValueError for no items, DuplicateTaskError for a repeated task_id
-    and ZeroVectorError for a zero-norm vector (cosine similarity would be
-    undefined).
+    Raises ValueError for no items or a G that is not 2-D with one row per id,
+    DuplicateTaskError for a repeated task_id and ZeroVectorError for a
+    zero-norm row (cosine similarity would be undefined).
     """
-    items = list(items)
-    if not items:
+    ids = np.asarray(ids).tolist()
+    G = np.asarray(G, dtype=np.float64)
+    if G.ndim != 2 or len(G) != len(ids):
+        raise ValueError(f"G must be 2-D with one row per id, not {G.shape} for {len(ids)} ids")
+    if not ids:
         raise ValueError("build_tree needs at least one item")
-    ids = [task_id for task_id, _ in items]
     if len(set(ids)) < len(ids):
         dup = next(t for n, t in enumerate(ids) if t in ids[:n])
         raise DuplicateTaskError(f"task {dup} already in tree")
-    G = np.array([vector for _, vector in items], dtype=np.float64)
     ladder = _Ladder(G @ G.T, cfg)
     if 0.0 in ladder.dsq:
         raise ZeroVectorError("cannot cluster a zero gradient")
     root = ladder.root()
-    for i in range(len(items)):
+    for i in range(len(ids)):
         root = ladder.insert(root, 0, i)
     return ClusterTreeNode(root, ids, 0)
 

@@ -30,16 +30,16 @@ parameters depend on, with the same sums.
 
 Parameters are read-only float64 arrays: omega and a followed task's adapted
 parameters are (d,), a step's cluster parameters (C, d). omega is checked for
-shape and finiteness where it enters (adapt_tree, meta_gradient,
-outer_update, adapt_and_evaluate). Every computed step's gradients and
-parameters, the meta-gradient and the outer step are checked for finiteness
-once, as whole arrays; a failure raises DivergenceError naming the phase and,
-in meta_train, the iteration.
+shape and finiteness where it enters (adapt_tree, adapt_and_evaluate); the
+reverse pass reads it and the validation splits from the trace. Every
+computed step's gradients and parameters, the meta-gradient and the outer
+step are checked for finiteness once, as whole arrays; a failure raises
+DivergenceError naming the phase and, in meta_train, the iteration.
 
 A model is any object with:
 - dim;
-- loss(params, batch) for (d,) params on one Batch, for the baseline's
-  meta-loss and the meta-test loss;
+- loss(params, batch) for (d,) params on one Batch, read only by
+  adapt_and_evaluate for the meta-test loss;
 - batch_loss(P, X, Y) -> (m,) and batch_gradient(P, X, Y) -> (m, d), per task
   i at parameters P[i] (P is (m, d)) on inputs X[i] (X is (m, n, d)) and
   targets Y[i] (Y is (m, n));
@@ -98,39 +98,37 @@ class DivergenceError(RuntimeError):
 class FixedTreeSpec:
     """Known cluster assignments, one key per inner step per task.
 
-    path_of(tasks) returns an (m, num_levels) integer array, row i task i's keys;
-    tasks sharing a length-k prefix share a cluster at step k. label identifies
-    the assignment rule in config hashes (the callable is not serializable).
+    path_of(tasks, K) returns an (m, K) integer array for K = cfg.inner_steps,
+    row i task i's keys; tasks sharing a length-k prefix share a cluster at
+    step k. label identifies the assignment rule in config hashes (the
+    callable is not serializable).
     """
 
-    num_levels: int
-    path_of: Callable[[TaskBatch], np.ndarray]
+    path_of: Callable[[TaskBatch, int], np.ndarray]
     label: str = "custom"
 
 
-def generator_hierarchy_tree(num_levels: int) -> FixedTreeSpec:
+def generator_hierarchy_tree() -> FixedTreeSpec:
     """Fixed tree reading each task's known generator path, final step task-specific."""
 
-    def path_of(tasks: TaskBatch) -> np.ndarray:
-        keys = np.zeros((len(tasks), num_levels), dtype=np.int64)
-        known = min(num_levels - 1, tasks.paths.shape[1])
+    def path_of(tasks: TaskBatch, K: int) -> np.ndarray:
+        keys = np.zeros((len(tasks), K), dtype=np.int64)
+        known = min(K - 1, tasks.paths.shape[1])
         keys[:, :known] = tasks.paths[:, :known]
         keys[:, -1] = tasks.ids
         return keys
 
-    return FixedTreeSpec(num_levels, path_of, label="generator")
+    return FixedTreeSpec(path_of, label="generator")
 
 
-def singleton_tree(num_levels: int) -> FixedTreeSpec:
+def singleton_tree() -> FixedTreeSpec:
     """Every task alone at every step (the maml-degenerate fixed tree)."""
-    return FixedTreeSpec(num_levels, lambda t: np.repeat(t.ids[:, None], num_levels, axis=1),
-                         label="singleton")
+    return FixedTreeSpec(lambda t, K: np.repeat(t.ids[:, None], K, axis=1), label="singleton")
 
 
-def single_cluster_tree(num_levels: int) -> FixedTreeSpec:
+def single_cluster_tree() -> FixedTreeSpec:
     """All tasks pooled at every step (one gradient averaged across all tasks)."""
-    return FixedTreeSpec(num_levels, lambda t: np.zeros((len(t), num_levels), dtype=np.int64),
-                         label="single-cluster")
+    return FixedTreeSpec(lambda t, K: np.zeros((len(t), K), dtype=np.int64), label="single-cluster")
 
 
 @dataclass(frozen=True)
@@ -164,14 +162,8 @@ class MetaConfig:
             raise ConfigError("points per split must be >= 1")
         if self.outer_iterations < 1:
             raise ConfigError("outer_iterations must be >= 1")
-        if self.mode == "tree_fixed":
-            if self.fixed_tree is None:
-                raise ConfigError("tree_fixed mode needs fixed_tree")
-            if self.fixed_tree.num_levels != self.inner_steps:
-                raise ConfigError(
-                    f"fixed_tree has {self.fixed_tree.num_levels} levels "
-                    f"but inner_steps is {self.inner_steps}"
-                )
+        if self.mode == "tree_fixed" and self.fixed_tree is None:
+            raise ConfigError("tree_fixed mode needs fixed_tree")
         if self.mode == "tree_learned":
             if self.cluster is None:
                 raise ConfigError("tree_learned mode needs a cluster config")
@@ -199,7 +191,7 @@ class MetaConfig:
             "cluster": None,
         }
         if self.fixed_tree is not None:
-            d["fixed_tree"] = {"label": self.fixed_tree.label, "num_levels": self.fixed_tree.num_levels}
+            d["fixed_tree"] = {"label": self.fixed_tree.label}
         if self.cluster is not None:
             d["cluster"] = {
                 "max_depth": self.cluster.max_depth,
@@ -324,7 +316,7 @@ def _per_task(method, P: np.ndarray, stack: BatchStack, *extra: np.ndarray) -> n
 
 
 def _fixed_paths(tasks: TaskBatch, cfg: MetaConfig) -> np.ndarray:
-    paths = np.asarray(cfg.fixed_tree.path_of(tasks))
+    paths = np.asarray(cfg.fixed_tree.path_of(tasks, cfg.inner_steps))
     if paths.shape != (len(tasks), cfg.inner_steps):
         raise TreeShapeError(f"fixed paths have shape {paths.shape}, expected "
                              f"({len(tasks)}, {cfg.inner_steps}): one key per task per step")
@@ -363,7 +355,7 @@ def _learned_partition(G: np.ndarray, prev_owner: np.ndarray, n_prev: int,
         members = np.flatnonzero(prev_owner == p)
         rows = members[~zero[members]]
         if len(rows):
-            labels = level1_labels(build_tree(list(zip(rows.tolist(), G[rows])), cluster))
+            labels = level1_labels(build_tree(rows, G[rows], cluster))
             owner[rows] = len(parent) + labels
             parent += [p] * (int(labels.max()) + 1)
         alone = members[zero[members]]
@@ -466,25 +458,20 @@ def adapt_tree(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig,
     return _adapt(model, omega, tasks, cfg, cfg.mode, follow)
 
 
-def meta_validation_loss(model, trace: AdaptationTrace, val_batches: BatchStack) -> float:
-    """Mean over tasks of the validation loss at the adapted parameters.
-
-    val_batches is a BatchStack in the trace's task order (a TaskBatch's val).
-    """
+def meta_validation_loss(model, trace: AdaptationTrace) -> float:
+    """Mean over the trace's tasks of the validation loss at the adapted parameters."""
     final = trace.task_params(len(trace.params))
-    return float(np.mean(_per_task(model.batch_loss, final, val_batches)))
+    return float(np.mean(_per_task(model.batch_loss, final, trace.tasks.val)))
 
 
-def meta_gradient(model, omega: np.ndarray, trace: AdaptationTrace, val_batches: BatchStack,
-                  cfg: MetaConfig) -> np.ndarray:
-    """Gradient of the meta validation loss with respect to omega.
+def meta_gradient(model, trace: AdaptationTrace, cfg: MetaConfig) -> np.ndarray:
+    """Gradient of the meta validation loss with respect to trace.omega.
 
     Second-order mode applies the transposed step Jacobians (I - lr * H_c)
     bottom-up through the trace, one batched HVP per step; the Hessians are
     symmetric, so the factor is applied as-is. First-order mode treats the
-    adapted parameters as constants. val_batches is as in meta_validation_loss.
+    adapted parameters as constants.
     """
-    _check_omega(model, omega)
     hvp = getattr(model, "batch_hvp", None)
     if cfg.second_order and hvp is None:
         raise CapabilityError(
@@ -493,7 +480,7 @@ def meta_gradient(model, omega: np.ndarray, trace: AdaptationTrace, val_batches:
         )
     K = len(trace.params)
     m = len(trace.tasks)
-    G_val = _per_task(model.batch_gradient, trace.task_params(K), val_batches)
+    G_val = _per_task(model.batch_gradient, trace.task_params(K), trace.tasks.val)
     if not cfg.second_order:
         g = np.mean(G_val, axis=0)
     else:
@@ -515,11 +502,9 @@ def _outer_step(omega: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
     return stepped
 
 
-def outer_update(model, omega: np.ndarray, trace: AdaptationTrace, val_batches: BatchStack,
-                 cfg: MetaConfig) -> np.ndarray:
-    """One outer step: the read-only omega minus outer_lr times the meta-gradient."""
-    omega = _check_omega(model, omega)
-    return _outer_step(omega, meta_gradient(model, omega, trace, val_batches, cfg), cfg.outer_lr)
+def outer_update(model, trace: AdaptationTrace, cfg: MetaConfig) -> np.ndarray:
+    """One outer step: the read-only trace.omega minus outer_lr times the meta-gradient."""
+    return _outer_step(trace.omega, meta_gradient(model, trace, cfg), cfg.outer_lr)
 
 
 def _check_meta_loss(loss: float) -> None:
@@ -547,7 +532,8 @@ def meta_train(model, task_source, cfg: MetaConfig):
             if cfg.mode == "baseline":
                 Xt, Yt, Xv, Yv = (np.concatenate(a) for s in (batch.train, batch.val)
                                   for a in zip(*s.blocks))
-                loss_now = model.loss(omega, Batch(Xv.reshape(-1, model.dim), Yv.reshape(-1)))
+                loss_now = model.batch_loss(omega[None], Xv.reshape(1, -1, model.dim),
+                                            Yv.reshape(1, -1))[0]
                 _check_meta_loss(loss_now)
                 # the pool is each task's train rows, then its val rows, in task order
                 X = np.concatenate((Xt, Xv), axis=1).reshape(1, -1, model.dim)
@@ -558,9 +544,9 @@ def meta_train(model, task_source, cfg: MetaConfig):
                 partitions = []
             else:
                 trace = adapt_tree(model, omega, batch, cfg)
-                loss_now = meta_validation_loss(model, trace, batch.val)
+                loss_now = meta_validation_loss(model, trace)
                 _check_meta_loss(loss_now)
-                omega = outer_update(model, omega, trace, batch.val, cfg)
+                omega = outer_update(model, trace, cfg)
                 partitions = trace.partition_sizes
         except DivergenceError as e:
             raise DivergenceError(e.what, e.phase, iteration=it) from None

@@ -1,18 +1,17 @@
-"""Similarity statistics, confidence halfwidths, and a finite-difference oracle.
+"""Similarity statistics and confidence halfwidths.
 
-Parameters, gradients and clustering items are plain 1-D float64 arrays
-throughout the package. Finiteness is guaranteed where values enter or are
-computed: the public meta entry points (adapt_tree, meta_gradient,
-outer_update, adapt_and_evaluate) check omega's shape, dtype and finiteness
-once, and the engine checks each step's gradients and parameters, the
-meta-gradient and the outer step as whole arrays.
+Parameters and gradients are plain float64 arrays throughout the package.
+Finiteness is guaranteed where values enter or are computed: the public meta
+entry points (adapt_tree, adapt_and_evaluate) check omega's shape, dtype and
+finiteness once, and the engine checks each step's gradients and parameters,
+the meta-gradient and the outer step as whole arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -87,27 +86,3 @@ def confidence_halfwidth_95(samples: Sequence[float]) -> float:
     if arr.size < 2:
         raise InsufficientSamplesError("confidence interval needs >= 2 samples")
     return float(1.96 * arr.std(ddof=1) / math.sqrt(arr.size))
-
-
-def finite_difference_gradient(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function at x.
-
-    Independent oracle for analytic gradients: evaluates f at x +- h*e_i per
-    coordinate. Raises NumericalError if any evaluation is non-finite.
-    """
-    if h <= 0.0:
-        raise ValueError("step size h must be positive")
-    base = np.asarray(x, dtype=np.float64)
-    grad = np.empty(base.shape[0])
-    for i in range(base.shape[0]):
-        bumped = base.copy()
-        bumped[i] = base[i] + h
-        fp = float(f(bumped))
-        bumped[i] = base[i] - h
-        fm = float(f(bumped))
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise NumericalError(f"non-finite f at coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad

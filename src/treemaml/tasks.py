@@ -138,9 +138,9 @@ class TaskBatch:
     ids (m,) are the task_ids, leaves (m,) each task's generator leaf index,
     paths (m, L) that leaf's path (L = len(branching)) and weights (m, dim)
     the ground-truth weights; all four are made read-only in place. train,
-    val and test are the splits as BatchStacks in task order. batch[i] is
-    task i as a one-task batch of views, and `+` joins two batches without
-    copying their splits, so a support batch and its target adapt as one.
+    val and test are the splits as BatchStacks in task order. `+` joins two
+    batches without copying their splits, so a support batch and its target
+    adapt as one.
     """
 
     ids: np.ndarray
@@ -159,11 +159,6 @@ class TaskBatch:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i: int) -> "TaskBatch":
-        i = range(len(self))[i]
-        return TaskBatch(*(getattr(self, name)[i:i + 1] for name in self._ARRAYS),
-                         *(s.take(np.array([i])) for s in (self.train, self.val, self.test)))
 
     def __add__(self, other: "TaskBatch") -> "TaskBatch":
         return TaskBatch(*(np.concatenate((getattr(self, name), getattr(other, name)))

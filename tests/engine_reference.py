@@ -8,8 +8,9 @@ loss, gradient and HVP are frozen here too, as the per-batch formulas they
 were, so the differential tests in test_engine.py compare the batched engine
 against arithmetic that shares no code with it. sample_task is the task sampler
 as it was, one task and three freshly drawn splits at a time. Do not optimise
-this file: it is the reference. Only its containers follow the package: it
-reads a TaskBatch through tasks_of, one Task record per row.
+this file: it is the reference. Only its containers and its calls into the
+package follow the package: it reads a TaskBatch through tasks_of, one Task
+record per row, and calls path_of and build_tree in their current forms.
 """
 
 from __future__ import annotations
@@ -101,9 +102,10 @@ def _partition_step(tasks, grads, k, cfg, prev_level, index, paths):
     out = []
     for p_idx, parent in enumerate(prev_level):
         zero = {tid for tid in parent.members if float(np.linalg.norm(grads[tid])) == 0.0}
-        items = [(tid, grads[tid]) for tid in parent.members if tid not in zero]
+        items = [tid for tid in parent.members if tid not in zero]
         if items:
-            for cluster in clusters_at_level(build_tree(items, cfg.cluster), 1):
+            G = np.array([grads[tid] for tid in items])
+            for cluster in clusters_at_level(build_tree(items, G, cfg.cluster), 1):
                 cset = set(cluster)
                 out.append(([tid for tid in parent.members if tid in cset], p_idx))
         out.extend(([tid], p_idx) for tid in parent.members if tid in zero)
@@ -115,7 +117,7 @@ def adapt_tree(omega: np.ndarray, batch, cfg) -> Trace:
     ids = [t.task_id for t in tasks]
     paths = None
     if cfg.mode == "tree_fixed":
-        paths = dict(zip(ids, map(tuple, cfg.fixed_tree.path_of(batch).tolist())))
+        paths = dict(zip(ids, map(tuple, cfg.fixed_tree.path_of(batch, cfg.inner_steps).tolist())))
     prev_level = [ClusterState(tuple(ids), -1, None, omega)]
     index = {tid: 0 for tid in ids}
     levels = []

@@ -26,8 +26,9 @@ from treemaml.meta import (
     singleton_tree,
 )
 from treemaml.models import Batch, BatchStack, LinearRegressionModel
-from treemaml.numerics import finite_difference_gradient
 from treemaml.tasks import ConfigError, TaskBatch
+
+from finite_difference import finite_difference_gradient
 
 BENCHMARK_SPEC = Path(__file__).resolve().parents[1] / "specs" / "benchmark.json"
 
@@ -74,14 +75,13 @@ def test_criterion_1_meta_gradient_matches_finite_differences():
             cfg = MetaConfig(mode="maml", inner_steps=steps, tasks_per_batch=m,
                              inner_lr=float(rng.uniform(0.01, 0.2)))
         else:
-            fixed = FixedTreeSpec(steps, lambda t, k=steps: t.paths[:, :k])
+            fixed = FixedTreeSpec(lambda t, k: t.paths[:, :k])
             cfg = MetaConfig(mode="tree_fixed", fixed_tree=fixed, inner_steps=steps,
                              tasks_per_batch=m, inner_lr=float(rng.uniform(0.01, 0.2)))
         omega = rng.normal(size=dim)
-        vals = tasks.val
-        g = meta_gradient(model, omega, adapt_tree(model, omega, tasks, cfg), vals, cfg)
+        g = meta_gradient(model, adapt_tree(model, omega, tasks, cfg), cfg)
         fd = finite_difference_gradient(
-            lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg), vals),
+            lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg)),
             omega,
         )
         rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
@@ -104,7 +104,7 @@ def test_criterion_2_singleton_fixed_tree_is_bit_identical_to_maml():
         omega = rng.normal(size=dim)
         lr = float(rng.uniform(0.01, 0.2))
         maml_cfg = MetaConfig(mode="maml", inner_steps=steps, inner_lr=lr, tasks_per_batch=m)
-        tree_cfg = MetaConfig(mode="tree_fixed", fixed_tree=singleton_tree(steps),
+        tree_cfg = MetaConfig(mode="tree_fixed", fixed_tree=singleton_tree(),
                               inner_steps=steps, inner_lr=lr, tasks_per_batch=m)
         a = adapt_tree(model, omega, tasks, maml_cfg).task_params(steps)
         b = adapt_tree(model, omega, tasks, tree_cfg).task_params(steps)
@@ -131,7 +131,7 @@ def test_criterion_3_cluster_step_equals_step_on_concatenated_batch():
             batches.append(Batch(x, x @ w + rng.normal(0, 0.1, n)))
         tasks = [one_task(i, w, (0,), (b.x, b.y), (b.x, b.y), (b.x, b.y))
                  for i, b in enumerate(batches)]
-        cfg = MetaConfig(mode="tree_fixed", fixed_tree=single_cluster_tree(1), inner_steps=1,
+        cfg = MetaConfig(mode="tree_fixed", fixed_tree=single_cluster_tree(), inner_steps=1,
                          inner_lr=lr, tasks_per_batch=members)
         (pooled,) = adapt_tree(model, params, sum(tasks[1:], tasks[0]), cfg).params[0]
         cat = Batch(np.concatenate([b.x for b in batches]), np.concatenate([b.y for b in batches]))
@@ -154,8 +154,9 @@ def leaf_ids_and_depths(node, out):
 
 
 def check_structure(items, cfg):
-    root = build_tree(items, cfg)
-    ids = sorted(t for t, _ in items)
+    ids = [t for t, _ in items]
+    root = build_tree(ids, np.array([v for _, v in items]), cfg)
+    ids = sorted(ids)
     leaves = []
     leaf_ids_and_depths(root, leaves)
     assert sorted(t for t, _ in leaves) == ids
@@ -198,7 +199,7 @@ def test_criterion_4_clustering_structural_properties():
         rad = np.deg2rad(deg)
         return np.array([np.cos(rad), np.sin(rad)])
 
-    root = build_tree([(1, unit(0)), (2, unit(90)), (3, unit(5)), (4, unit(85))],
+    root = build_tree([1, 2, 3, 4], np.array([unit(0), unit(90), unit(5), unit(85)]),
                       ClusterConfig(max_depth=2, xi=1.0))
     assert clusters_at_level(root, 1) == [(1, 3), (2, 4)]
     assert clusters_at_level(root, 2) == [(1,), (3,), (2,), (4,)]

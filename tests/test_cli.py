@@ -121,7 +121,6 @@ def test_cell_config_specializes_the_template():
     assert cfg.points_train == 7 and cfg.points_val == 7
     assert cfg.seed == 3
     assert cfg.fixed_tree is not None
-    assert cfg.fixed_tree.num_levels == spec.meta.inner_steps
     assert cell_config(spec, "maml", 7, 3).fixed_tree is None
 
 
@@ -209,7 +208,7 @@ def test_trace_tree_to_dict_nests_partitions():
     tasks = sampler.sample_batch(8, 4, 4)
     model = LinearRegressionModel(gen.dim)
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.01, outer_lr=0.01,
-                     fixed_tree=generator_hierarchy_tree(3))
+                     fixed_tree=generator_hierarchy_tree())
     omega = np.random.default_rng(1).normal(0.0, 0.01, gen.dim)
     trace = adapt_tree(model, omega, tasks, cfg)
     dump = trace_tree_to_dict(trace)
@@ -344,6 +343,43 @@ def test_negative_replicate_seed_is_a_spec_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "error: replicate_seeds" in captured.err
         assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_mode_specific_spec_error_fails_at_load(tmp_path, capsys):
+    # tree_learned needs inner_steps = max_depth + 1; the maml cell alone is
+    # fine, so only a check of every mode's cell config at load catches it
+    d = small_dict(modes=["maml", "tree_learned"], clustering={"max_depth": 3, "xi": 1.0})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({**d, "modes": ["maml"]}))
+    for argv in (["run", str(bad)], ["run", str(good), "--mode", "maml,tree_learned"]):
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "error: tree_learned needs inner_steps = cluster.max_depth + 1" in captured.err
+        assert "mean_mse" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("meta", "tasks_per_batch", 2.5),
+    ("meta", "second_order", "no"),
+    (None, "points_sweep", [2.5]),
+    (None, "modes", ["maml", "maml"]),
+])
+def test_mistyped_or_repeated_spec_values_exit_2(tmp_path, capsys, section, field, value):
+    d = small_dict(modes=["maml"])
+    if section:
+        d[section] = {**d[section], field: value}
+    else:
+        d[field] = value
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(d))
+    assert main(["run", str(p), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {section + '.' if section else ''}{field} " in captured.err
+    assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
 
 

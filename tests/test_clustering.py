@@ -28,6 +28,12 @@ def unit(deg):
     return np.array([math.cos(rad), math.sin(rad)])
 
 
+def build(items, cfg):
+    """build_tree on (task_id, vector) pairs, the reference's input form."""
+    ids, rows = zip(*items)
+    return build_tree(list(ids), np.array(rows), cfg)
+
+
 def leaf_depths(node, out=None):
     if out is None:
         out = []
@@ -55,16 +61,16 @@ def test_cluster_config_validation():
     with pytest.raises(TypeError):
         ClusterConfig(most_similar="argmax")
     # xi = inf is legal and never splits off an outlier (NaN is rejected in test_cli)
-    root = build_tree([(1, unit(0)), (2, unit(1)), (3, unit(180))], ClusterConfig(xi=math.inf))
+    root = build([(1, unit(0)), (2, unit(1)), (3, unit(180))], ClusterConfig(xi=math.inf))
     assert [c.is_leaf for c in root.children] == [True, True, True]
 
 
 def test_first_two_insertions_append():
-    root = build_tree([(1, unit(0))], D2)
+    root = build([(1, unit(0))], D2)
     assert len(root.children) == 1
     assert root.children[0].task_id == 1
     assert root.children[0].depth == 1
-    root = build_tree([(1, unit(0)), (2, unit(90))], D2)
+    root = build([(1, unit(0)), (2, unit(90))], D2)
     assert [c.task_id for c in root.children] == [1, 2]
     assert root.member_tasks == {1, 2}
 
@@ -72,7 +78,7 @@ def test_first_two_insertions_append():
 def test_similar_item_nests_with_closest_leaf():
     # children along e1 and e2; a vector 5 degrees off e1 raises the mean
     # similarity, so it descends and wraps the e1 leaf in a new cluster
-    root = build_tree([(1, unit(0)), (2, unit(90)), (3, unit(5))], D2)
+    root = build([(1, unit(0)), (2, unit(90)), (3, unit(5))], D2)
     assert len(root.children) == 2
     nested, other = root.children
     assert not nested.is_leaf
@@ -85,13 +91,13 @@ def test_similar_item_nests_with_closest_leaf():
 
 def test_similar_item_appends_at_depth_bound():
     shallow = ClusterConfig(max_depth=1, xi=1.0)
-    root = build_tree([(1, unit(0)), (2, unit(90)), (3, unit(5))], shallow)
+    root = build([(1, unit(0)), (2, unit(90)), (3, unit(5))], shallow)
     assert [c.is_leaf for c in root.children] == [True, True, True]
     assert max(leaf_depths(root)) == 1
 
 
 def test_similar_item_recurses_into_internal_child():
-    root = build_tree([(1, unit(0)), (2, unit(90)), (3, unit(5)), (4, unit(2))], D2)
+    root = build([(1, unit(0)), (2, unit(90)), (3, unit(5)), (4, unit(2))], D2)
     nested = root.children[0]
     # task 4 follows the {1, 3} cluster; the depth bound turns the final
     # descent into an append inside it
@@ -101,7 +107,7 @@ def test_similar_item_recurses_into_internal_child():
 
 
 def test_outlier_reroots_the_node():
-    root = build_tree([(1, unit(0)), (2, unit(1)), (3, unit(180))], D2)
+    root = build([(1, unit(0)), (2, unit(1)), (3, unit(180))], D2)
     # opposite direction drops the mean below mean - xi*sigma: old root and
     # the outlier become siblings under a fresh parent
     assert root.member_tasks == {1, 2, 3}
@@ -118,21 +124,21 @@ def test_outlier_reroots_the_node():
 
 def test_outlier_appends_when_rerooting_would_break_depth():
     shallow = ClusterConfig(max_depth=1, xi=1.0)
-    root = build_tree([(1, unit(0)), (2, unit(1)), (3, unit(180))], shallow)
+    root = build([(1, unit(0)), (2, unit(1)), (3, unit(180))], shallow)
     assert [c.is_leaf for c in root.children] == [True, True, True]
     assert max(leaf_depths(root)) == 1
 
 
 def test_coherent_items_widen_flat():
     items = [(i, np.array([float(i), 0.0])) for i in range(1, 7)]
-    root = build_tree(items, D2)
+    root = build(items, D2)
     assert len(root.children) == 6
     assert all(c.is_leaf for c in root.children)
 
 
 def test_two_orthogonal_pairs_give_two_then_four():
     items = [(1, unit(0)), (2, unit(90)), (3, unit(5)), (4, unit(85))]
-    root = build_tree(items, D2)
+    root = build(items, D2)
     assert len(root.children) == 2
     for child in root.children:
         assert not child.is_leaf
@@ -143,35 +149,42 @@ def test_two_orthogonal_pairs_give_two_then_four():
 
 
 def test_ties_break_to_lowest_node_id():
-    root = build_tree([(1, unit(0)), (2, unit(90)), (3, unit(45))], D2)
+    root = build([(1, unit(0)), (2, unit(90)), (3, unit(45))], D2)
     # equidistant from both children: joins the earlier-created e1 leaf
     assert root.children[0].member_tasks == {1, 3}
 
 
 def test_insertion_errors():
     with pytest.raises(DuplicateTaskError, match="task 1 "):
-        build_tree([(1, unit(0)), (2, unit(90)), (1, unit(5))], D2)
+        build([(1, unit(0)), (2, unit(90)), (1, unit(5))], D2)
     with pytest.raises(ZeroVectorError):
-        build_tree([(1, unit(0)), (2, unit(90)), (3, np.zeros(2))], D2)
+        build([(1, unit(0)), (2, unit(90)), (3, np.zeros(2))], D2)
     with pytest.raises(ValueError):
-        build_tree([], D2)
+        build_tree([], np.zeros((0, 2)), D2)
+    # G must hold one row per id
+    with pytest.raises(ValueError):
+        build_tree([1, 2], np.array([unit(0), unit(90), unit(5)]), D2)
+    with pytest.raises(ValueError):
+        build_tree([1, 2], np.array([unit(0), unit(90)])[:, :, None], D2)
+    with pytest.raises(ValueError):
+        build_tree([1], unit(0), D2)
 
 
 def test_clusters_at_level_validates_k():
-    root = build_tree([(1, unit(0))], D2)
+    root = build([(1, unit(0))], D2)
     with pytest.raises(ValueError):
         clusters_at_level(root, 0)
 
 
 def test_flat_tree_gives_singletons_at_every_level():
     items = [(i, np.array([1.0, float(i)])) for i in range(5)]
-    root = build_tree(items, ClusterConfig(max_depth=1))
+    root = build(items, ClusterConfig(max_depth=1))
     for k in (1, 2, 3):
         assert clusters_at_level(root, k) == [(0,), (1,), (2,), (3,), (4,)]
 
 
 def test_tree_to_dict_structure():
-    root = build_tree([(1, unit(0)), (2, unit(90)), (3, unit(5))], D2)
+    root = build([(1, unit(0)), (2, unit(90)), (3, unit(5))], D2)
     d = tree_to_dict(root)
     assert d["depth"] == 0
     assert d["member_tasks"] == [1, 2, 3]
@@ -218,7 +231,7 @@ def random_items(rng, duplicates=True):
 
 
 def check_structure(items, cfg):
-    root = build_tree(items, cfg)
+    root = build(items, cfg)
     ids = sorted(t for t, _ in items)
     assert count_leaves(root) == len(items)
     assert max(leaf_depths(root)) <= cfg.max_depth
@@ -233,7 +246,7 @@ def check_structure(items, cfg):
                 assert len({owner[t] for t in cluster}) == 1
         previous = partition
     check_representatives(root, dict(items), np.stack([v for _, v in items]))
-    assert tree_to_dict(build_tree(items, cfg)) == tree_to_dict(root)
+    assert tree_to_dict(build(items, cfg)) == tree_to_dict(root)
 
 
 def test_structural_properties_hold_on_random_sequences():
@@ -245,7 +258,7 @@ def test_structural_properties_hold_on_random_sequences():
 
 
 def assert_matches_reference(items, cfg):
-    assert tree_to_dict(build_tree(items, cfg)) == tree_to_dict(reference_build_tree(items, cfg))
+    assert tree_to_dict(build(items, cfg)) == tree_to_dict(reference_build_tree(items, cfg))
 
 
 def has_collinear_pair(items):
@@ -291,7 +304,7 @@ def test_cached_ladder_differs_from_reference_only_on_collinear_ties():
     for trial in range(1000):
         cfg = ClusterConfig(max_depth=int(rng.integers(1, 5)), xi=XIS[trial % 4])
         items = random_items(rng)
-        if tree_to_dict(build_tree(items, cfg)) != tree_to_dict(reference_build_tree(items, cfg)):
+        if tree_to_dict(build(items, cfg)) != tree_to_dict(reference_build_tree(items, cfg)):
             assert has_collinear_pair(items)
 
 
@@ -331,10 +344,10 @@ def test_cached_statistics_match_set_similarity():
     for trial in range(200):
         cfg = ClusterConfig(max_depth=int(rng.integers(1, 5)), xi=XIS[trial % 4])
         items = random_items(rng)
-        check_cache(build_tree(items, cfg), cfg.max_depth, dict(items))
+        check_cache(build(items, cfg), cfg.max_depth, dict(items))
     for _ in range(5):
         items = clustered_batch(rng)
-        check_cache(build_tree(items, D2), D2.max_depth, dict(items))
+        check_cache(build(items, D2), D2.max_depth, dict(items))
 
 
 def reference_labels(items, cfg):
@@ -353,15 +366,15 @@ def test_level1_labels_match_reference_on_recorded_gradients(monkeypatch):
                           cluster=ClusterConfig(max_depth=2, xi=1.0))
     calls = []
 
-    def recording(items, cluster):
-        calls.append(([(t, v.copy()) for t, v in items], cluster))
-        return build_tree(items, cluster)
+    def recording(ids, G, cluster):
+        calls.append((list(zip(ids.tolist(), G.copy())), cluster))
+        return build_tree(ids, G, cluster)
 
     monkeypatch.setattr(meta, "build_tree", recording)
     trace = meta.adapt_tree(LinearRegressionModel(8), np.zeros(8), tasks, cfg)
     assert len(calls) == 1 + trace.partition_sizes[0]
     for items, cluster in calls:
-        assert np.array_equal(level1_labels(build_tree(items, cluster)),
+        assert np.array_equal(level1_labels(build(items, cluster)),
                               reference_labels(items, cluster))
 
 
@@ -377,7 +390,7 @@ def test_level1_labels_match_reference_on_recorded_gradients(monkeypatch):
           (3, np.array([2.0, 1.0]))]),
 ])
 def test_edge_cases_match_reference(cfg, items):
-    root = build_tree(items, cfg)
+    root = build(items, cfg)
     assert tree_to_dict(root) == tree_to_dict(reference_build_tree(items, cfg))
     assert np.array_equal(level1_labels(root), reference_labels(items, cfg))
     if cfg.max_depth == 1:
@@ -386,8 +399,8 @@ def test_edge_cases_match_reference(cfg, items):
 
 def test_bad_items_raise_before_any_insertion():
     with pytest.raises(DuplicateTaskError):
-        build_tree([(4, unit(0)), (4, unit(0))], D2)
+        build([(4, unit(0)), (4, unit(0))], D2)
     with pytest.raises(ZeroVectorError):
-        build_tree([(0, np.zeros(3))], D2)
+        build([(0, np.zeros(3))], D2)
     with pytest.raises(ZeroVectorError):
-        build_tree([(0, unit(0)), (1, np.zeros(2))], ClusterConfig(max_depth=1))
+        build([(0, unit(0)), (1, np.zeros(2))], ClusterConfig(max_depth=1))

@@ -29,6 +29,7 @@ from treemaml.meta import (
     generator_hierarchy_tree,
     meta_gradient,
     meta_validation_loss,
+    outer_update,
 )
 from treemaml.models import BatchStack, LinearRegressionModel
 from treemaml.tasks import TaskBatch, TaskGeneratorConfig, build_parameter_tree, sample_task_batch
@@ -43,7 +44,7 @@ def config(mode, points, second_order=True):
     return MetaConfig(
         mode=mode, inner_lr=0.007, inner_steps=3, tasks_per_batch=M,
         points_train=points, points_val=points, second_order=second_order,
-        fixed_tree=generator_hierarchy_tree(3) if mode == "tree_fixed" else None,
+        fixed_tree=generator_hierarchy_tree() if mode == "tree_fixed" else None,
         cluster=ClusterConfig(max_depth=2, xi=1.0),
     )
 
@@ -69,8 +70,6 @@ def test_sampler_matches_the_per_task_sampler(points):
             for split in ("train_points", "val_points", "test_points"):
                 assert np.array_equal(getattr(t, split).x, getattr(old, split).x)
                 assert np.array_equal(getattr(t, split).y, getattr(old, split).y)
-        # a task of the batch is a view of its stacks, not a copy
-        assert np.shares_memory(batch.train.blocks[0][0], batch[3].train.blocks[0][0])
         # zero-size splits draw nothing, in either sampler
         assert new_rng.bit_generator.state == rng.bit_generator.state
 
@@ -96,11 +95,13 @@ def test_engine_is_bit_identical_to_the_per_task_engine(mode, points):
             params_in = params_out
         for tid, theta in zip(ids.tolist(), trace.task_params(3)):
             assert np.array_equal(theta, old.final_params[tid])
-        assert meta_validation_loss(MODEL, trace, tasks.val) == ref.meta_validation_loss(old, vals)
+        assert meta_validation_loss(MODEL, trace) == ref.meta_validation_loss(old, vals)
         for second_order in (True, False):
             cfg = config(mode, points, second_order)
-            g = meta_gradient(MODEL, omega, trace, tasks.val, cfg)
+            g = meta_gradient(MODEL, trace, cfg)
             assert np.array_equal(g, ref.meta_gradient(omega, old, vals, cfg))
+            # the outer step reads omega from the trace
+            assert np.array_equal(outer_update(MODEL, trace, cfg), trace.omega - cfg.outer_lr * g)
 
 
 @pytest.mark.parametrize("points", [5, 128])
@@ -187,9 +188,9 @@ def test_followed_trace_rejects_what_it_cannot_answer():
             adapt_tree(MODEL, omega, tasks, cfg, follow=row)
     followed = adapt_tree(MODEL, omega, tasks, cfg, follow=M)
     with pytest.raises(ValueError, match="followed task row"):
-        meta_validation_loss(MODEL, followed, tasks.val)
+        meta_validation_loss(MODEL, followed)
     with pytest.raises(ValueError, match="followed task row"):
-        meta_gradient(MODEL, omega, followed, tasks.val, cfg)
+        meta_gradient(MODEL, followed, cfg)
     with pytest.raises(ValueError, match="followed task row"):
         followed.task_params(1)
     with pytest.raises(ValueError, match="follows no task"):
@@ -233,9 +234,9 @@ def test_meta_gradient_matches_the_closed_form(mode, points):
             assert len(trace.parents[0]) > 1  # the learned tree really branches
         theta, loss, second, first = closed_form(omega, trace, config(mode, points))
         assert rel(trace.task_params(3), theta) < 1e-10
-        assert abs(meta_validation_loss(MODEL, trace, tasks.val) - loss) < 1e-10 * loss
-        g2 = meta_gradient(MODEL, omega, trace, tasks.val, config(mode, points))
+        assert abs(meta_validation_loss(MODEL, trace) - loss) < 1e-10 * loss
+        g2 = meta_gradient(MODEL, trace, config(mode, points))
         assert rel(g2, second) < 1e-9
-        g1 = meta_gradient(MODEL, omega, trace, tasks.val, config(mode, points, second_order=False))
+        g1 = meta_gradient(MODEL, trace, config(mode, points, second_order=False))
         assert rel(g1, first) < 1e-9
         assert rel(g1, second) > 1e-3  # the two orders differ here

@@ -23,7 +23,7 @@ from treemaml.meta import (
     stable_hash,
 )
 from treemaml.models import Batch, BatchStack, EmptyBatchError, LinearRegressionModel
-from treemaml.numerics import NumericalError, finite_difference_gradient
+from treemaml.numerics import NumericalError
 from treemaml.tasks import (
     ConfigError,
     TaskBatch,
@@ -31,6 +31,8 @@ from treemaml.tasks import (
     TaskSampler,
     build_parameter_tree,
 )
+
+from finite_difference import finite_difference_gradient
 
 
 def stack(x, y):
@@ -55,17 +57,23 @@ def join(tasks):
     return sum(tasks[1:], tasks[0])
 
 
+def splits(tasks, name="train"):
+    """Each task's split as a Batch, in task order."""
+    return [Batch(X[i], Y[i]) for X, Y in getattr(tasks, name).blocks for i in range(len(X))]
+
+
 def split(task, name="train"):
     """A one-task batch's split as a Batch."""
-    (X, Y), = getattr(task, name).blocks
-    return Batch(X[0], Y[0])
+    (batch,) = splits(task, name)
+    return batch
 
 
 def concat(batches):
     return Batch(np.concatenate([b.x for b in batches]), np.concatenate([b.y for b in batches]))
 
 
-def random_tasks(rng, m, dim, n=4, path_levels=0):
+def random_task_list(rng, m, dim, n=4, path_levels=0):
+    """m random one-task batches with ids 0..m-1."""
     tasks = []
     for i in range(m):
         w = rng.normal(size=dim)
@@ -75,13 +83,17 @@ def random_tasks(rng, m, dim, n=4, path_levels=0):
         t = make_task(i, xt, xt @ w + rng.normal(0, 0.1, n),
                       xv, xv @ w + rng.normal(0, 0.1, n), path=path or (0,))
         tasks.append(t)
-    return join(tasks)
+    return tasks
+
+
+def random_tasks(rng, m, dim, n=4, path_levels=0):
+    return join(random_task_list(rng, m, dim, n, path_levels))
 
 
 def pooled_step(model, params, batches, lr):
     """One pooled step over the member batches: adapt_tree on a one-step single-cluster tree."""
     tasks = join([make_task(i, b.x, b.y) for i, b in enumerate(batches)])
-    cfg = MetaConfig(mode="tree_fixed", inner_steps=1, inner_lr=lr, fixed_tree=single_cluster_tree(1))
+    cfg = MetaConfig(mode="tree_fixed", inner_steps=1, inner_lr=lr, fixed_tree=single_cluster_tree())
     (cluster,) = adapt_tree(model, params, tasks, cfg).params[0]
     return cluster
 
@@ -134,13 +146,13 @@ class GradientOnlyModel:
 
 def test_fixed_tree_factories():
     t = make_task(42, [[1.0, 0.0]], [1.0], path=(0, 1))
-    assert generator_hierarchy_tree(3).path_of(t).tolist() == [[0, 1, 42]]
-    assert generator_hierarchy_tree(2).path_of(t).tolist() == [[0, 42]]
+    assert generator_hierarchy_tree().path_of(t, 3).tolist() == [[0, 1, 42]]
+    assert generator_hierarchy_tree().path_of(t, 2).tolist() == [[0, 42]]
     shallow = make_task(7, [[1.0]], [1.0], path=(1,))
-    assert generator_hierarchy_tree(3).path_of(shallow).tolist() == [[1, 0, 7]]
-    assert singleton_tree(2).path_of(t).tolist() == [[42, 42]]
-    assert single_cluster_tree(2).path_of(t).tolist() == [[0, 0]]
-    assert generator_hierarchy_tree(3).label == "generator"
+    assert generator_hierarchy_tree().path_of(shallow, 3).tolist() == [[1, 0, 7]]
+    assert singleton_tree().path_of(t, 2).tolist() == [[42, 42]]
+    assert single_cluster_tree().path_of(t, 2).tolist() == [[0, 0]]
+    assert generator_hierarchy_tree().label == "generator"
 
 
 def test_meta_config_validation():
@@ -152,8 +164,6 @@ def test_meta_config_validation():
         MetaConfig(inner_steps=0)
     with pytest.raises(ConfigError):
         MetaConfig(mode="tree_fixed")
-    with pytest.raises(ConfigError):
-        MetaConfig(mode="tree_fixed", inner_steps=3, fixed_tree=singleton_tree(2))
     with pytest.raises(ConfigError):
         MetaConfig(mode="tree_learned")
     with pytest.raises(ConfigError):
@@ -227,10 +237,10 @@ def test_adapt_tree_maml_equals_independent_steps():
     cfg = MetaConfig(mode="maml", inner_steps=3, inner_lr=0.05, tasks_per_batch=4)
     trace = adapt_tree(model, omega, tasks, cfg)
     assert trace.partition_sizes == [4, 4, 4]
-    for t, adapted in zip(tasks, trace.task_params(3)):
+    for batch, adapted in zip(splits(tasks), trace.task_params(3)):
         theta = omega
         for _ in range(3):
-            theta = plain_step(model, theta, split(t), 0.05)
+            theta = plain_step(model, theta, batch, 0.05)
         assert np.array_equal(adapted, theta)
 
 
@@ -243,7 +253,7 @@ def test_singleton_fixed_tree_is_bit_identical_to_maml():
         maml = adapt_tree(model, omega, tasks, MetaConfig(mode="maml", inner_steps=2, inner_lr=0.04))
         fixed = adapt_tree(
             model, omega, tasks,
-            MetaConfig(mode="tree_fixed", inner_steps=2, inner_lr=0.04, fixed_tree=singleton_tree(2)),
+            MetaConfig(mode="tree_fixed", inner_steps=2, inner_lr=0.04, fixed_tree=singleton_tree()),
         )
         assert np.array_equal(maml.task_params(2), fixed.task_params(2))
 
@@ -253,14 +263,14 @@ def test_single_cluster_tree_pools_everything():
     model = LinearRegressionModel(2)
     tasks = random_tasks(rng, 3, 2)
     omega = rng.normal(size=2)
-    cfg = MetaConfig(mode="tree_fixed", inner_steps=2, inner_lr=0.03, fixed_tree=single_cluster_tree(2))
+    cfg = MetaConfig(mode="tree_fixed", inner_steps=2, inner_lr=0.03, fixed_tree=single_cluster_tree())
     trace = adapt_tree(model, omega, tasks, cfg)
     assert trace.partition_sizes == [1, 1]
     finals = trace.task_params(2)
     assert all(np.array_equal(f, finals[0]) for f in finals)
     manual = omega
     for _ in range(2):
-        grads = [gradient(model, manual, split(t)) for t in tasks]
+        grads = [gradient(model, manual, b) for b in splits(tasks)]
         manual = manual - 0.03 * np.mean(np.stack(grads), axis=0)
     assert np.array_equal(finals[0], manual)
 
@@ -276,7 +286,7 @@ def test_generator_tree_partitions_coarse_to_fine():
                                t.train, t.val, t.test))
     tasks = join(tasks)
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.02,
-                     fixed_tree=generator_hierarchy_tree(3), tasks_per_batch=8)
+                     fixed_tree=generator_hierarchy_tree(), tasks_per_batch=8)
     trace = adapt_tree(model, rng.normal(size=3), tasks, cfg)
     assert trace.partition_sizes == [2, 4, 8]
     # distinct parameter vectors per level match the cluster counts
@@ -288,10 +298,24 @@ def test_generator_tree_partitions_coarse_to_fine():
 def test_fixed_tree_wrong_path_length_raises():
     rng = np.random.default_rng(6)
     tasks = random_tasks(rng, 2, 2)
-    bad = FixedTreeSpec(2, lambda t: np.zeros((len(t), 1), dtype=np.int64))
+    bad = FixedTreeSpec(lambda t, K: np.zeros((len(t), 1), dtype=np.int64))
     cfg = MetaConfig(mode="tree_fixed", inner_steps=2, fixed_tree=bad)
     with pytest.raises(TreeShapeError):
         adapt_tree(LinearRegressionModel(2), np.zeros(2), tasks, cfg)
+
+
+def test_fixed_tree_depth_is_inner_steps():
+    tasks = random_tasks(np.random.default_rng(6), 2, 2)
+    seen = []
+
+    def path_of(t, K):
+        seen.append(K)
+        return np.zeros((len(t), K), dtype=np.int64)
+
+    for K in (1, 3):
+        cfg = MetaConfig(mode="tree_fixed", inner_steps=K, fixed_tree=FixedTreeSpec(path_of))
+        assert adapt_tree(LinearRegressionModel(2), np.zeros(2), tasks, cfg).partition_sizes == [1] * K
+    assert seen == [1, 3]
 
 
 def test_learned_tree_groups_by_gradient_direction():
@@ -315,8 +339,8 @@ def test_learned_tree_puts_zero_gradient_tasks_in_singletons():
     model = LinearRegressionModel(3)
     omega = rng.normal(size=3)
     x0 = rng.uniform(-2, 2, size=(4, 3))
-    rest = random_tasks(rng, 4, 3)
-    tasks = join([make_task(0, x0, x0 @ omega), rest[1], rest[2], rest[3]])
+    rest = random_task_list(rng, 4, 3)
+    tasks = join([make_task(0, x0, x0 @ omega), *rest[1:]])
     cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01,
                      cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
     trace = adapt_tree(model, omega, tasks, cfg)
@@ -352,14 +376,11 @@ def test_omega_is_checked_at_entry():
     model = LinearRegressionModel(2)
     task = make_task(0, [[1.0, 0.0]], [1.0])
     cfg = MetaConfig(mode="maml", inner_steps=1)
-    fixed = MetaConfig(mode="tree_fixed", inner_steps=1, fixed_tree=singleton_tree(1))
-    trace = adapt_tree(model, np.zeros(2), task, cfg)
+    fixed = MetaConfig(mode="tree_fixed", inner_steps=1, fixed_tree=singleton_tree())
     entries = [
         lambda w: adapt_tree(model, w, task, cfg),
         lambda w: adapt_and_evaluate(model, w, None, task, cfg),
         lambda w: adapt_and_evaluate(model, w, task, make_task(1, [[0.0, 1.0]], [1.0]), fixed),
-        lambda w: meta_gradient(model, w, trace, trace.tasks.val, cfg),
-        lambda w: outer_update(model, w, trace, trace.tasks.val, cfg),
     ]
     for enter in entries:
         with pytest.raises(ValueError, match="shape"):
@@ -383,7 +404,7 @@ def test_parameters_are_read_only():
     model = LinearRegressionModel(4)
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.01, tasks_per_batch=4,
                      points_train=4, points_val=4, outer_iterations=2,
-                     fixed_tree=generator_hierarchy_tree(3))
+                     fixed_tree=generator_hierarchy_tree())
     omega, _ = meta_train(model, TaskSampler(tree, np.random.default_rng(0)), cfg)
     tasks = TaskSampler(tree, np.random.default_rng(1)).sample_batch(4, 4, 4)
     full = adapt_tree(model, omega, tasks, cfg)
@@ -403,7 +424,7 @@ def test_meta_validation_loss_is_mean_over_tasks():
     cfg = MetaConfig(mode="maml", inner_steps=1, inner_lr=0.0)
     trace = adapt_tree(model, np.zeros(1), t1 + t2, cfg)
     # adapted params stay at 0: losses are 0 and 16
-    assert meta_validation_loss(model, trace, trace.tasks.val) == 8.0
+    assert meta_validation_loss(model, trace) == 8.0
 
 
 def test_meta_gradient_matches_finite_differences():
@@ -417,14 +438,13 @@ def test_meta_gradient_matches_finite_differences():
         model = model_cache.setdefault(dim, LinearRegressionModel(dim))
         tasks = random_tasks(rng, m, dim, path_levels=K)
         mode = ["maml", "tree_fixed"][trial % 2]
-        fixed = FixedTreeSpec(K, lambda t, k=K: t.paths[:, :k]) if mode == "tree_fixed" else None
+        fixed = FixedTreeSpec(lambda t, k: t.paths[:, :k]) if mode == "tree_fixed" else None
         cfg = MetaConfig(mode=mode, fixed_tree=fixed, inner_steps=K,
                          inner_lr=float(rng.uniform(0.01, 0.2)), tasks_per_batch=m)
         omega = rng.normal(size=dim)
-        vals = tasks.val
-        g = meta_gradient(model, omega, adapt_tree(model, omega, tasks, cfg), vals, cfg)
+        g = meta_gradient(model, adapt_tree(model, omega, tasks, cfg), cfg)
         fd = finite_difference_gradient(
-            lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg), vals), omega
+            lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg)), omega
         )
         rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
         worst = max(worst, rel)
@@ -440,10 +460,9 @@ def test_meta_gradient_learned_tree_matches_finite_differences():
     cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.05,
                      cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
     omega = np.array([0.2, -0.1])
-    vals = tasks.val
-    g = meta_gradient(model, omega, adapt_tree(model, omega, tasks, cfg), vals, cfg)
+    g = meta_gradient(model, adapt_tree(model, omega, tasks, cfg), cfg)
     fd = finite_difference_gradient(
-        lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg), vals), omega
+        lambda w: meta_validation_loss(model, adapt_tree(model, w, tasks, cfg)), omega
     )
     rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-12)
     assert rel < 1e-4
@@ -456,12 +475,11 @@ def test_zero_inner_lr_reduces_to_pooled_validation_gradient():
     omega = rng.normal(size=3)
     cfg = MetaConfig(mode="maml", inner_steps=2, inner_lr=0.0, outer_lr=0.1)
     trace = adapt_tree(model, omega, tasks, cfg)
-    vals = trace.tasks.val
     assert all(np.array_equal(theta, omega) for theta in trace.task_params(2))
-    g = meta_gradient(model, omega, trace, vals, cfg)
-    expected = np.mean([gradient(model, omega, split(t, "val")) for t in tasks], axis=0)
+    g = meta_gradient(model, trace, cfg)
+    expected = np.mean([gradient(model, omega, b) for b in splits(tasks, "val")], axis=0)
     assert np.allclose(g, expected, atol=1e-12)
-    stepped = outer_update(model, omega, trace, vals, cfg)
+    stepped = outer_update(model, trace, cfg)
     assert np.allclose(stepped, omega - 0.1 * g, atol=1e-15)
 
 
@@ -478,7 +496,7 @@ def test_one_step_meta_gradient_closed_form():
     alpha = 0.05
     cfg = MetaConfig(mode="maml", inner_steps=1, inner_lr=alpha)
     trace = adapt_tree(model, omega, task, cfg)
-    g = meta_gradient(model, omega, trace, trace.tasks.val, cfg)
+    g = meta_gradient(model, trace, cfg)
 
     H = (2.0 / len(xt)) * xt.T @ xt
     theta = omega - alpha * (2.0 / len(xt)) * xt.T @ (xt @ omega - yt)
@@ -494,14 +512,13 @@ def test_first_order_gradient_ignores_the_inner_jacobian():
     omega = rng.normal(size=2)
     cfg = MetaConfig(mode="maml", inner_steps=2, inner_lr=0.1, second_order=False)
     trace = adapt_tree(model, omega, tasks, cfg)
-    vals = trace.tasks.val
-    g = meta_gradient(model, omega, trace, vals, cfg)
+    g = meta_gradient(model, trace, cfg)
     expected = np.mean(
-        [gradient(model, theta, split(t, "val")) for t, theta in zip(tasks, trace.task_params(2))],
+        [gradient(model, theta, b) for b, theta in zip(splits(tasks, "val"), trace.task_params(2))],
         axis=0
     )
     assert np.allclose(g, expected, atol=1e-15)
-    second = meta_gradient(model, omega, trace, vals, MetaConfig(mode="maml", inner_steps=2, inner_lr=0.1))
+    second = meta_gradient(model, trace, MetaConfig(mode="maml", inner_steps=2, inner_lr=0.1))
     assert not np.allclose(g, second)
 
 
@@ -512,10 +529,9 @@ def test_second_order_needs_hvp_capability():
     omega = np.array([0.1, 0.2])
     cfg = MetaConfig(mode="maml", inner_steps=1, inner_lr=0.05)
     trace = adapt_tree(model, omega, tasks, cfg)
-    vals = trace.tasks.val
     with pytest.raises(CapabilityError):
-        meta_gradient(model, omega, trace, vals, cfg)
-    first = meta_gradient(model, omega, trace, vals,
+        meta_gradient(model, trace, cfg)
+    first = meta_gradient(model, trace,
                           MetaConfig(mode="maml", inner_steps=1, inner_lr=0.05, second_order=False))
     assert first.shape == (2,)
 
@@ -525,10 +541,10 @@ def test_inner_steps_do_not_increase_pooled_training_loss():
     model = LinearRegressionModel(3)
     tasks = random_tasks(rng, 6, 3, path_levels=2)
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.001,
-                     fixed_tree=generator_hierarchy_tree(3), tasks_per_batch=6)
+                     fixed_tree=generator_hierarchy_tree(), tasks_per_batch=6)
     omega = rng.normal(size=3)
     trace = adapt_tree(model, omega, tasks, cfg)
-    batches = {int(t.ids[0]): split(t) for t in tasks}
+    batches = dict(zip(tasks.ids.tolist(), splits(tasks)))
     params_in = omega[None]
     for k, params_out in enumerate(trace.params, start=1):
         for cluster, p, out in zip(members(trace, k), trace.parents[k - 1], params_out):
@@ -627,7 +643,7 @@ def test_non_finite_values_raise_divergence_naming_the_phase():
     assert phase_of(adapt_and_evaluate, model, np.array([1.0]), None, task, huge)[0] == (
         "eval, inner step 2")
     fixed = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=1e300,
-                       fixed_tree=singleton_tree(3))
+                       fixed_tree=singleton_tree())
     target = make_task(1, [[1.0]], [0.0])
     assert phase_of(adapt_and_evaluate, model, np.array([1.0]), task, target, fixed)[0] == (
         "eval, inner step 2")
@@ -636,14 +652,13 @@ def test_non_finite_values_raise_divergence_naming_the_phase():
     # reverse pass multiplies by (1 - 2e160) once more and overflows
     one = MetaConfig(mode="maml", inner_steps=1, inner_lr=1e160)
     trace = adapt_tree(model, np.array([1.0]), task, one)
-    assert phase_of(meta_gradient, model, np.array([1.0]), trace, trace.tasks.val, one)[0] == (
-        "meta-gradient")
+    assert phase_of(meta_gradient, model, trace, one)[0] == "meta-gradient"
 
     # a finite meta-gradient of 12.8 times outer_lr 1e308 overflows omega
     step = MetaConfig(mode="maml", inner_steps=1, inner_lr=0.1, outer_lr=1e308)
     omega = np.array([10.0])
     trace = adapt_tree(model, omega, task, step)
-    assert phase_of(outer_update, model, omega, trace, trace.tasks.val, step)[0] == "outer step"
+    assert phase_of(outer_update, model, trace, step)[0] == "outer step"
 
     # finite parameters whose test loss overflows
     frozen = MetaConfig(mode="baseline", baseline_finetune=False)
@@ -657,7 +672,7 @@ def test_eval_checks_finiteness_only_on_the_target_path():
     model = LinearRegressionModel(1)
     wild = make_task(0, [[1e200]], [0.0])
     target = make_task(1, [[1.0]], [0.0], test=([[1.0]], [0.0]))
-    cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.1, fixed_tree=singleton_tree(3))
+    cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.1, fixed_tree=singleton_tree())
     with pytest.raises(DivergenceError), np.errstate(over="ignore"):
         adapt_tree(model, np.array([1.0]), wild + target, cfg)
     # theta = 0.8^3 after three steps, whose squared error is 0.8^6
@@ -700,7 +715,7 @@ def test_adapt_and_evaluate_tree_fixed_at_the_optimum():
     support = join([noiseless(i, (i % 2, i // 2)) for i in range(4)])
     target = noiseless(99, (0, 1))
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.05,
-                     fixed_tree=generator_hierarchy_tree(3))
+                     fixed_tree=generator_hierarchy_tree())
     assert adapt_and_evaluate(model, w, support, target, cfg) == 0.0
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from treemaml.models import Batch, BatchStack, EmptyBatchError, LinearRegressionModel
-from treemaml.numerics import finite_difference_gradient
+
+from finite_difference import finite_difference_gradient
 
 
 # The three model methods, each called on a model sized to params.

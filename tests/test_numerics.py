@@ -11,10 +11,11 @@ from treemaml.numerics import (
     ZeroVectorError,
     confidence_halfwidth_95,
     cosine_similarity,
-    finite_difference_gradient,
     set_similarity,
 )
 from treemaml.tasks import TaskBatch
+
+from finite_difference import finite_difference_gradient
 
 
 def _adapt_from(omega, dim):

@@ -26,9 +26,8 @@ def test_public_names_are_pinned():
         "TaskGeneratorConfig", "TaskSampler", "TreeShapeError", "ZeroVectorError",
         "adapt_and_evaluate", "adapt_tree", "build_parameter_tree", "build_tree",
         "clusters_at_level", "confidence_halfwidth_95", "cosine_similarity",
-        "finite_difference_gradient", "generator_hierarchy_tree", "meta_train",
-        "outer_update", "sample_task_batch", "set_similarity", "single_cluster_tree",
-        "singleton_tree",
+        "generator_hierarchy_tree", "meta_train", "outer_update", "sample_task_batch",
+        "set_similarity", "single_cluster_tree", "singleton_tree",
     }
     assert len(treemaml.__all__) == len(set(treemaml.__all__))
     assert all(hasattr(treemaml, name) for name in treemaml.__all__)

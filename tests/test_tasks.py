@@ -125,21 +125,8 @@ def test_task_batch_arrays():
     arrays += [a for stack in splits.values() for block in stack.blocks for a in block]
     assert not any(a.flags.writeable for a in arrays)
 
-    # batch[i] is task i as a one-task batch of views of the batch's arrays
-    task = batch[3]
-    assert len(task) == 1 and task.ids.tolist() == [23] and batch[-1].ids.tolist() == [24]
-    for name in ("ids", "leaves", "paths", "weights"):
-        assert np.shares_memory(getattr(task, name), getattr(batch, name))
-        assert np.array_equal(getattr(task, name)[0], getattr(batch, name)[3])
-    for name, stack in splits.items():
-        (X, Y), = getattr(task, name).blocks
-        assert np.shares_memory(X, stack.blocks[0][0]) and np.shares_memory(Y, stack.blocks[0][1])
-        assert np.array_equal(X[0], stack.blocks[0][0][3])
-        assert np.array_equal(Y[0], stack.blocks[0][1][3])
-    with pytest.raises(IndexError):
-        batch[5]
-
     # + joins the splits' blocks as they are, without copying them
+    task = sample_task_batch(tree, 1, np.random.default_rng(2), 3, 2, 4, start_id=23)
     joined = batch + task
     assert joined.ids.tolist() == [20, 21, 22, 23, 24, 23]
     assert np.array_equal(joined.paths, np.concatenate([batch.paths, task.paths]))
