@@ -87,13 +87,26 @@ class ExperimentSpec:
             cell_config(self, mode, self.points_sweep[0], self.replicate_seeds[0])
 
 
+_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _has_type(kind: str, value) -> bool:
+    """Whether value has the annotated type kind: a bool is no number here, an
+    int is a float, and a tuple[...] may come as a JSON list. Other
+    annotations are not checked here."""
+    if kind.startswith("Optional["):
+        return value is None or _has_type(kind[len("Optional["):-1], value)
+    if kind.startswith("tuple[") and kind.endswith(", ...]"):
+        return (isinstance(value, (list, tuple))
+                and all(_has_type(kind[len("tuple["):-len(", ...]")], v) for v in value))
+    return kind not in _TYPES or type(value) in _TYPES[kind]
+
+
 def _checked(section: str, cls, values: dict) -> dict:
-    """values, after checking that each of cls's int, float and bool fields
-    holds a value of that type (a bool is no number here, an int is a float);
-    section names the field in the ConfigError."""
+    """values, after checking that each holds a value of its field's type in
+    cls; section names the field in the ConfigError."""
     for f in dataclasses.fields(cls):
-        want = {"int": (int,), "float": (int, float), "bool": (bool,)}.get(f.type)
-        if want and f.name in values and type(values[f.name]) not in want:
+        if f.name in values and not _has_type(f.type, values[f.name]):
             where = f"{section}.{f.name}" if section else f.name
             raise ConfigError(f"{where} must be {f.type}, not {values[f.name]!r}")
     return values
@@ -349,8 +362,11 @@ def export_distribution(spec: ExperimentSpec, path) -> None:
     Path(path).write_text(json.dumps(distribution_to_dict(tree)))
 
 
-def _csv_ints(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(",") if v.strip() != "")
+def _csv_ints(flag: str, text: str) -> tuple:
+    try:
+        return tuple(int(v) for v in text.split(",") if v.strip() != "")
+    except ValueError:
+        raise ConfigError(f"{flag} takes comma-separated integers, not {text!r}") from None
 
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
@@ -358,9 +374,9 @@ def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
     if args.mode:
         fields["modes"] = tuple(m.strip() for m in args.mode.split(",") if m.strip())
     if args.points:
-        fields["points_sweep"] = _csv_ints(args.points)
+        fields["points_sweep"] = _csv_ints("--points", args.points)
     if args.seed:
-        fields["replicate_seeds"] = _csv_ints(args.seed)
+        fields["replicate_seeds"] = _csv_ints("--seed", args.seed)
     if args.second_order:
         fields["meta"] = replace(spec.meta, second_order=(args.second_order == "on"))
     return replace(spec, **fields) if fields else spec

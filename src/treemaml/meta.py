@@ -55,7 +55,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -174,29 +174,14 @@ class MetaConfig:
                 )
 
     def describe(self) -> dict:
-        """JSON-able view for config hashing; callables reduced to labels."""
-        d = {
-            "inner_lr": self.inner_lr,
-            "outer_lr": self.outer_lr,
-            "inner_steps": self.inner_steps,
-            "tasks_per_batch": self.tasks_per_batch,
-            "points_train": self.points_train,
-            "points_val": self.points_val,
-            "mode": self.mode,
-            "second_order": self.second_order,
-            "outer_iterations": self.outer_iterations,
-            "seed": self.seed,
-            "baseline_finetune": self.baseline_finetune,
-            "fixed_tree": None,
-            "cluster": None,
-        }
+        """JSON-able view for config hashing, one key per field: fixed_tree
+        reduced to its label (the callable is not serializable), cluster to
+        its fields."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.fixed_tree is not None:
             d["fixed_tree"] = {"label": self.fixed_tree.label}
         if self.cluster is not None:
-            d["cluster"] = {
-                "max_depth": self.cluster.max_depth,
-                "xi": self.cluster.xi,
-            }
+            d["cluster"] = asdict(self.cluster)
         return d
 
 

@@ -4,12 +4,17 @@ Task weight vectors live on the leaves of a tree of Gaussian offsets: the root
 center is drawn once, each child adds an offset at its level's scale, and each
 sampled task jitters around its leaf center. Inputs are uniform on a box and
 targets carry additive Gaussian noise.
+
+A ParameterTree is plain data: one read-only (N, dim) array of every node's
+center, breadth-first from the root so that the leaves are its last rows, and
+one read-only (L, depth) array of the leaves' paths. Sampling indexes both.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,12 +33,14 @@ class TaskGeneratorConfig:
     level_scales has one entry per tree level including the root, so its length
     is len(branching) + 1. task_jitter is the std of the per-task offset around
     its leaf center; None selects the default of 0.1 * level_scales[-1].
-    Scales, noise_std and task_jitter must be finite and non-negative.
+    Scales, noise_std and task_jitter must be finite and non-negative, and so
+    must seed. Nothing is coerced: a spec's generator section is type-checked
+    when it loads.
     """
 
     dim: int = 64
-    branching: tuple = (2, 2)
-    level_scales: tuple = (1.0, 1.0, 0.5)
+    branching: tuple[int, ...] = (2, 2)
+    level_scales: tuple[float, ...] = (1.0, 1.0, 0.5)
     noise_std: float = 0.01
     input_low: float = -5.0
     input_high: float = 5.0
@@ -41,8 +48,8 @@ class TaskGeneratorConfig:
     task_jitter: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "branching", tuple(int(b) for b in self.branching))
-        object.__setattr__(self, "level_scales", tuple(float(s) for s in self.level_scales))
+        object.__setattr__(self, "branching", tuple(self.branching))
+        object.__setattr__(self, "level_scales", tuple(self.level_scales))
         if self.dim <= 0:
             raise ConfigError("dim must be positive")
         if any(b <= 0 for b in self.branching):
@@ -59,6 +66,8 @@ class TaskGeneratorConfig:
             raise ConfigError("the input range input_high - input_low must be finite")
         if self.task_jitter is not None and not 0 <= self.task_jitter < math.inf:
             raise ConfigError("task_jitter must be finite and non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"generator.seed must be non-negative, not {self.seed}")
 
     @property
     def jitter_std(self) -> float:
@@ -67,32 +76,26 @@ class TaskGeneratorConfig:
         return 0.1 * self.level_scales[-1]
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "branching": list(self.branching),
-            "level_scales": list(self.level_scales),
-            "noise_std": self.noise_std,
-            "input_low": self.input_low,
-            "input_high": self.input_high,
-            "seed": self.seed,
-            "task_jitter": self.task_jitter,
-        }
-
-
-@dataclass(frozen=True)
-class ParameterTreeNode:
-    center: np.ndarray  # read-only (dim,)
-    path: tuple
-    children: tuple
+        """The fields by name; json writes the tuples as lists."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class ParameterTree:
-    """Center hierarchy plus the flat list of leaves in path order."""
+    """Every node's center plus the leaves' paths, both read-only.
 
-    root: ParameterTreeNode
-    leaves: tuple
+    centers (N, dim) holds the centers breadth-first from the root, each level
+    in path order, so its last L rows are the leaves; leaf_paths (L, depth)
+    holds leaf i's child index at each level (depth = len(branching)).
+    """
+
+    centers: np.ndarray
+    leaf_paths: np.ndarray
     config: TaskGeneratorConfig
+
+    def __post_init__(self):
+        self.centers.setflags(write=False)
+        self.leaf_paths.setflags(write=False)
 
 
 def build_parameter_tree(cfg: TaskGeneratorConfig) -> ParameterTree:
@@ -104,31 +107,22 @@ def build_parameter_tree(cfg: TaskGeneratorConfig) -> ParameterTree:
     naming the level when a center overflows.
     """
     rng = np.random.default_rng(cfg.seed)
+    levels = [np.empty((n, cfg.dim)) for n in np.cumprod((1,) + cfg.branching)]
 
-    def grow(center: np.ndarray, path: tuple, level: int) -> ParameterTreeNode:
+    def grow(center: np.ndarray, level: int, index: int):
         if not np.isfinite(center).all():
             raise ConfigError(f"a level-{level} center overflows; level_scales "
                               f"{list(cfg.level_scales)} are too large")
-        center.setflags(write=False)
-        children = []
+        levels[level][index] = center
         if level < len(cfg.branching):
-            for b in range(cfg.branching[level]):
+            b = cfg.branching[level]
+            for k in range(b):
                 offset = rng.normal(0.0, cfg.level_scales[level + 1], cfg.dim)
-                children.append(grow(center + offset, path + (b,), level + 1))
-        return ParameterTreeNode(center, path, tuple(children))
+                grow(center + offset, level + 1, index * b + k)
 
-    root = grow(rng.normal(0.0, cfg.level_scales[0], cfg.dim), (), 0)
-
-    leaves = []
-
-    def collect(node: ParameterTreeNode):
-        if not node.children:
-            leaves.append(node)
-        for child in node.children:
-            collect(child)
-
-    collect(root)
-    return ParameterTree(root, tuple(leaves), cfg)
+    grow(rng.normal(0.0, cfg.level_scales[0], cfg.dim), 0, 0)
+    paths = np.array(list(itertools.product(*map(range, cfg.branching))), dtype=np.intp)
+    return ParameterTree(np.concatenate(levels), paths, cfg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +130,11 @@ class TaskBatch:
     """m tasks as arrays, row i of each being task i.
 
     ids (m,) are the task_ids, leaves (m,) each task's generator leaf index,
-    paths (m, L) that leaf's path (L = len(branching)) and weights (m, dim)
-    the ground-truth weights; all four are made read-only in place. train,
-    val and test are the splits as BatchStacks in task order. `+` joins two
-    batches without copying their splits, so a support batch and its target
-    adapt as one.
+    paths (m, depth) that leaf's path (depth = len(branching)) and weights
+    (m, dim) the ground-truth weights; all four are made read-only in place.
+    train, val and test are the splits as BatchStacks in task order. `+`
+    joins two batches without copying their splits, so a support batch and
+    its target adapt as one.
     """
 
     ids: np.ndarray
@@ -193,12 +187,13 @@ def sample_task_batch(
     weights = np.empty((m, cfg.dim))
     leaves = np.empty(m, dtype=np.intp)
     span = cfg.input_high - cfg.input_low
+    leaf_centers = tree.centers[-len(tree.leaf_paths):]
     with np.errstate(over="ignore", invalid="ignore"):
         # the RNG stream is drawn task by task, in this order
         for i in range(m):
-            leaves[i] = rng.integers(len(tree.leaves))
+            leaves[i] = rng.integers(len(leaf_centers))
             w = weights[i]
-            np.add(tree.leaves[leaves[i]].center, rng.normal(0.0, cfg.jitter_std, cfg.dim), out=w)
+            np.add(leaf_centers[leaves[i]], rng.normal(0.0, cfg.jitter_std, cfg.dim), out=w)
             for x, y in drawn:
                 # rng.uniform(low, high)'s own arithmetic, low + (high - low) * u,
                 # done in place
@@ -215,9 +210,9 @@ def sample_task_batch(
     for x, y in splits:
         x.setflags(write=False)
         y.setflags(write=False)
-    paths = np.array([leaf.path for leaf in tree.leaves], dtype=np.intp)
     ids = np.arange(start_id, start_id + m, dtype=np.int64)
-    return TaskBatch(ids, leaves, paths[leaves], weights, *(BatchStack(((x, y),)) for x, y in splits))
+    return TaskBatch(ids, leaves, tree.leaf_paths[leaves], weights,
+                     *(BatchStack(((x, y),)) for x, y in splits))
 
 
 class TaskSampler:
@@ -238,11 +233,4 @@ class TaskSampler:
 
 def distribution_to_dict(tree: ParameterTree) -> dict:
     """JSON-ready audit dump: config plus every node center in BFS order."""
-    centers = []
-    queue = [tree.root]
-    while queue:
-        node = queue.pop(0)
-        centers.append(node.center.tolist())
-        queue.extend(node.children)
-    return {"config": tree.config.to_dict(), "centers": centers}
-
+    return {"config": tree.config.to_dict(), "centers": tree.centers.tolist()}

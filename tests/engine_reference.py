@@ -185,10 +185,11 @@ def sample_task(tree, rng, n_train, n_val, n_test=0, task_id=0):
         noise = rng.normal(0.0, cfg.noise_std, size=n)
         return Batch(x, x @ weights + noise)
 
-    leaf_idx = int(rng.integers(len(tree.leaves)))
-    leaf = tree.leaves[leaf_idx]
-    weights = leaf.center + rng.normal(0.0, cfg.jitter_std, cfg.dim)
+    leaf_idx = int(rng.integers(len(tree.leaf_paths)))
+    center = tree.centers[len(tree.centers) - len(tree.leaf_paths) + leaf_idx]
+    weights = center + rng.normal(0.0, cfg.jitter_std, cfg.dim)
     train = draw(weights, n_train)
     val = draw(weights, n_val)
     test = draw(weights, n_test)
-    return Task(task_id, weights, leaf_idx, leaf.path, train, val, test)
+    path = tuple(tree.leaf_paths[leaf_idx].tolist())
+    return Task(task_id, weights, leaf_idx, path, train, val, test)

@@ -367,6 +367,14 @@ def test_a_mode_specific_spec_error_fails_at_load(tmp_path, capsys):
     ("meta", "second_order", "no"),
     (None, "points_sweep", [2.5]),
     (None, "modes", ["maml", "maml"]),
+    ("generator", "branching", "22"),
+    ("generator", "branching", [2.5, 2]),
+    ("generator", "branching", [True, 2]),
+    ("generator", "level_scales", "111"),
+    ("generator", "level_scales", [1, "1", 0.5]),
+    ("generator", "task_jitter", True),
+    ("generator", "task_jitter", "0.1"),
+    ("generator", "seed", -1),
 ])
 def test_mistyped_or_repeated_spec_values_exit_2(tmp_path, capsys, section, field, value):
     d = small_dict(modes=["maml"])
@@ -379,6 +387,17 @@ def test_mistyped_or_repeated_spec_values_exit_2(tmp_path, capsys, section, fiel
     assert main(["run", str(p), "--out-dir", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
     assert f"error: {section + '.' if section else ''}{field} " in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--points", "abc"), ("--seed", "1.5")])
+def test_a_non_integer_sweep_flag_is_named(tmp_path, capsys, flag, value):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(small_dict(modes=["maml"])))
+    assert main(["run", str(p), flag, value, "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag} takes comma-separated integers, not '{value}'" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
 

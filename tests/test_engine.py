@@ -54,7 +54,7 @@ def omegas(seed):
     # tasks' common center, where a trained initialization ends up
     rng = np.random.default_rng(seed)
     yield rng.normal(0.0, 0.01, DIM)
-    yield TREE.root.center + rng.normal(0.0, 0.3, DIM)
+    yield TREE.centers[0] + rng.normal(0.0, 0.3, DIM)
 
 
 @pytest.mark.parametrize("points", [5, 128])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -175,6 +176,7 @@ def test_config_describe_and_hash():
     d = cfg.describe()
     json.dumps(d)  # must be serializable
     assert d["cluster"] == {"max_depth": 2, "xi": 1.0}
+    assert set(d) == {f.name for f in dataclasses.fields(MetaConfig)}
     assert stable_hash(d) == stable_hash(dict(reversed(list(d.items()))))
     assert stable_hash(d) != stable_hash({**d, "inner_lr": 0.5})
 
@@ -410,7 +412,7 @@ def test_parameters_are_read_only():
     full = adapt_tree(model, omega, tasks, cfg)
     followed = adapt_tree(model, omega, tasks, cfg, follow=3)
     arrays = [omega, followed.followed_params, full.omega,
-              tasks.weights, tree.root.center, tree.leaves[2].center]
+              tasks.weights, tree.centers, tree.leaf_paths]
     arrays += [full.task_params(k) for k in range(4)] + full.params
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):

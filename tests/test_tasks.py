@@ -53,17 +53,18 @@ def test_config_defaults_and_derived():
 def test_parameter_tree_shape():
     tree = build_parameter_tree(SMALL)
     # branching (2, 2): 1 root + 2 mid + 4 leaves
-    count = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        count += 1
-        stack.extend(node.children)
-    assert count == 7
-    assert len(tree.leaves) == 4
-    assert tree.root.path == ()
-    assert [leaf.path for leaf in tree.leaves] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert all(leaf.center.shape == (SMALL.dim,) for leaf in tree.leaves)
+    assert tree.centers.shape == (7, SMALL.dim)
+    assert (tree.leaf_paths.dtype, tree.leaf_paths.shape) == (np.intp, (4, 2))
+    assert tree.leaf_paths.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    # drawn depth-first (root, mid 0, its leaves, mid 1, its leaves), stored
+    # breadth-first (root, two mid nodes, four leaves in path order)
+    rng = np.random.default_rng(SMALL.seed)
+    root = rng.normal(0.0, 1.0, SMALL.dim)
+    drawn = [root]
+    for _ in range(2):
+        mid = root + rng.normal(0.0, 1.0, SMALL.dim)
+        drawn += [mid] + [mid + rng.normal(0.0, 0.5, SMALL.dim) for _ in range(2)]
+    assert np.array_equal(tree.centers, np.array([drawn[i] for i in (0, 1, 4, 2, 3, 5, 6)]))
 
 
 def test_overflowing_centers_are_a_config_error():
@@ -75,16 +76,16 @@ def test_overflowing_centers_are_a_config_error():
 def test_zero_scales_collapse_hierarchy():
     cfg = TaskGeneratorConfig(dim=4, level_scales=(1.0, 0.0, 0.0), seed=9)
     tree = build_parameter_tree(cfg)
-    for leaf in tree.leaves:
-        assert np.array_equal(leaf.center, tree.root.center)
+    for center in tree.centers[-4:]:
+        assert np.array_equal(center, tree.centers[0])
 
 
 def test_tree_is_deterministic():
     t1 = build_parameter_tree(SMALL)
     t2 = build_parameter_tree(SMALL)
-    assert all(np.array_equal(a.center, b.center) for a, b in zip(t1.leaves, t2.leaves))
+    assert np.array_equal(t1.centers[-4:], t2.centers[-4:])
     t3 = build_parameter_tree(TaskGeneratorConfig(**{**SMALL.to_dict(), "seed": 4}))
-    assert not np.array_equal(t3.root.center, t1.root.center)
+    assert not np.array_equal(t3.centers[0], t1.centers[0])
 
 
 def test_sample_task_shapes_and_ranges():
@@ -97,7 +98,7 @@ def test_sample_task_shapes_and_ranges():
     assert points(task, "train")[0].min() >= SMALL.input_low
     assert points(task, "train")[0].max() <= SMALL.input_high
     assert 0 <= task.leaves[0] < 4
-    assert tuple(task.paths[0].tolist()) == tree.leaves[task.leaves[0]].path
+    assert task.paths[0].tolist() == tree.leaf_paths[task.leaves[0]].tolist()
     with pytest.raises(ConfigError):
         sample_task(tree, np.random.default_rng(0), n_train=-1, n_val=5)
 
@@ -142,7 +143,7 @@ def test_noiseless_points_satisfy_the_linear_law():
     cfg = TaskGeneratorConfig(dim=5, noise_std=0.0, task_jitter=0.0, seed=2)
     tree = build_parameter_tree(cfg)
     task = sample_task(tree, np.random.default_rng(5), n_train=8, n_val=8)
-    center = tree.leaves[task.leaves[0]].center
+    center = tree.centers[-4:][task.leaves[0]]
     assert np.array_equal(task.weights[0], center)
     x, y = points(task, "train")
     assert np.array_equal(y, x @ center)
@@ -190,11 +191,12 @@ def test_sibling_leaves_are_closer_than_non_siblings():
     sib, non = [], []
     for seed in range(100):
         cfg = TaskGeneratorConfig(dim=16, level_scales=(2.0, 1.0, 0.5), seed=seed)
-        leaves = build_parameter_tree(cfg).leaves
+        tree = build_parameter_tree(cfg)
+        centers, paths = tree.centers[-4:], tree.leaf_paths
         for i in range(4):
             for j in range(i + 1, 4):
-                d = float(np.linalg.norm(leaves[i].center - leaves[j].center))
-                (sib if leaves[i].path[0] == leaves[j].path[0] else non).append(d)
+                d = float(np.linalg.norm(centers[i] - centers[j]))
+                (sib if paths[i, 0] == paths[j, 0] else non).append(d)
     assert np.mean(sib) < np.mean(non)
 
 
@@ -215,6 +217,4 @@ def test_distribution_round_trip():
     # the dump holds what rebuilds the distribution: its config and the
     # centers in BFS order (root, two mid nodes, four leaves)
     assert TaskGeneratorConfig(**d["config"]) == SMALL
-    assert d["centers"][0] == tree.root.center.tolist()
-    assert d["centers"][3] == tree.leaves[0].center.tolist()
-    assert d["centers"][6] == tree.leaves[3].center.tolist()
+    assert d["centers"] == tree.centers.tolist()
