@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clustering import ClusterConfig
 from .meta import (
     MODES,
     AdaptationTrace,
@@ -30,7 +29,6 @@ from .meta import (
     MetaConfig,
     adapt_and_evaluate,
     adapt_tree,
-    generator_hierarchy_tree,
     meta_train,
 )
 from .models import LinearRegressionModel
@@ -55,10 +53,10 @@ class ExperimentSpec:
 
     generator: TaskGeneratorConfig
     meta: MetaConfig
-    modes: tuple = ("baseline", "maml", "tree_fixed", "tree_learned")
-    points_sweep: tuple = (5, 10, 20)
+    modes: tuple[str, ...] = ("baseline", "maml", "tree_fixed", "tree_learned")
+    points_sweep: tuple[int, ...] = (5, 10, 20)
     meta_test_tasks: int = 400
-    replicate_seeds: tuple = (0, 1, 2)
+    replicate_seeds: tuple[int, ...] = (0, 1, 2)
     eval_test_points: int = 20
 
     def __post_init__(self):
@@ -83,47 +81,49 @@ class ExperimentSpec:
             raise ConfigError("meta_test_tasks must be >= 2 (CI needs two samples)")
         if self.eval_test_points < 1:
             raise ConfigError("eval_test_points must be >= 1")
-        for mode in self.modes:  # a mode's own checks fail the spec, not its cells
-            cell_config(self, mode, self.points_sweep[0], self.replicate_seeds[0])
 
 
-_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
 def _has_type(kind: str, value) -> bool:
     """Whether value has the annotated type kind: a bool is no number here, an
-    int is a float, and a tuple[...] may come as a JSON list. Other
-    annotations are not checked here."""
+    int is a float, and a tuple[...] may come as a JSON list. No value has a
+    type this cannot check, such as FixedTreeSpec, so a spec cannot set a
+    field of that type."""
     if kind.startswith("Optional["):
-        return value is None or _has_type(kind[len("Optional["):-1], value)
+        inner = kind[len("Optional["):-1]
+        return _has_type(inner, value) or (value is None and inner in _TYPES)
     if kind.startswith("tuple[") and kind.endswith(", ...]"):
         return (isinstance(value, (list, tuple))
                 and all(_has_type(kind[len("tuple["):-len(", ...]")], v) for v in value))
-    return kind not in _TYPES or type(value) in _TYPES[kind]
+    return type(value) in _TYPES.get(kind, ())
 
 
 def _checked(section: str, cls, values: dict) -> dict:
-    """values, after checking that each holds a value of its field's type in
-    cls; section names the field in the ConfigError."""
-    for f in dataclasses.fields(cls):
-        if f.name in values and not _has_type(f.type, values[f.name]):
-            where = f"{section}.{f.name}" if section else f.name
-            raise ConfigError(f"{where} must be {f.type}, not {values[f.name]!r}")
+    """values, after checking that each names a field of cls and holds a value
+    of its type; section names the key in the ConfigError."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{section} must be a JSON object, not {values!r}")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for name, value in values.items():
+        where = f"{section}.{name}" if section else name
+        if name not in types:
+            raise ConfigError(f"{where} is not a spec key")
+        if not _has_type(types[name], value):
+            raise ConfigError(f"{where} must be {types[name]}, not {value!r}")
     return values
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    cluster = ClusterConfig(**_checked("clustering", ClusterConfig, d.get("clustering", {})))
-    meta = MetaConfig(**{**_checked("meta", MetaConfig, d.get("meta", {})), "cluster": cluster})
-    fields = {}
-    for key in ("modes", "points_sweep", "meta_test_tasks", "replicate_seeds", "eval_test_points"):
-        if key in d:
-            fields[key] = d[key]
+    """The spec a JSON object describes: its generator and meta sections, and
+    at the top level the grid keys, ExperimentSpec's other fields."""
+    grid = {k: v for k, v in d.items() if k not in ("generator", "meta")}
     return ExperimentSpec(
         generator=TaskGeneratorConfig(**_checked("generator", TaskGeneratorConfig,
                                                  d.get("generator", {}))),
-        meta=meta,
-        **_checked("", ExperimentSpec, fields),
+        meta=MetaConfig(**_checked("meta", MetaConfig, d.get("meta", {}))),
+        **_checked("", ExperimentSpec, grid),
     )
 
 
@@ -135,11 +135,7 @@ def load_spec(path) -> ExperimentSpec:
             raise ConfigError(f"spec file {path} is not valid JSON: {e}") from e
     if not isinstance(payload, dict):
         raise ConfigError("spec file must contain a JSON object")
-    try:
-        return spec_from_dict(payload)
-    except TypeError as e:
-        # Unknown section keys surface as dataclass constructor errors.
-        raise ConfigError(f"spec file {path} has an invalid field: {e}") from e
+    return spec_from_dict(payload)
 
 
 @dataclass(frozen=True)
@@ -173,15 +169,7 @@ class ExperimentOutcome:
 
 def cell_config(spec: ExperimentSpec, mode: str, points: int, seed: int) -> MetaConfig:
     """Specialize the spec's meta template to one grid cell."""
-    fixed = generator_hierarchy_tree() if mode == "tree_fixed" else None
-    return replace(
-        spec.meta,
-        mode=mode,
-        points_train=points,
-        points_val=points,
-        seed=seed,
-        fixed_tree=fixed,
-    )
+    return replace(spec.meta, mode=mode, points_train=points, points_val=points, seed=seed)
 
 
 def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: int,

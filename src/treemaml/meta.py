@@ -6,11 +6,17 @@ its parent cluster's parameters and subtracts inner_lr times the across-member
 mean of per-task mean gradients. Mode selects the per-step partition:
 
 - maml: every task is its own cluster at every step;
-- tree_fixed: clusters follow the length-K key paths of a FixedTreeSpec
-  (cluster identity at step k = the length-k prefix, so partitions nest);
+- tree_fixed: clusters follow the length-K key paths of cfg.fixed_tree, by
+  default the tasks' generator paths (cluster identity at step k = the
+  length-k prefix, so partitions nest);
 - tree_learned: steps 1..K-1 regroup fresh task gradients by online top-down
   clustering run independently inside each step-(k-1) cluster; the final step
-  is task-specific.
+  is task-specific. The tree has one level per clustered step, so build_tree
+  gets max_depth = K - 1 and cfg.xi. At K = 1 or 2 this is maml: no step is
+  clustered, or a depth-1 tree only widens its root into singletons.
+
+No mode needs its own config field or cross-field rule: every mode runs from
+any valid MetaConfig, and a mode ignores the fields it does not read.
 
 Second-order meta-gradients run reverse mode over the recorded trace: the
 Jacobian of one cluster step is (I - inner_lr * H_c) with H_c the mean of the
@@ -55,7 +61,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -143,7 +149,7 @@ class MetaConfig:
     points_val: int = 5
     mode: str = "maml"
     fixed_tree: Optional[FixedTreeSpec] = None
-    cluster: Optional[ClusterConfig] = None
+    xi: float = 1.0
     second_order: bool = True
     outer_iterations: int = 400
     seed: int = 0
@@ -162,26 +168,15 @@ class MetaConfig:
             raise ConfigError("points per split must be >= 1")
         if self.outer_iterations < 1:
             raise ConfigError("outer_iterations must be >= 1")
-        if self.mode == "tree_fixed" and self.fixed_tree is None:
-            raise ConfigError("tree_fixed mode needs fixed_tree")
-        if self.mode == "tree_learned":
-            if self.cluster is None:
-                raise ConfigError("tree_learned mode needs a cluster config")
-            if self.inner_steps != self.cluster.max_depth + 1:
-                raise ConfigError(
-                    "tree_learned needs inner_steps = cluster.max_depth + 1 "
-                    "(clustered steps plus one task-specific step)"
-                )
+        if not self.xi >= 0:  # inf is allowed, NaN is not
+            raise ConfigError("xi must be non-negative")
 
     def describe(self) -> dict:
         """JSON-able view for config hashing, one key per field: fixed_tree
-        reduced to its label (the callable is not serializable), cluster to
-        its fields."""
+        reduced to its label (the callable is not serializable)."""
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.fixed_tree is not None:
             d["fixed_tree"] = {"label": self.fixed_tree.label}
-        if self.cluster is not None:
-            d["cluster"] = asdict(self.cluster)
         return d
 
 
@@ -301,7 +296,8 @@ def _per_task(method, P: np.ndarray, stack: BatchStack, *extra: np.ndarray) -> n
 
 
 def _fixed_paths(tasks: TaskBatch, cfg: MetaConfig) -> np.ndarray:
-    paths = np.asarray(cfg.fixed_tree.path_of(tasks, cfg.inner_steps))
+    tree = cfg.fixed_tree or generator_hierarchy_tree()
+    paths = np.asarray(tree.path_of(tasks, cfg.inner_steps))
     if paths.shape != (len(tasks), cfg.inner_steps):
         raise TreeShapeError(f"fixed paths have shape {paths.shape}, expected "
                              f"({len(tasks)}, {cfg.inner_steps}): one key per task per step")
@@ -355,6 +351,8 @@ def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: st
     follow, when not None, the one task whose path is stepped."""
     m, K = len(tasks), cfg.inner_steps
     paths = _fixed_paths(tasks, cfg) if mode == "tree_fixed" else None
+    # one clustered step per tree level below the root, then the task-specific step
+    cluster = ClusterConfig(K - 1, cfg.xi) if mode == "tree_learned" and K > 1 else None
     P = omega[None]  # a row per cluster, or the followed cluster's alone
     owner = np.zeros(m, dtype=np.intp)
     stepped_all = True
@@ -371,7 +369,7 @@ def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: st
         elif mode == "tree_fixed":
             owner, parent = _fixed_partition(paths, k, owner)
         else:
-            owner, parent = _learned_partition(G, owner, len(P), cfg.cluster)
+            owner, parent = _learned_partition(G, owner, len(P), cluster)
         if follow is None or (mode == "tree_learned" and k <= K - 2):
             # every cluster: the trace is full, or the next clustering step
             # reads the gradients at every cluster's parameters

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from treemaml.clustering import build_tree, clusters_at_level
+from treemaml.clustering import ClusterConfig, build_tree, clusters_at_level
 from treemaml.models import Batch
 
 
@@ -105,7 +105,8 @@ def _partition_step(tasks, grads, k, cfg, prev_level, index, paths):
         items = [tid for tid in parent.members if tid not in zero]
         if items:
             G = np.array([grads[tid] for tid in items])
-            for cluster in clusters_at_level(build_tree(items, G, cfg.cluster), 1):
+            tree = build_tree(items, G, ClusterConfig(cfg.inner_steps - 1, cfg.xi))
+            for cluster in clusters_at_level(tree, 1):
                 cset = set(cluster)
                 out.append(([tid for tid in parent.members if tid in cset], p_idx))
         out.extend(([tid], p_idx) for tid in parent.members if tid in zero)

@@ -1,6 +1,8 @@
 """Spec loading, grid execution, rendering, and the treemaml entry point."""
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from treemaml.cli import (
     trace_tree_to_dict,
     write_outputs,
 )
-from treemaml.clustering import ClusterConfig
 from treemaml.meta import MetaConfig, adapt_tree, generator_hierarchy_tree
 from treemaml.models import LinearRegressionModel
 from treemaml.numerics import confidence_halfwidth_95
@@ -35,8 +36,7 @@ def small_dict(**overrides):
         "generator": {"dim": 6, "branching": [2, 2], "level_scales": [1.0, 1.0, 0.5],
                       "noise_std": 0.01, "seed": 2},
         "meta": {"inner_lr": 0.01, "outer_lr": 0.01, "inner_steps": 3,
-                 "tasks_per_batch": 4, "outer_iterations": 3, "seed": 0},
-        "clustering": {"max_depth": 2, "xi": 1.0},
+                 "tasks_per_batch": 4, "outer_iterations": 3, "seed": 0, "xi": 1.0},
         "modes": ["baseline", "maml", "tree_fixed", "tree_learned"],
         "points_sweep": [4],
         "meta_test_tasks": 5,
@@ -55,7 +55,7 @@ def test_spec_from_dict_applies_sections():
     spec = small_spec()
     assert spec.generator.dim == 6
     assert spec.meta.inner_lr == 0.01
-    assert spec.meta.cluster.max_depth == 2
+    assert spec.meta.xi == 1.0
     assert spec.modes == ("baseline", "maml", "tree_fixed", "tree_learned")
     assert spec.points_sweep == (4,)
     assert spec.replicate_seeds == (0,)
@@ -109,7 +109,7 @@ def test_load_spec_rejects_bad_input(tmp_path):
         load_spec(unknown)
     # cosine similarity and the argmax child are fixed, not clustering knobs
     for knob in ({"similarity": "cosine"}, {"most_similar": "argmax"}):
-        unknown.write_text(json.dumps(small_dict(clustering={"max_depth": 2, **knob})))
+        unknown.write_text(json.dumps(small_dict(meta={"inner_steps": 3, **knob})))
         with pytest.raises(ConfigError):
             load_spec(unknown)
 
@@ -120,8 +120,9 @@ def test_cell_config_specializes_the_template():
     assert cfg.mode == "tree_fixed"
     assert cfg.points_train == 7 and cfg.points_val == 7
     assert cfg.seed == 3
-    assert cfg.fixed_tree is not None
-    assert cell_config(spec, "maml", 7, 3).fixed_tree is None
+    # nothing else: tree_fixed reads the generator paths when fixed_tree is None
+    assert cfg == replace(spec.meta, mode="tree_fixed", points_train=7, points_val=7, seed=3)
+    assert cfg.fixed_tree is None
 
 
 def test_run_experiment_covers_the_grid():
@@ -301,7 +302,7 @@ NAN, INF = float("nan"), float("inf")
     ("meta", "inner_lr", INF, ConfigError),
     ("meta", "outer_lr", NAN, ConfigError),
     ("meta", "outer_lr", INF, ConfigError),
-    ("clustering", "xi", NAN, ValueError),
+    ("meta", "xi", NAN, ConfigError),
 ])
 def test_non_finite_config_scalars_are_rejected(tmp_path, capsys, section, field, value, error):
     d = small_dict()
@@ -346,18 +347,15 @@ def test_negative_replicate_seed_is_a_spec_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_a_mode_specific_spec_error_fails_at_load(tmp_path, capsys):
-    # tree_learned needs inner_steps = max_depth + 1; the maml cell alone is
-    # fine, so only a check of every mode's cell config at load catches it
-    d = small_dict(modes=["maml", "tree_learned"], clustering={"max_depth": 3, "xi": 1.0})
+def test_the_retired_clustering_section_fails_at_load(tmp_path, capsys):
+    # meta.xi took its place, and the tree depth is inner_steps - 1; no cell
+    # runs, also when --mode picks only modes that never cluster
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(d))
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({**d, "modes": ["maml"]}))
-    for argv in (["run", str(bad)], ["run", str(good), "--mode", "maml,tree_learned"]):
+    bad.write_text(json.dumps(small_dict(clustering={"max_depth": 2, "xi": 1.0})))
+    for argv in (["run", str(bad)], ["run", str(bad), "--mode", "maml"]):
         assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
         captured = capsys.readouterr()
-        assert "error: tree_learned needs inner_steps = cluster.max_depth + 1" in captured.err
+        assert "error: clustering is not a spec key" in captured.err
         assert "mean_mse" not in captured.out
     assert not (tmp_path / "out").exists()
 
@@ -389,6 +387,40 @@ def test_mistyped_or_repeated_spec_values_exit_2(tmp_path, capsys, section, fiel
     assert f"error: {section + '.' if section else ''}{field} " in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, field, value, error", [
+    (None, "points_swep", [99], "points_swep is not a spec key"),
+    (None, "clustring", {"xi": -5}, "clustring is not a spec key"),
+    (None, "modes", "maml", "modes must be tuple[str, ...], not 'maml'"),
+    (None, "points_sweep", 5, "points_sweep must be tuple[int, ...], not 5"),
+    (None, "replicate_seeds", 0, "replicate_seeds must be tuple[int, ...], not 0"),
+    (None, "meta", 5, "meta must be a JSON object, not 5"),
+    ("meta", "fixed_tree", "abc", "meta.fixed_tree must be Optional[FixedTreeSpec], not 'abc'"),
+    ("meta", "fixed_tree", None, "meta.fixed_tree must be Optional[FixedTreeSpec], not None"),
+    ("meta", "cluster", {"max_depth": 2}, "meta.cluster is not a spec key"),
+])
+def test_unknown_or_misshaped_spec_keys_exit_2(tmp_path, capsys, section, field, value, error):
+    # every key is a section, a section's field or a grid key, of its type
+    d = small_dict(modes=["maml"])
+    if section:
+        d[section] = {**d[section], field: value}
+    else:
+        d[field] = value
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(d))
+    assert main(["run", str(p), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {error}" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_shipped_spec_loads():
+    specs = sorted((Path(__file__).resolve().parents[1] / "specs").glob("*.json"))
+    assert specs
+    for path in specs:
+        load_spec(path)
 
 
 @pytest.mark.parametrize("flag, value", [("--points", "abc"), ("--seed", "1.5")])

@@ -362,8 +362,7 @@ def test_level1_labels_match_reference_on_recorded_gradients(monkeypatch):
     tree = build_parameter_tree(TaskGeneratorConfig(dim=8, branching=(2, 2),
                                                     level_scales=(1.0, 1.0, 0.5), seed=3))
     tasks = sample_task_batch(tree, 24, np.random.default_rng(5), n_train=5, n_val=5)
-    cfg = meta.MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.05, tasks_per_batch=24,
-                          cluster=ClusterConfig(max_depth=2, xi=1.0))
+    cfg = meta.MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.05, tasks_per_batch=24)
     calls = []
 
     def recording(ids, G, cluster):

@@ -10,6 +10,9 @@ Followed-trace tests: adapt_tree(..., follow=i) steps only what task i's
 parameters depend on; its partitions and task i's adapted parameters must be
 those of the full trace bit for bit.
 
+Mode-equivalence tests: a config that differs from another only where the
+modes coincide must adapt, meta-differentiate and evaluate like it bit for bit.
+
 Oracle tests: for the linear model each cluster step is affine in its input,
 theta_c = (I - lr H_c) theta_parent + lr r_c, so a task's adapted parameters
 are theta_i = A_i omega + b_i with A_i the product of (I - lr H_c) along its
@@ -17,11 +20,12 @@ cluster path, the meta-loss is quadratic in omega, and its gradient is
 (1/m) sum_i A_i^T g_i with g_i the validation gradient at theta_i.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import engine_reference as ref
-from treemaml.clustering import ClusterConfig
 from treemaml.meta import (
     MetaConfig,
     adapt_and_evaluate,
@@ -45,7 +49,6 @@ def config(mode, points, second_order=True):
         mode=mode, inner_lr=0.007, inner_steps=3, tasks_per_batch=M,
         points_train=points, points_val=points, second_order=second_order,
         fixed_tree=generator_hierarchy_tree() if mode == "tree_fixed" else None,
-        cluster=ClusterConfig(max_depth=2, xi=1.0),
     )
 
 
@@ -195,6 +198,41 @@ def test_followed_trace_rejects_what_it_cannot_answer():
         followed.task_params(1)
     with pytest.raises(ValueError, match="follows no task"):
         adapt_tree(MODEL, omega, tasks, cfg).followed_params
+
+
+def assert_same_adaptation(cfg_a, cfg_b, points, seed):
+    """cfg_a and cfg_b give the same full-trace parameters, meta-gradients of
+    either order and followed meta-test losses, bit for bit."""
+    rng = np.random.default_rng([400, seed])
+    tasks = sample_task_batch(TREE, M, rng, points, points)
+    for omega in omegas(seed):
+        a, b = adapt_tree(MODEL, omega, tasks, cfg_a), adapt_tree(MODEL, omega, tasks, cfg_b)
+        assert a.partition_sizes == b.partition_sizes
+        for k in range(cfg_a.inner_steps + 1):
+            assert np.array_equal(a.task_params(k), b.task_params(k))
+        for second_order in (True, False):
+            g_a = meta_gradient(MODEL, a, replace(cfg_a, second_order=second_order))
+            assert np.array_equal(g_a, meta_gradient(MODEL, b, replace(cfg_b, second_order=second_order)))
+        support = sample_task_batch(TREE, M, rng, points, 0, start_id=1000)
+        target = sample_task_batch(TREE, 1, rng, points, 0, n_test=20, start_id=5000)
+        assert (adapt_and_evaluate(MODEL, omega, support, target, cfg_a)
+                == adapt_and_evaluate(MODEL, omega, support, target, cfg_b))
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_tree_learned_with_one_or_two_inner_steps_is_maml(steps):
+    # the tree has inner_steps - 1 levels: at one step nothing is clustered,
+    # and at two the depth-1 tree only widens its root, so every task steps
+    # alone at every step, as in maml
+    maml, learned = (replace(config(mode, 5), inner_steps=steps) for mode in ("maml", "tree_learned"))
+    assert_same_adaptation(maml, learned, 5, steps)
+
+
+@pytest.mark.parametrize("points", [5, 128])
+def test_tree_fixed_defaults_to_the_generator_paths(points):
+    explicit = config("tree_fixed", points)
+    assert explicit.fixed_tree.label == "generator"
+    assert_same_adaptation(explicit, replace(explicit, fixed_tree=None), points, 3)
 
 
 def closed_form(omega, trace, cfg):

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from treemaml.clustering import ClusterConfig
 from treemaml.meta import (
     CapabilityError,
     DivergenceError,
@@ -163,19 +162,21 @@ def test_meta_config_validation():
         MetaConfig(inner_lr=-0.1)
     with pytest.raises(ConfigError):
         MetaConfig(inner_steps=0)
-    with pytest.raises(ConfigError):
-        MetaConfig(mode="tree_fixed")
-    with pytest.raises(ConfigError):
-        MetaConfig(mode="tree_learned")
-    with pytest.raises(ConfigError):
-        MetaConfig(mode="tree_learned", inner_steps=2, cluster=ClusterConfig(max_depth=2))
+    for xi in (-0.1, math.nan):
+        with pytest.raises(ConfigError):
+            MetaConfig(xi=xi)
+    assert MetaConfig(xi=math.inf).xi == math.inf
+    # no mode needs a field of its own, and no rule ties inner_steps to a tree depth
+    for K in (1, 2, 3, 4):
+        assert MetaConfig(mode="tree_fixed", inner_steps=K).fixed_tree is None
+        assert MetaConfig(mode="tree_learned", inner_steps=K).xi == 1.0
 
 
 def test_config_describe_and_hash():
-    cfg = MetaConfig(mode="tree_learned", inner_steps=3, cluster=ClusterConfig(max_depth=2))
+    cfg = MetaConfig(mode="tree_learned", inner_steps=3)
     d = cfg.describe()
     json.dumps(d)  # must be serializable
-    assert d["cluster"] == {"max_depth": 2, "xi": 1.0}
+    assert d["xi"] == 1.0
     assert set(d) == {f.name for f in dataclasses.fields(MetaConfig)}
     assert stable_hash(d) == stable_hash(dict(reversed(list(d.items()))))
     assert stable_hash(d) != stable_hash({**d, "inner_lr": 0.5})
@@ -326,8 +327,7 @@ def test_learned_tree_groups_by_gradient_direction():
     model = LinearRegressionModel(2)
     dirs = [(1.0, 0.0), (0.996, 0.087), (0.0, 1.0), (0.087, 0.996)]
     tasks = join([make_task(i, [list(d)], [1.0]) for i, d in enumerate(dirs)])
-    cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01,
-                     cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
+    cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01, tasks_per_batch=4)
     trace = adapt_tree(model, np.zeros(2), tasks, cfg)
     assert trace.partition_sizes == [2, 4, 4]
     assert sorted(members(trace, 1)) == [(0, 1), (2, 3)]
@@ -343,8 +343,7 @@ def test_learned_tree_puts_zero_gradient_tasks_in_singletons():
     x0 = rng.uniform(-2, 2, size=(4, 3))
     rest = random_task_list(rng, 4, 3)
     tasks = join([make_task(0, x0, x0 @ omega), *rest[1:]])
-    cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01,
-                     cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
+    cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01, tasks_per_batch=4)
     trace = adapt_tree(model, omega, tasks, cfg)
     for k in (1, 2):
         assert (0,) in members(trace, k)
@@ -459,8 +458,7 @@ def test_meta_gradient_learned_tree_matches_finite_differences():
     model = LinearRegressionModel(2)
     dirs = [(1.0, 0.0), (0.996, 0.087), (0.0, 1.0), (0.087, 0.996)]
     tasks = join([make_task(i, [list(d)], [1.0]) for i, d in enumerate(dirs)])
-    cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.05,
-                     cluster=ClusterConfig(max_depth=2, xi=1.0), tasks_per_batch=4)
+    cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.05, tasks_per_batch=4)
     omega = np.array([0.2, -0.1])
     g = meta_gradient(model, adapt_tree(model, omega, tasks, cfg), cfg)
     fd = finite_difference_gradient(
@@ -727,8 +725,7 @@ def test_adapt_and_evaluate_tree_learned_runs():
     sampler = make_sampler(seed=9)
     support = sampler.sample_batch(4, 5, 5)
     target = sampler.sample_batch(1, 5, 0, n_test=10)
-    cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01,
-                     cluster=ClusterConfig(max_depth=2, xi=1.0))
+    cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01)
     mse = adapt_and_evaluate(model, rng.normal(0, 0.01, 4), support, target, cfg)
     assert math.isfinite(mse) and mse >= 0.0
 
