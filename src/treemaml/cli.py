@@ -61,18 +61,17 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("modes", "points_sweep", "replicate_seeds"):
-            values = tuple(getattr(self, name))
-            object.__setattr__(self, name, values)
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigError(f"{name} must be a non-empty list or tuple, not {values!r}")
+            if name != "modes" and any(type(v) is not int for v in values):  # not a bool either
+                raise ConfigError(f"{name} entries must be integers: {list(values)}")
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} has a duplicate entry: {list(values)}")
+            object.__setattr__(self, name, tuple(values))
         unknown = [m for m in self.modes if m not in MODES]
         if unknown:
             raise ConfigError(f"unknown modes {unknown}; allowed: {list(MODES)}")
-        if not self.modes or not self.points_sweep or not self.replicate_seeds:
-            raise ConfigError("modes, points_sweep and replicate_seeds must be non-empty")
-        for name in ("points_sweep", "replicate_seeds"):
-            if any(type(v) is not int for v in getattr(self, name)):  # not a bool either
-                raise ConfigError(f"{name} entries must be integers: {list(getattr(self, name))}")
         if any(s < 0 for s in self.replicate_seeds):
             raise ConfigError("replicate_seeds entries must be non-negative")
         if any(p < 1 for p in self.points_sweep):
@@ -92,8 +91,7 @@ def _has_type(kind: str, value) -> bool:
     type this cannot check, such as FixedTreeSpec, so a spec cannot set a
     field of that type."""
     if kind.startswith("Optional["):
-        inner = kind[len("Optional["):-1]
-        return _has_type(inner, value) or (value is None and inner in _TYPES)
+        return value is None or _has_type(kind[len("Optional["):-1], value)
     if kind.startswith("tuple[") and kind.endswith(", ...]"):
         return (isinstance(value, (list, tuple))
                 and all(_has_type(kind[len("tuple["):-len(", ...]")], v) for v in value))
@@ -108,6 +106,9 @@ def _checked(section: str, cls, values: dict) -> dict:
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     for name, value in values.items():
         where = f"{section}.{name}" if section else name
+        grid_key = {"mode": "modes", "points": "points_sweep", "seed": "replicate_seeds"}.get(name)
+        if cls is MetaConfig and grid_key:
+            raise ConfigError(f"{where} is set per cell by the grid key {grid_key}")
         if name not in types:
             raise ConfigError(f"{where} is not a spec key")
         if not _has_type(types[name], value):
@@ -169,7 +170,7 @@ class ExperimentOutcome:
 
 def cell_config(spec: ExperimentSpec, mode: str, points: int, seed: int) -> MetaConfig:
     """Specialize the spec's meta template to one grid cell."""
-    return replace(spec.meta, mode=mode, points_train=points, points_val=points, seed=seed)
+    return replace(spec.meta, mode=mode, points=points, seed=seed)
 
 
 def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: int,

@@ -107,34 +107,40 @@ class FixedTreeSpec:
     path_of(tasks, K) returns an (m, K) integer array for K = cfg.inner_steps,
     row i task i's keys; tasks sharing a length-k prefix share a cluster at
     step k. label identifies the assignment rule in config hashes (the
-    callable is not serializable).
+    callable is not serializable). Each built-in tree is one module-level
+    value, so two configs naming it compare and hash equal.
     """
 
     path_of: Callable[[TaskBatch, int], np.ndarray]
     label: str = "custom"
 
 
+def _generator_paths(tasks: TaskBatch, K: int) -> np.ndarray:
+    keys = np.zeros((len(tasks), K), dtype=np.int64)
+    known = min(K - 1, tasks.paths.shape[1])
+    keys[:, :known] = tasks.paths[:, :known]
+    keys[:, -1] = tasks.ids
+    return keys
+
+
+_GENERATOR = FixedTreeSpec(_generator_paths, "generator")
+_SINGLETON = FixedTreeSpec(lambda t, K: np.repeat(t.ids[:, None], K, axis=1), "singleton")
+_SINGLE_CLUSTER = FixedTreeSpec(lambda t, K: np.zeros((len(t), K), np.int64), "single-cluster")
+
+
 def generator_hierarchy_tree() -> FixedTreeSpec:
     """Fixed tree reading each task's known generator path, final step task-specific."""
-
-    def path_of(tasks: TaskBatch, K: int) -> np.ndarray:
-        keys = np.zeros((len(tasks), K), dtype=np.int64)
-        known = min(K - 1, tasks.paths.shape[1])
-        keys[:, :known] = tasks.paths[:, :known]
-        keys[:, -1] = tasks.ids
-        return keys
-
-    return FixedTreeSpec(path_of, label="generator")
+    return _GENERATOR
 
 
 def singleton_tree() -> FixedTreeSpec:
     """Every task alone at every step (the maml-degenerate fixed tree)."""
-    return FixedTreeSpec(lambda t, K: np.repeat(t.ids[:, None], K, axis=1), label="singleton")
+    return _SINGLETON
 
 
 def single_cluster_tree() -> FixedTreeSpec:
     """All tasks pooled at every step (one gradient averaged across all tasks)."""
-    return FixedTreeSpec(lambda t, K: np.zeros((len(t), K), dtype=np.int64), label="single-cluster")
+    return _SINGLE_CLUSTER
 
 
 @dataclass(frozen=True)
@@ -145,10 +151,9 @@ class MetaConfig:
     outer_lr: float = 0.002
     inner_steps: int = 3
     tasks_per_batch: int = 8
-    points_train: int = 5
-    points_val: int = 5
+    points: int = 5
     mode: str = "maml"
-    fixed_tree: Optional[FixedTreeSpec] = None
+    fixed_tree: FixedTreeSpec = _GENERATOR
     xi: float = 1.0
     second_order: bool = True
     outer_iterations: int = 400
@@ -160,24 +165,19 @@ class MetaConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not (0 <= self.inner_lr < math.inf and 0 <= self.outer_lr < math.inf):
             raise ConfigError("learning rates must be finite and non-negative")
-        if self.inner_steps < 1:
-            raise ConfigError("inner_steps must be >= 1")
-        if self.tasks_per_batch < 1:
-            raise ConfigError("tasks_per_batch must be >= 1")
-        if self.points_train < 1 or self.points_val < 1:
-            raise ConfigError("points per split must be >= 1")
-        if self.outer_iterations < 1:
-            raise ConfigError("outer_iterations must be >= 1")
+        for name in ("inner_steps", "tasks_per_batch", "points", "outer_iterations"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not self.xi >= 0:  # inf is allowed, NaN is not
             raise ConfigError("xi must be non-negative")
+        if not isinstance(self.fixed_tree, FixedTreeSpec):
+            raise ConfigError(f"fixed_tree must be a FixedTreeSpec, not {self.fixed_tree!r}")
 
     def describe(self) -> dict:
         """JSON-able view for config hashing, one key per field: fixed_tree
         reduced to its label (the callable is not serializable)."""
         d = {f.name: getattr(self, f.name) for f in fields(self)}
-        if self.fixed_tree is not None:
-            d["fixed_tree"] = {"label": self.fixed_tree.label}
-        return d
+        return {**d, "fixed_tree": {"label": self.fixed_tree.label}}
 
 
 def stable_hash(payload: dict) -> str:
@@ -296,8 +296,7 @@ def _per_task(method, P: np.ndarray, stack: BatchStack, *extra: np.ndarray) -> n
 
 
 def _fixed_paths(tasks: TaskBatch, cfg: MetaConfig) -> np.ndarray:
-    tree = cfg.fixed_tree or generator_hierarchy_tree()
-    paths = np.asarray(tree.path_of(tasks, cfg.inner_steps))
+    paths = np.asarray(cfg.fixed_tree.path_of(tasks, cfg.inner_steps))
     if paths.shape != (len(tasks), cfg.inner_steps):
         raise TreeShapeError(f"fixed paths have shape {paths.shape}, expected "
                              f"({len(tasks)}, {cfg.inner_steps}): one key per task per step")
@@ -500,9 +499,9 @@ def meta_train(model, task_source, cfg: MetaConfig):
 
     omega is a read-only (model.dim,) array. It starts at N(0, 0.01^2) per
     coordinate from cfg.seed. Baseline mode skips adaptation and takes one
-    pooled-gradient step per iteration over the batch tasks' train+val points. Raises DivergenceError, naming the
-    iteration and the phase, when the tracked loss goes non-finite or above
-    DIVERGENCE_LIMIT or any step's values go non-finite.
+    pooled-gradient step per iteration over the batch tasks' train+val points.
+    Raises DivergenceError, naming the iteration and phase, when the tracked
+    loss or any step's values go non-finite, or the loss passes DIVERGENCE_LIMIT.
     """
     rng = np.random.default_rng(cfg.seed)
     omega = rng.normal(0.0, 0.01, model.dim)
@@ -510,7 +509,7 @@ def meta_train(model, task_source, cfg: MetaConfig):
     log = []
     for it in range(1, cfg.outer_iterations + 1):
         t0 = time.perf_counter()
-        batch = task_source.sample_batch(cfg.tasks_per_batch, cfg.points_train, cfg.points_val)
+        batch = task_source.sample_batch(cfg.tasks_per_batch, cfg.points, cfg.points)
         try:
             if cfg.mode == "baseline":
                 Xt, Yt, Xv, Yv = (np.concatenate(a) for s in (batch.train, batch.val)

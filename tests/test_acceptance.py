@@ -258,7 +258,7 @@ def test_criterion_7_rerun_gives_byte_identical_csv():
             "generator": {"dim": 16, "branching": [2, 2], "level_scales": [1.0, 1.0, 0.5],
                           "noise_std": 0.01, "seed": 0},
             "meta": {"inner_lr": 0.007, "outer_lr": 0.005, "inner_steps": 3,
-                     "tasks_per_batch": 16, "outer_iterations": 40, "seed": 0, "xi": 1.0},
+                     "tasks_per_batch": 16, "outer_iterations": 40, "xi": 1.0},
             "points_sweep": [5],
             "meta_test_tasks": 50,
             "replicate_seeds": [0],

@@ -36,7 +36,7 @@ def small_dict(**overrides):
         "generator": {"dim": 6, "branching": [2, 2], "level_scales": [1.0, 1.0, 0.5],
                       "noise_std": 0.01, "seed": 2},
         "meta": {"inner_lr": 0.01, "outer_lr": 0.01, "inner_steps": 3,
-                 "tasks_per_batch": 4, "outer_iterations": 3, "seed": 0, "xi": 1.0},
+                 "tasks_per_batch": 4, "outer_iterations": 3, "xi": 1.0},
         "modes": ["baseline", "maml", "tree_fixed", "tree_learned"],
         "points_sweep": [4],
         "meta_test_tasks": 5,
@@ -85,6 +85,12 @@ def test_spec_validation_errors():
         ExperimentSpec(gen, meta, meta_test_tasks=1)
     with pytest.raises(ConfigError):
         ExperimentSpec(gen, meta, eval_test_points=0)
+    # a library caller's grid key is checked too: no string read as its
+    # characters, no number taken as a one-entry sweep
+    for field, value in (("modes", "maml"), ("points_sweep", 5), ("replicate_seeds", 0),
+                         ("replicate_seeds", range(3))):
+        with pytest.raises(ConfigError, match=f"^{field} must be a non-empty list or tuple, not "):
+            ExperimentSpec(gen, meta, **{field: value})
 
 
 def test_load_spec_round_trip(tmp_path):
@@ -118,11 +124,11 @@ def test_cell_config_specializes_the_template():
     spec = small_spec()
     cfg = cell_config(spec, "tree_fixed", 7, 3)
     assert cfg.mode == "tree_fixed"
-    assert cfg.points_train == 7 and cfg.points_val == 7
+    assert cfg.points == 7
     assert cfg.seed == 3
-    # nothing else: tree_fixed reads the generator paths when fixed_tree is None
-    assert cfg == replace(spec.meta, mode="tree_fixed", points_train=7, points_val=7, seed=3)
-    assert cfg.fixed_tree is None
+    # nothing else: tree_fixed reads the generator paths, the default fixed_tree
+    assert cfg == replace(spec.meta, mode="tree_fixed", points=7, seed=3)
+    assert cfg.fixed_tree == generator_hierarchy_tree()
 
 
 def test_run_experiment_covers_the_grid():
@@ -396,9 +402,13 @@ def test_mistyped_or_repeated_spec_values_exit_2(tmp_path, capsys, section, fiel
     (None, "points_sweep", 5, "points_sweep must be tuple[int, ...], not 5"),
     (None, "replicate_seeds", 0, "replicate_seeds must be tuple[int, ...], not 0"),
     (None, "meta", 5, "meta must be a JSON object, not 5"),
-    ("meta", "fixed_tree", "abc", "meta.fixed_tree must be Optional[FixedTreeSpec], not 'abc'"),
-    ("meta", "fixed_tree", None, "meta.fixed_tree must be Optional[FixedTreeSpec], not None"),
+    ("meta", "fixed_tree", "abc", "meta.fixed_tree must be FixedTreeSpec, not 'abc'"),
+    ("meta", "fixed_tree", None, "meta.fixed_tree must be FixedTreeSpec, not None"),
     ("meta", "cluster", {"max_depth": 2}, "meta.cluster is not a spec key"),
+    ("meta", "mode", "maml", "meta.mode is set per cell by the grid key modes"),
+    ("meta", "points", 5, "meta.points is set per cell by the grid key points_sweep"),
+    ("meta", "seed", 0, "meta.seed is set per cell by the grid key replicate_seeds"),
+    ("meta", "points_train", 5, "meta.points_train is not a spec key"),
 ])
 def test_unknown_or_misshaped_spec_keys_exit_2(tmp_path, capsys, section, field, value, error):
     # every key is a section, a section's field or a grid key, of its type

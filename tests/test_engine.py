@@ -27,6 +27,7 @@ import pytest
 
 import engine_reference as ref
 from treemaml.meta import (
+    FixedTreeSpec,
     MetaConfig,
     adapt_and_evaluate,
     adapt_tree,
@@ -47,8 +48,7 @@ MODEL = LinearRegressionModel(DIM)
 def config(mode, points, second_order=True):
     return MetaConfig(
         mode=mode, inner_lr=0.007, inner_steps=3, tasks_per_batch=M,
-        points_train=points, points_val=points, second_order=second_order,
-        fixed_tree=generator_hierarchy_tree() if mode == "tree_fixed" else None,
+        points=points, second_order=second_order,
     )
 
 
@@ -230,9 +230,11 @@ def test_tree_learned_with_one_or_two_inner_steps_is_maml(steps):
 
 @pytest.mark.parametrize("points", [5, 128])
 def test_tree_fixed_defaults_to_the_generator_paths(points):
-    explicit = config("tree_fixed", points)
-    assert explicit.fixed_tree.label == "generator"
-    assert_same_adaptation(explicit, replace(explicit, fixed_tree=None), points, 3)
+    default = config("tree_fixed", points)
+    assert default.fixed_tree == generator_hierarchy_tree()
+    # a tree of its own that reads the generator paths, then the task ids
+    custom = FixedTreeSpec(lambda t, K: np.column_stack((t.paths[:, :K - 1], t.ids)))
+    assert_same_adaptation(default, replace(default, fixed_tree=custom), points, 3)
 
 
 def closed_form(omega, trace, cfg):

@@ -168,7 +168,7 @@ def test_meta_config_validation():
     assert MetaConfig(xi=math.inf).xi == math.inf
     # no mode needs a field of its own, and no rule ties inner_steps to a tree depth
     for K in (1, 2, 3, 4):
-        assert MetaConfig(mode="tree_fixed", inner_steps=K).fixed_tree is None
+        assert MetaConfig(mode="tree_fixed", inner_steps=K).fixed_tree == generator_hierarchy_tree()
         assert MetaConfig(mode="tree_learned", inner_steps=K).xi == 1.0
 
 
@@ -180,6 +180,25 @@ def test_config_describe_and_hash():
     assert set(d) == {f.name for f in dataclasses.fields(MetaConfig)}
     assert stable_hash(d) == stable_hash(dict(reversed(list(d.items()))))
     assert stable_hash(d) != stable_hash({**d, "inner_lr": 0.5})
+
+
+def test_one_form_per_config():
+    # the default tree is the generator tree, as a value: equal configs, one hash
+    default = MetaConfig(mode="tree_fixed")
+    explicit = MetaConfig(mode="tree_fixed", fixed_tree=generator_hierarchy_tree())
+    assert default == explicit
+    assert default.describe() == explicit.describe()
+    assert stable_hash(default.describe()) == stable_hash(explicit.describe())
+    for factory in (generator_hierarchy_tree, singleton_tree, single_cluster_tree):
+        assert factory() == factory()
+    assert singleton_tree() != single_cluster_tree()
+    assert [f.name for f in dataclasses.fields(MetaConfig)].count("points") == 1
+    assert len(dataclasses.fields(MetaConfig)) == 12
+    for bad in (None, "generator", generator_hierarchy_tree):
+        with pytest.raises(ConfigError, match="fixed_tree must be a FixedTreeSpec"):
+            MetaConfig(mode="tree_fixed", fixed_tree=bad)
+    with pytest.raises(ConfigError, match="points must be >= 1"):
+        MetaConfig(points=0)
 
 
 def test_inner_step_task_hand_value():
@@ -404,7 +423,7 @@ def test_parameters_are_read_only():
     tree = build_parameter_tree(gen)
     model = LinearRegressionModel(4)
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.01, tasks_per_batch=4,
-                     points_train=4, points_val=4, outer_iterations=2,
+                     points=4, outer_iterations=2,
                      fixed_tree=generator_hierarchy_tree())
     omega, _ = meta_train(model, TaskSampler(tree, np.random.default_rng(0)), cfg)
     tasks = TaskSampler(tree, np.random.default_rng(1)).sample_batch(4, 4, 4)
@@ -439,7 +458,7 @@ def test_meta_gradient_matches_finite_differences():
         model = model_cache.setdefault(dim, LinearRegressionModel(dim))
         tasks = random_tasks(rng, m, dim, path_levels=K)
         mode = ["maml", "tree_fixed"][trial % 2]
-        fixed = FixedTreeSpec(lambda t, k: t.paths[:, :k]) if mode == "tree_fixed" else None
+        fixed = FixedTreeSpec(lambda t, k: t.paths[:, :k])  # maml ignores it
         cfg = MetaConfig(mode=mode, fixed_tree=fixed, inner_steps=K,
                          inner_lr=float(rng.uniform(0.01, 0.2)), tasks_per_batch=m)
         omega = rng.normal(size=dim)
@@ -563,7 +582,7 @@ def make_sampler(dim=4, seed=0, gen_seed=1):
 def test_meta_train_is_deterministic_and_logs():
     model = LinearRegressionModel(4)
     cfg = MetaConfig(mode="maml", inner_steps=2, inner_lr=0.01, outer_lr=0.01,
-                     tasks_per_batch=4, points_train=4, points_val=4,
+                     tasks_per_batch=4, points=4,
                      outer_iterations=10, seed=3)
     w1, log1 = meta_train(model, make_sampler(), cfg)
     w2, log2 = meta_train(model, make_sampler(), cfg)
@@ -578,7 +597,7 @@ def test_meta_train_is_deterministic_and_logs():
 def test_meta_train_baseline_logs_empty_partitions():
     model = LinearRegressionModel(4)
     cfg = MetaConfig(mode="baseline", outer_lr=0.001, tasks_per_batch=4,
-                     points_train=4, points_val=4, outer_iterations=5, seed=3)
+                     points=4, outer_iterations=5, seed=3)
     omega, log = meta_train(model, make_sampler(), cfg)
     assert omega.shape == (4,)
     assert all(r["partitions"] == [] for r in log)
@@ -593,7 +612,7 @@ def test_meta_train_reduces_the_meta_loss():
     sampler = TaskSampler(build_parameter_tree(gen), np.random.default_rng(5))
     model = LinearRegressionModel(4)
     cfg = MetaConfig(mode="maml", inner_steps=2, inner_lr=0.04, outer_lr=0.03,
-                     tasks_per_batch=8, points_train=6, points_val=6,
+                     tasks_per_batch=8, points=6,
                      outer_iterations=150, seed=0)
     _, log = meta_train(model, sampler, cfg)
     tail = np.mean([r["meta_loss"] for r in log[-10:]])
@@ -603,7 +622,7 @@ def test_meta_train_reduces_the_meta_loss():
 def test_meta_train_raises_on_divergence():
     model = LinearRegressionModel(4)
     cfg = MetaConfig(mode="maml", inner_steps=3, inner_lr=2.0, outer_lr=0.001,
-                     tasks_per_batch=4, points_train=4, points_val=4,
+                     tasks_per_batch=4, points=4,
                      outer_iterations=5, seed=0)
     with pytest.raises(DivergenceError) as err:
         meta_train(model, make_sampler(), cfg)
