@@ -37,6 +37,7 @@ from .tasks import (
     ConfigError,
     TaskGeneratorConfig,
     TaskSampler,
+    _require_int,
     build_parameter_tree,
     distribution_to_dict,
     sample_task_batch,
@@ -76,6 +77,8 @@ class ExperimentSpec:
             raise ConfigError("replicate_seeds entries must be non-negative")
         if any(p < 1 for p in self.points_sweep):
             raise ConfigError("points_sweep entries must be >= 1")
+        _require_int("meta_test_tasks", self.meta_test_tasks)
+        _require_int("eval_test_points", self.eval_test_points)
         if self.meta_test_tasks < 2:
             raise ConfigError("meta_test_tasks must be >= 2 (CI needs two samples)")
         if self.eval_test_points < 1:
@@ -185,21 +188,22 @@ def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: i
 
     m = cfg.tasks_per_batch
     needs_support = mode in ("tree_fixed", "tree_learned")
+
+    def draw(ss, tasks, n_test, start_id):
+        return sample_task_batch(tree, tasks, np.random.default_rng(ss), n_train=points,
+                                 n_val=0, n_test=n_test, start_id=start_id)
+
     per_task = []
     for i, child in enumerate(eval_ss.spawn(spec.meta_test_tasks)):
         support_ss, target_ss = child.spawn(2)
-        target = sample_task_batch(
-            tree, 1, np.random.default_rng(target_ss),
-            n_train=points, n_val=0, n_test=spec.eval_test_points,
-            start_id=_TARGET_ID_BASE + i,
-        )
-        support = None
-        if needs_support:
-            support = sample_task_batch(
-                tree, m, np.random.default_rng(support_ss),
-                n_train=points, n_val=0, start_id=_SUPPORT_ID_BASE + i * m,
-            )
-        per_task.append(adapt_and_evaluate(model, omega, support, target, cfg))
+        # Drawn as arguments, so no name keeps target i's batches alive
+        # while target i + 1 draws.
+        per_task.append(adapt_and_evaluate(
+            model, omega,
+            draw(support_ss, m, 0, _SUPPORT_ID_BASE + i * m) if needs_support else None,
+            draw(target_ss, 1, spec.eval_test_points, _TARGET_ID_BASE + i),
+            cfg,
+        ))
     wall = time.perf_counter() - t0
 
     result = RunResult(

@@ -202,8 +202,9 @@ class _Ladder:
                 v.height = max(v.height, kids[idx].height + 1)
                 self._refresh(v, idx, dots)
                 return v
-            threshold = before - self.xi * _std(pairs, before)
-            if after < threshold and depth + v.height + 1 <= self.max_depth:
+            # the depth bound first: it blocks most calls, and _std is the costly part
+            if (depth + v.height + 1 <= self.max_depth
+                    and after < before - self.xi * _std(pairs, before)):
                 # Branch 4: outlier; this whole node and the item become
                 # siblings under a fresh parent occupying the node's slot.
                 if v.row is None:  # the root, about to become a child

@@ -69,7 +69,7 @@ import numpy as np
 from .clustering import ClusterConfig, build_tree, level1_labels
 from .models import Batch, BatchStack, EmptyBatchError, _frozen
 from .numerics import NumericalError
-from .tasks import ConfigError, TaskBatch
+from .tasks import ConfigError, TaskBatch, _require_int
 
 MODES = ("baseline", "maml", "tree_fixed", "tree_learned")
 
@@ -165,7 +165,9 @@ class MetaConfig:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not (0 <= self.inner_lr < math.inf and 0 <= self.outer_lr < math.inf):
             raise ConfigError("learning rates must be finite and non-negative")
+        _require_int("seed", self.seed)
         for name in ("inner_steps", "tasks_per_batch", "points", "outer_iterations"):
+            _require_int(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if not self.xi >= 0:  # inf is allowed, NaN is not
@@ -494,14 +496,43 @@ def _check_meta_loss(loss: float) -> None:
         raise DivergenceError(f"meta-loss {loss:.3e}", "meta-validation")
 
 
+def meta_step(model, omega: np.ndarray, batch: TaskBatch, cfg: MetaConfig):
+    """One outer iteration on batch; returns (omega, meta_loss, partitions).
+
+    omega is the new read-only initialization, meta_loss the batch's loss
+    before the step and partitions the adaptation's partition sizes. Baseline
+    mode skips adaptation: meta_loss is the loss of omega on the pooled val
+    points, and the step is one pooled-gradient step over the batch tasks'
+    train+val points, with partitions []. Raises DivergenceError naming the
+    phase when the loss or a step's values go non-finite, or the loss passes
+    DIVERGENCE_LIMIT.
+    """
+    if cfg.mode == "baseline":
+        Xt, Yt, Xv, Yv = (np.concatenate(a) for s in (batch.train, batch.val)
+                          for a in zip(*s.blocks))
+        loss = model.batch_loss(omega[None], Xv.reshape(1, -1, model.dim), Yv.reshape(1, -1))[0]
+        _check_meta_loss(loss)
+        # the pool is each task's train rows, then its val rows, in task order
+        X = np.concatenate((Xt, Xv), axis=1).reshape(1, -1, model.dim)
+        Y = np.concatenate((Yt, Yv), axis=1).reshape(1, -1)
+        g = model.batch_gradient(omega[None], X, Y)[0]
+        _require_finite(g, "meta-gradient")
+        return _outer_step(omega, g, cfg.outer_lr), float(loss), []
+    trace = adapt_tree(model, omega, batch, cfg)
+    loss = meta_validation_loss(model, trace)
+    _check_meta_loss(loss)
+    return outer_update(model, trace, cfg), float(loss), trace.partition_sizes
+
+
 def meta_train(model, task_source, cfg: MetaConfig):
     """Train omega from scratch; returns (omega, per-iteration log records).
 
     omega is a read-only (model.dim,) array. It starts at N(0, 0.01^2) per
-    coordinate from cfg.seed. Baseline mode skips adaptation and takes one
-    pooled-gradient step per iteration over the batch tasks' train+val points.
-    Raises DivergenceError, naming the iteration and phase, when the tracked
-    loss or any step's values go non-finite, or the loss passes DIVERGENCE_LIMIT.
+    coordinate from cfg.seed. Each iteration draws a batch from
+    task_source.sample_batch and passes it straight to meta_step, so only one
+    batch, and its trace, is held at a time: nothing of an iteration is still
+    referenced when the next one draws. Raises DivergenceError, naming the
+    iteration and phase, when meta_step does.
     """
     rng = np.random.default_rng(cfg.seed)
     omega = rng.normal(0.0, 0.01, model.dim)
@@ -509,35 +540,18 @@ def meta_train(model, task_source, cfg: MetaConfig):
     log = []
     for it in range(1, cfg.outer_iterations + 1):
         t0 = time.perf_counter()
-        batch = task_source.sample_batch(cfg.tasks_per_batch, cfg.points, cfg.points)
         try:
-            if cfg.mode == "baseline":
-                Xt, Yt, Xv, Yv = (np.concatenate(a) for s in (batch.train, batch.val)
-                                  for a in zip(*s.blocks))
-                loss_now = model.batch_loss(omega[None], Xv.reshape(1, -1, model.dim),
-                                            Yv.reshape(1, -1))[0]
-                _check_meta_loss(loss_now)
-                # the pool is each task's train rows, then its val rows, in task order
-                X = np.concatenate((Xt, Xv), axis=1).reshape(1, -1, model.dim)
-                Y = np.concatenate((Yt, Yv), axis=1).reshape(1, -1)
-                g = model.batch_gradient(omega[None], X, Y)[0]
-                _require_finite(g, "meta-gradient")
-                omega = _outer_step(omega, g, cfg.outer_lr)
-                partitions = []
-            else:
-                trace = adapt_tree(model, omega, batch, cfg)
-                loss_now = meta_validation_loss(model, trace)
-                _check_meta_loss(loss_now)
-                omega = outer_update(model, trace, cfg)
-                partitions = trace.partition_sizes
+            omega, loss, partitions = meta_step(
+                model, omega,
+                task_source.sample_batch(cfg.tasks_per_batch, cfg.points, cfg.points), cfg)
         except DivergenceError as e:
             raise DivergenceError(e.what, e.phase, iteration=it) from None
         log.append(
             {
                 "iter": it,
-                "meta_loss": float(loss_now),
+                "meta_loss": loss,
                 "wall_ms": (time.perf_counter() - t0) * 1000.0,
-                "partitions": list(partitions),
+                "partitions": partitions,
             }
         )
     return omega, log

@@ -26,6 +26,12 @@ class ConfigError(ValueError):
     """A configuration value is out of range or inconsistent."""
 
 
+def _require_int(name: str, value) -> None:
+    """Raise ConfigError naming the field unless value is an int; a bool is not one."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class TaskGeneratorConfig:
     """Geometry and noise of the task distribution.
@@ -34,8 +40,8 @@ class TaskGeneratorConfig:
     is len(branching) + 1. task_jitter is the std of the per-task offset around
     its leaf center; None selects the default of 0.1 * level_scales[-1].
     Scales, noise_std and task_jitter must be finite and non-negative, and so
-    must seed. Nothing is coerced: a spec's generator section is type-checked
-    when it loads.
+    must seed. Nothing is coerced: dim, seed and each branching entry must be
+    ints, and a spec's generator section is type-checked when it loads.
     """
 
     dim: int = 64
@@ -50,6 +56,10 @@ class TaskGeneratorConfig:
     def __post_init__(self):
         object.__setattr__(self, "branching", tuple(self.branching))
         object.__setattr__(self, "level_scales", tuple(self.level_scales))
+        _require_int("dim", self.dim)
+        _require_int("seed", self.seed)
+        for k, b in enumerate(self.branching):
+            _require_int(f"branching[{k}]", b)
         if self.dim <= 0:
             raise ConfigError("dim must be positive")
         if any(b <= 0 for b in self.branching):
@@ -173,43 +183,59 @@ def sample_task_batch(
 
     Each task draws a uniform leaf, jittered weights, then its train, val and
     test splits, so replaying a seeded generator replays the exact batch. The
-    draws go straight into one (m, n, dim) input and one (m, n) target array
-    per split, which are then frozen; a zero-size split draws nothing. Raises
-    ConfigError when the drawn weights or targets overflow.
+    draw loop makes only the RNG calls, task by task, each straight into its
+    row of one (m, n, dim) input and one (m, n) target array per split, each
+    a contiguous block of one buffer for the batch; a zero-size split draws
+    nothing. The arithmetic then runs on whole arrays in place, giving what
+    uniform(low, high) and normal(0, std) would have, bit for bit, and the
+    arrays are frozen. Raises ConfigError when the drawn weights or targets
+    overflow.
     """
     if m <= 0:
         raise ConfigError("batch size m must be positive")
     if n_train < 0 or n_val < 0 or n_test < 0:
         raise ConfigError("split sizes must be non-negative")
     cfg = tree.config
-    splits = [(np.empty((m, n, cfg.dim)), np.empty((m, n))) for n in (n_train, n_val, n_test)]
+    # One buffer each for the inputs and targets of all splits: glibc's malloc
+    # keeps a freed batch for the next one, where a block per split reached
+    # its trim threshold, went back to the kernel and was faulted in again.
+    inputs = np.empty((m * (n_train + n_val + n_test), cfg.dim))
+    targets = np.empty(len(inputs))
+    splits, a = [], 0
+    for n in (n_train, n_val, n_test):
+        splits.append((inputs[a:a + m * n].reshape(m, n, cfg.dim),
+                       targets[a:a + m * n].reshape(m, n)))
+        a += m * n
     drawn = [(x, y) for x, y in splits if y.shape[1]]
     weights = np.empty((m, cfg.dim))
     leaves = np.empty(m, dtype=np.intp)
-    span = cfg.input_high - cfg.input_low
     leaf_centers = tree.centers[-len(tree.leaf_paths):]
+    # the RNG stream, task by task in this order; each y row holds noise for now
+    for i in range(m):
+        leaves[i] = rng.integers(len(leaf_centers))
+        rng.standard_normal(out=weights[i])
+        for x, y in drawn:
+            rng.random(out=x[i])
+            rng.standard_normal(out=y[i])
     with np.errstate(over="ignore", invalid="ignore"):
-        # the RNG stream is drawn task by task, in this order
-        for i in range(m):
-            leaves[i] = rng.integers(len(leaf_centers))
-            w = weights[i]
-            np.add(leaf_centers[leaves[i]], rng.normal(0.0, cfg.jitter_std, cfg.dim), out=w)
-            for x, y in drawn:
-                # rng.uniform(low, high)'s own arithmetic, low + (high - low) * u,
-                # done in place
-                rng.random(out=x[i])
-                x[i] *= span
-                x[i] += cfg.input_low
-                np.matmul(x[i], w, out=y[i])
-                y[i] += rng.normal(0.0, cfg.noise_std, size=y.shape[1])
+        # normal(0, s) is 0.0 + s * z, and uniform(low, high) is low + (high - low) * u
+        weights *= cfg.jitter_std
+        weights += 0.0
+        weights += leaf_centers[leaves]
+        for x, y in drawn:
+            x *= cfg.input_high - cfg.input_low
+            x += cfg.input_low
+            y *= cfg.noise_std
+            y += 0.0
+            # each stacked row's product is the one x[i] @ weights[i] gives
+            y += np.matmul(x, weights[:, :, None])[..., 0]
     if not (np.isfinite(weights).all() and all(np.isfinite(y).all() for _, y in drawn)):
         raise ConfigError(
             f"sampled task weights or targets overflow; task_jitter {cfg.jitter_std}, "
             f"level_scales {list(cfg.level_scales)} or noise_std {cfg.noise_std} are too large"
         )
-    for x, y in splits:
-        x.setflags(write=False)
-        y.setflags(write=False)
+    for array in (inputs, targets, *itertools.chain(*splits)):
+        array.setflags(write=False)
     ids = np.arange(start_id, start_id + m, dtype=np.int64)
     return TaskBatch(ids, leaves, tree.leaf_paths[leaves], weights,
                      *(BatchStack(((x, y),)) for x, y in splits))

@@ -1,12 +1,14 @@
 """Spec loading, grid execution, rendering, and the treemaml entry point."""
 
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from treemaml import cli
 from treemaml.cli import (
     ExperimentSpec,
     RunResult,
@@ -85,12 +87,43 @@ def test_spec_validation_errors():
         ExperimentSpec(gen, meta, meta_test_tasks=1)
     with pytest.raises(ConfigError):
         ExperimentSpec(gen, meta, eval_test_points=0)
+    for field, bad in (("meta_test_tasks", 2.5), ("eval_test_points", True)):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, not {bad!r}$"):
+            ExperimentSpec(gen, meta, **{field: bad})
     # a library caller's grid key is checked too: no string read as its
     # characters, no number taken as a one-entry sweep
     for field, value in (("modes", "maml"), ("points_sweep", 5), ("replicate_seeds", 0),
                          ("replicate_seeds", range(3))):
         with pytest.raises(ConfigError, match=f"^{field} must be a non-empty list or tuple, not "):
             ExperimentSpec(gen, meta, **{field: value})
+
+
+def test_eval_holds_one_target_at_a_time(monkeypatch):
+    # each meta-test target's batches (its support too, in tree modes) must
+    # be unreferenced before the next target draws
+    finished, current, alive_at_draw = [], [], []
+    sample, evaluate = cli.sample_task_batch, cli.adapt_and_evaluate
+
+    def tracked_sample(*args, **kwargs):
+        alive_at_draw.append(sum(ref() is not None for ref in finished))
+        batch = sample(*args, **kwargs)
+        current.append(weakref.ref(batch))
+        current.extend(weakref.ref(a if a.base is None else a.base)
+                       for s in (batch.train, batch.test) for b in s.blocks for a in b)
+        return batch
+
+    def tracked_evaluate(*args):
+        mse = evaluate(*args)
+        finished.extend(current)
+        current.clear()
+        return mse
+
+    monkeypatch.setattr(cli, "sample_task_batch", tracked_sample)
+    monkeypatch.setattr(cli, "adapt_and_evaluate", tracked_evaluate)
+    outcome = run_experiment(small_spec(modes=["maml", "tree_fixed", "tree_learned"]))
+    assert not outcome.failures
+    # 5 targets per cell; tree modes draw a support batch for each as well
+    assert alive_at_draw == [0] * (5 + 2 * 10)
 
 
 def test_load_spec_round_trip(tmp_path):

@@ -77,6 +77,29 @@ def test_sampler_matches_the_per_task_sampler(points):
         assert new_rng.bit_generator.state == rng.bit_generator.state
 
 
+@pytest.mark.parametrize("m", [1, M])
+@pytest.mark.parametrize("n_train, n_val, n_test", [
+    (5, 5, 0), (20, 20, 0), (128, 128, 0), (5, 0, 20), (128, 0, 20), (5, 0, 0), (0, 3, 2),
+])
+def test_sampler_bytes_match_the_per_task_sampler(m, n_train, n_val, n_test):
+    # the draw loop makes only the RNG calls; the arithmetic after it, on whole
+    # arrays, must give the per-task sampler's uniform and normal draws exactly
+    for seed in range(10):
+        new_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = sample_task_batch(TREE, m, new_rng, n_train, n_val, n_test)
+        old = [ref.sample_task(TREE, rng, n_train, n_val, n_test, task_id=i) for i in range(m)]
+        assert batch.leaves.tobytes() == np.array([t.leaf for t in old], dtype=np.intp).tobytes()
+        assert batch.paths.tobytes() == np.array([t.path for t in old], dtype=np.intp).tobytes()
+        assert batch.weights.tobytes() == np.stack([t.weights for t in old]).tobytes()
+        for stack, name, n in ((batch.train, "train_points", n_train),
+                               (batch.val, "val_points", n_val),
+                               (batch.test, "test_points", n_test)):
+            (X, Y), = stack.blocks
+            assert X.tobytes() == np.stack([getattr(t, name).x.reshape(n, DIM) for t in old]).tobytes()
+            assert Y.tobytes() == np.stack([getattr(t, name).y for t in old]).tobytes()
+        assert new_rng.bit_generator.state == rng.bit_generator.state
+
+
 @pytest.mark.parametrize("points", [5, 128])
 @pytest.mark.parametrize("mode", ["maml", "tree_fixed", "tree_learned"])
 def test_engine_is_bit_identical_to_the_per_task_engine(mode, points):

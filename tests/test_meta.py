@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from treemaml.meta import (
+    MODES,
     CapabilityError,
     DivergenceError,
     FixedTreeSpec,
@@ -162,6 +164,11 @@ def test_meta_config_validation():
         MetaConfig(inner_lr=-0.1)
     with pytest.raises(ConfigError):
         MetaConfig(inner_steps=0)
+    # a count is an int where the config is built, not only where a spec loads
+    for name, bad in (("points", 2.5), ("inner_steps", True), ("tasks_per_batch", 8.0),
+                      ("outer_iterations", "400"), ("seed", False), ("seed", 1.5)):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, not {bad!r}$"):
+            MetaConfig(**{name: bad})
     for xi in (-0.1, math.nan):
         with pytest.raises(ConfigError):
             MetaConfig(xi=xi)
@@ -627,6 +634,33 @@ def test_meta_train_raises_on_divergence():
     with pytest.raises(DivergenceError) as err:
         meta_train(model, make_sampler(), cfg)
     assert err.value.iteration == 1
+
+
+class TrackingSource:
+    """A sampler that, before each draw, counts the earlier batches still alive."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+        self.drawn = []  # weak references to each batch and its splits' buffers
+        self.alive_at_draw = []
+
+    def sample_batch(self, m, n_train, n_val):
+        self.alive_at_draw.append(sum(ref() is not None for ref in self.drawn))
+        batch = self.sampler.sample_batch(m, n_train, n_val)
+        self.drawn.append(weakref.ref(batch))
+        self.drawn += [weakref.ref(a if a.base is None else a.base)
+                       for s in (batch.train, batch.val) for b in s.blocks for a in b]
+        return batch
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_meta_train_holds_one_batch_at_a_time(mode):
+    model = LinearRegressionModel(4)
+    cfg = MetaConfig(mode=mode, inner_steps=3, inner_lr=0.01, outer_lr=0.01,
+                     tasks_per_batch=6, points=4, outer_iterations=4, seed=0)
+    source = TrackingSource(make_sampler())
+    meta_train(model, source, cfg)
+    assert source.alive_at_draw == [0, 0, 0, 0]
 
 
 class FixedSource:

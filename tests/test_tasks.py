@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,11 @@ def test_config_validation():
         TaskGeneratorConfig(input_low=-1e308, input_high=1e308)  # the range overflows
     with pytest.raises(ConfigError):
         TaskGeneratorConfig(task_jitter=-0.5)
+    for field, bad, name in (("dim", 4.0, "dim"), ("seed", True, "seed"),
+                             ("branching", (2, 2.0), "branching[1]"),
+                             ("branching", [True, 2], "branching[0]")):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be an integer, not "):
+            TaskGeneratorConfig(**{field: bad})
 
 
 def test_config_defaults_and_derived():
