@@ -37,7 +37,7 @@ from .tasks import (
     ConfigError,
     TaskGeneratorConfig,
     TaskSampler,
-    _require_int,
+    _check_types,
     build_parameter_tree,
     distribution_to_dict,
     sample_task_batch,
@@ -61,15 +61,13 @@ class ExperimentSpec:
     eval_test_points: int = 20
 
     def __post_init__(self):
+        _check_types(self)
         for name in ("modes", "points_sweep", "replicate_seeds"):
             values = getattr(self, name)
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ConfigError(f"{name} must be a non-empty list or tuple, not {values!r}")
-            if name != "modes" and any(type(v) is not int for v in values):  # not a bool either
-                raise ConfigError(f"{name} entries must be integers: {list(values)}")
+            if not values:
+                raise ConfigError(f"{name} must not be empty")
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} has a duplicate entry: {list(values)}")
-            object.__setattr__(self, name, tuple(values))
         unknown = [m for m in self.modes if m not in MODES]
         if unknown:
             raise ConfigError(f"unknown modes {unknown}; allowed: {list(MODES)}")
@@ -77,58 +75,40 @@ class ExperimentSpec:
             raise ConfigError("replicate_seeds entries must be non-negative")
         if any(p < 1 for p in self.points_sweep):
             raise ConfigError("points_sweep entries must be >= 1")
-        _require_int("meta_test_tasks", self.meta_test_tasks)
-        _require_int("eval_test_points", self.eval_test_points)
         if self.meta_test_tasks < 2:
             raise ConfigError("meta_test_tasks must be >= 2 (CI needs two samples)")
         if self.eval_test_points < 1:
             raise ConfigError("eval_test_points must be >= 1")
 
 
-_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
-
-
-def _has_type(kind: str, value) -> bool:
-    """Whether value has the annotated type kind: a bool is no number here, an
-    int is a float, and a tuple[...] may come as a JSON list. No value has a
-    type this cannot check, such as FixedTreeSpec, so a spec cannot set a
-    field of that type."""
-    if kind.startswith("Optional["):
-        return value is None or _has_type(kind[len("Optional["):-1], value)
-    if kind.startswith("tuple[") and kind.endswith(", ...]"):
-        return (isinstance(value, (list, tuple))
-                and all(_has_type(kind[len("tuple["):-len(", ...]")], v) for v in value))
-    return type(value) in _TYPES.get(kind, ())
-
-
-def _checked(section: str, cls, values: dict) -> dict:
-    """values, after checking that each names a field of cls and holds a value
-    of its type; section names the key in the ConfigError."""
+def _build(section: str, cls, values: dict, **built):
+    """cls from a spec section's values and the sections already built. Each value must
+    name a field of cls that the grid does not set; a type error names section.field."""
     if not isinstance(values, dict):
         raise ConfigError(f"{section} must be a JSON object, not {values!r}")
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    for name, value in values.items():
+    names = {f.name for f in dataclasses.fields(cls)}
+    for name in values:
         where = f"{section}.{name}" if section else name
         grid_key = {"mode": "modes", "points": "points_sweep", "seed": "replicate_seeds"}.get(name)
         if cls is MetaConfig and grid_key:
             raise ConfigError(f"{where} is set per cell by the grid key {grid_key}")
-        if name not in types:
+        if name not in names:
             raise ConfigError(f"{where} is not a spec key")
-        if not _has_type(types[name], value):
-            raise ConfigError(f"{where} must be {types[name]}, not {value!r}")
-    return values
+    try:
+        return cls(**values, **built)
+    except ConfigError as e:
+        if e.field and section:
+            e.args = (f"{section}.{e}",)
+        raise
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
     """The spec a JSON object describes: its generator and meta sections, and
     at the top level the grid keys, ExperimentSpec's other fields."""
     grid = {k: v for k, v in d.items() if k not in ("generator", "meta")}
-    return ExperimentSpec(
-        generator=TaskGeneratorConfig(**_checked("generator", TaskGeneratorConfig,
-                                                 d.get("generator", {}))),
-        meta=MetaConfig(**_checked("meta", MetaConfig, d.get("meta", {}))),
-        **_checked("", ExperimentSpec, grid),
-    )
+    return _build("", ExperimentSpec, grid,
+                  generator=_build("generator", TaskGeneratorConfig, d.get("generator", {})),
+                  meta=_build("meta", MetaConfig, d.get("meta", {})))
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -364,13 +344,13 @@ def _csv_ints(flag: str, text: str) -> tuple:
 
 def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
     fields = {}
-    if args.mode:
+    if args.mode is not None:
         fields["modes"] = tuple(m.strip() for m in args.mode.split(",") if m.strip())
-    if args.points:
+    if args.points is not None:
         fields["points_sweep"] = _csv_ints("--points", args.points)
-    if args.seed:
+    if args.seed is not None:
         fields["replicate_seeds"] = _csv_ints("--seed", args.seed)
-    if args.second_order:
+    if args.second_order is not None:
         fields["meta"] = replace(spec.meta, second_order=(args.second_order == "on"))
     return replace(spec, **fields) if fields else spec
 

@@ -58,6 +58,7 @@ import numpy as np
 # set_similarity is not called here; it stays importable from this module
 # because perfbench/cell.py --trace wraps treemaml.clustering.set_similarity.
 from .numerics import ZeroVectorError, set_similarity  # noqa: F401
+from .tasks import ConfigError, _check_types
 
 
 class DuplicateTaskError(ValueError):
@@ -77,10 +78,11 @@ class ClusterConfig:
     xi: float = 1.0
 
     def __post_init__(self):
+        _check_types(self)
         if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+            raise ConfigError("max_depth must be >= 1")
         if not self.xi >= 0:
-            raise ValueError("xi must be non-negative")
+            raise ConfigError("xi must be non-negative")
 
 
 class _Node:

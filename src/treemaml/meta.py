@@ -69,7 +69,7 @@ import numpy as np
 from .clustering import ClusterConfig, build_tree, level1_labels
 from .models import Batch, BatchStack, EmptyBatchError, _frozen
 from .numerics import NumericalError
-from .tasks import ConfigError, TaskBatch, _require_int
+from .tasks import ConfigError, TaskBatch, _check_types
 
 MODES = ("baseline", "maml", "tree_fixed", "tree_learned")
 
@@ -106,13 +106,13 @@ class FixedTreeSpec:
 
     path_of(tasks, K) returns an (m, K) integer array for K = cfg.inner_steps,
     row i task i's keys; tasks sharing a length-k prefix share a cluster at
-    step k. label identifies the assignment rule in config hashes (the
-    callable is not serializable). Each built-in tree is one module-level
-    value, so two configs naming it compare and hash equal.
+    step k. label, which every tree gives, names the assignment rule in config
+    hashes (the callable is not serializable). Each built-in tree is one
+    module-level value, so two configs naming it compare and hash equal.
     """
 
     path_of: Callable[[TaskBatch, int], np.ndarray]
-    label: str = "custom"
+    label: str
 
 
 def _generator_paths(tasks: TaskBatch, K: int) -> np.ndarray:
@@ -161,19 +161,18 @@ class MetaConfig:
     baseline_finetune: bool = True
 
     def __post_init__(self):
+        _check_types(self)
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if not (0 <= self.inner_lr < math.inf and 0 <= self.outer_lr < math.inf):
             raise ConfigError("learning rates must be finite and non-negative")
-        _require_int("seed", self.seed)
         for name in ("inner_steps", "tasks_per_batch", "points", "outer_iterations"):
-            _require_int(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, not {self.seed}")
         if not self.xi >= 0:  # inf is allowed, NaN is not
             raise ConfigError("xi must be non-negative")
-        if not isinstance(self.fixed_tree, FixedTreeSpec):
-            raise ConfigError(f"fixed_tree must be a FixedTreeSpec, not {self.fixed_tree!r}")
 
     def describe(self) -> dict:
         """JSON-able view for config hashing, one key per field: fixed_tree

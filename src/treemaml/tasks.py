@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -23,13 +23,37 @@ from .models import BatchStack
 
 
 class ConfigError(ValueError):
-    """A configuration value is out of range or inconsistent."""
+    """A configuration value is out of range or inconsistent; field names a mistyped one."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(message)
+        self.field = field
 
 
-def _require_int(name: str, value) -> None:
-    """Raise ConfigError naming the field unless value is an int; a bool is not one."""
-    if type(value) is not int:
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
+_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
+def _has_type(kind: str, value) -> bool:
+    """Whether value has the annotated type kind: a bool is no number, an int is a float,
+    a tuple[...] may come as a list, and any other kind is the name of value's class."""
+    if kind.startswith("Optional["):
+        return value is None or _has_type(kind[len("Optional["):-1], value)
+    if kind.startswith("tuple[") and kind.endswith(", ...]"):
+        return (isinstance(value, (list, tuple))
+                and all(_has_type(kind[len("tuple["):-len(", ...]")], v) for v in value))
+    return type(value) in _TYPES[kind] if kind in _TYPES else type(value).__name__ == kind
+
+
+def _check_types(config) -> None:
+    """Raise ConfigError naming the first field of a config dataclass whose value
+    lacks the annotation as written, and store a list given for a tuple field as a
+    tuple; nothing else is coerced. Each config's __post_init__ calls this first."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _has_type(f.type, value):
+            raise ConfigError(f"{f.name} must be {f.type}, not {value!r}", f.name)
+        if type(value) is list:
+            object.__setattr__(config, f.name, tuple(value))
 
 
 @dataclass(frozen=True)
@@ -40,8 +64,7 @@ class TaskGeneratorConfig:
     is len(branching) + 1. task_jitter is the std of the per-task offset around
     its leaf center; None selects the default of 0.1 * level_scales[-1].
     Scales, noise_std and task_jitter must be finite and non-negative, and so
-    must seed. Nothing is coerced: dim, seed and each branching entry must be
-    ints, and a spec's generator section is type-checked when it loads.
+    must seed. Every field must have its annotated type (_check_types).
     """
 
     dim: int = 64
@@ -54,12 +77,7 @@ class TaskGeneratorConfig:
     task_jitter: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "branching", tuple(self.branching))
-        object.__setattr__(self, "level_scales", tuple(self.level_scales))
-        _require_int("dim", self.dim)
-        _require_int("seed", self.seed)
-        for k, b in enumerate(self.branching):
-            _require_int(f"branching[{k}]", b)
+        _check_types(self)
         if self.dim <= 0:
             raise ConfigError("dim must be positive")
         if any(b <= 0 for b in self.branching):

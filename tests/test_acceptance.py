@@ -75,7 +75,7 @@ def test_criterion_1_meta_gradient_matches_finite_differences():
             cfg = MetaConfig(mode="maml", inner_steps=steps, tasks_per_batch=m,
                              inner_lr=float(rng.uniform(0.01, 0.2)))
         else:
-            fixed = FixedTreeSpec(lambda t, k: t.paths[:, :k])
+            fixed = FixedTreeSpec(lambda t, k: t.paths[:, :k], "paths")
             cfg = MetaConfig(mode="tree_fixed", fixed_tree=fixed, inner_steps=steps,
                              tasks_per_batch=m, inner_lr=float(rng.uniform(0.01, 0.2)))
         omega = rng.normal(size=dim)

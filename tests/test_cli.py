@@ -1,6 +1,7 @@
 """Spec loading, grid execution, rendering, and the treemaml entry point."""
 
 import json
+import re
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -22,6 +23,7 @@ from treemaml.cli import (
     trace_tree_to_dict,
     write_outputs,
 )
+from treemaml.clustering import ClusterConfig
 from treemaml.meta import MetaConfig, adapt_tree, generator_hierarchy_tree
 from treemaml.models import LinearRegressionModel
 from treemaml.numerics import confidence_halfwidth_95
@@ -88,14 +90,36 @@ def test_spec_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentSpec(gen, meta, eval_test_points=0)
     for field, bad in (("meta_test_tasks", 2.5), ("eval_test_points", True)):
-        with pytest.raises(ConfigError, match=f"^{field} must be an integer, not {bad!r}$"):
+        with pytest.raises(ConfigError, match=f"^{field} must be int, not {bad!r}$"):
             ExperimentSpec(gen, meta, **{field: bad})
     # a library caller's grid key is checked too: no string read as its
     # characters, no number taken as a one-entry sweep
-    for field, value in (("modes", "maml"), ("points_sweep", 5), ("replicate_seeds", 0),
-                         ("replicate_seeds", range(3))):
-        with pytest.raises(ConfigError, match=f"^{field} must be a non-empty list or tuple, not "):
+    for field, kind, value in (("modes", "str", "maml"), ("points_sweep", "int", 5),
+                               ("replicate_seeds", "int", 0), ("replicate_seeds", "int", range(3))):
+        message = f"{field} must be tuple[{kind}, ...], not {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ExperimentSpec(gen, meta, **{field: value})
+
+
+@pytest.mark.parametrize("cls, kwargs, field", [
+    (MetaConfig, {"second_order": 1}, "second_order"),
+    (MetaConfig, {"baseline_finetune": "no"}, "baseline_finetune"),
+    (MetaConfig, {"xi": True}, "xi"),
+    (MetaConfig, {"inner_lr": True}, "inner_lr"),
+    (MetaConfig, {"inner_lr": "0.1"}, "inner_lr"),
+    (MetaConfig, {"seed": -1}, "seed"),
+    (TaskGeneratorConfig, {"noise_std": True}, "noise_std"),
+    (TaskGeneratorConfig, {"task_jitter": True}, "task_jitter"),
+    (TaskGeneratorConfig, {"input_low": None}, "input_low"),
+    (TaskGeneratorConfig, {"branching": 5}, "branching"),
+    (ExperimentSpec, {"generator": "gen", "meta": MetaConfig()}, "generator"),
+    (ExperimentSpec, {"generator": TaskGeneratorConfig(), "meta": {"inner_lr": 1}}, "meta"),
+    (ClusterConfig, {"max_depth": 2.5}, "max_depth"),
+])
+def test_a_library_caller_gets_the_spec_checks(cls, kwargs, field):
+    # the checks a spec load makes run where any caller builds the config
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        cls(**kwargs)
 
 
 def test_eval_holds_one_target_at_a_time(monkeypatch):
@@ -474,6 +498,21 @@ def test_a_non_integer_sweep_flag_is_named(tmp_path, capsys, flag, value):
     captured = capsys.readouterr()
     assert f"error: {flag} takes comma-separated integers, not '{value}'" in captured.err
     assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--points", "", "points_sweep"), ("--points", ",", "points_sweep"),
+    ("--seed", "", "replicate_seeds"), ("--mode", "", "modes"),
+])
+def test_an_empty_sweep_flag_is_an_error(tmp_path, capsys, flag, value, field):
+    # an empty override names no cell; it does not fall back to the spec's sweep
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(small_dict(modes=["maml"])))
+    assert main(["run", str(p), flag, value, "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {field} must not be empty" in captured.err
+    assert "mean_mse" not in captured.out
     assert not (tmp_path / "out").exists()
 
 

@@ -256,7 +256,8 @@ def test_tree_fixed_defaults_to_the_generator_paths(points):
     default = config("tree_fixed", points)
     assert default.fixed_tree == generator_hierarchy_tree()
     # a tree of its own that reads the generator paths, then the task ids
-    custom = FixedTreeSpec(lambda t, K: np.column_stack((t.paths[:, :K - 1], t.ids)))
+    custom = FixedTreeSpec(lambda t, K: np.column_stack((t.paths[:, :K - 1], t.ids)),
+                           "paths-then-ids")
     assert_same_adaptation(default, replace(default, fixed_tree=custom), points, 3)
 
 

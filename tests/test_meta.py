@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -167,7 +168,7 @@ def test_meta_config_validation():
     # a count is an int where the config is built, not only where a spec loads
     for name, bad in (("points", 2.5), ("inner_steps", True), ("tasks_per_batch", 8.0),
                       ("outer_iterations", "400"), ("seed", False), ("seed", 1.5)):
-        with pytest.raises(ConfigError, match=f"^{name} must be an integer, not {bad!r}$"):
+        with pytest.raises(ConfigError, match=f"^{name} must be int, not {bad!r}$"):
             MetaConfig(**{name: bad})
     for xi in (-0.1, math.nan):
         with pytest.raises(ConfigError):
@@ -199,10 +200,15 @@ def test_one_form_per_config():
     for factory in (generator_hierarchy_tree, singleton_tree, single_cluster_tree):
         assert factory() == factory()
     assert singleton_tree() != single_cluster_tree()
+    # a custom tree names itself, so two custom trees describe apart
+    custom = [MetaConfig(fixed_tree=FixedTreeSpec(tree.path_of, label)).describe()
+              for tree, label in ((singleton_tree(), "ids"), (single_cluster_tree(), "zeros"))]
+    assert custom[0] != custom[1]
     assert [f.name for f in dataclasses.fields(MetaConfig)].count("points") == 1
     assert len(dataclasses.fields(MetaConfig)) == 12
     for bad in (None, "generator", generator_hierarchy_tree):
-        with pytest.raises(ConfigError, match="fixed_tree must be a FixedTreeSpec"):
+        message = f"fixed_tree must be FixedTreeSpec, not {bad!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             MetaConfig(mode="tree_fixed", fixed_tree=bad)
     with pytest.raises(ConfigError, match="points must be >= 1"):
         MetaConfig(points=0)
@@ -327,7 +333,7 @@ def test_generator_tree_partitions_coarse_to_fine():
 def test_fixed_tree_wrong_path_length_raises():
     rng = np.random.default_rng(6)
     tasks = random_tasks(rng, 2, 2)
-    bad = FixedTreeSpec(lambda t, K: np.zeros((len(t), 1), dtype=np.int64))
+    bad = FixedTreeSpec(lambda t, K: np.zeros((len(t), 1), dtype=np.int64), "one-key")
     cfg = MetaConfig(mode="tree_fixed", inner_steps=2, fixed_tree=bad)
     with pytest.raises(TreeShapeError):
         adapt_tree(LinearRegressionModel(2), np.zeros(2), tasks, cfg)
@@ -342,7 +348,7 @@ def test_fixed_tree_depth_is_inner_steps():
         return np.zeros((len(t), K), dtype=np.int64)
 
     for K in (1, 3):
-        cfg = MetaConfig(mode="tree_fixed", inner_steps=K, fixed_tree=FixedTreeSpec(path_of))
+        cfg = MetaConfig(mode="tree_fixed", inner_steps=K, fixed_tree=FixedTreeSpec(path_of, "zeros"))
         assert adapt_tree(LinearRegressionModel(2), np.zeros(2), tasks, cfg).partition_sizes == [1] * K
     assert seen == [1, 3]
 
@@ -465,7 +471,7 @@ def test_meta_gradient_matches_finite_differences():
         model = model_cache.setdefault(dim, LinearRegressionModel(dim))
         tasks = random_tasks(rng, m, dim, path_levels=K)
         mode = ["maml", "tree_fixed"][trial % 2]
-        fixed = FixedTreeSpec(lambda t, k: t.paths[:, :k])  # maml ignores it
+        fixed = FixedTreeSpec(lambda t, k: t.paths[:, :k], "paths")  # maml ignores it
         cfg = MetaConfig(mode=mode, fixed_tree=fixed, inner_steps=K,
                          inner_lr=float(rng.uniform(0.01, 0.2)), tasks_per_batch=m)
         omega = rng.normal(size=dim)

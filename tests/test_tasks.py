@@ -42,10 +42,11 @@ def test_config_validation():
         TaskGeneratorConfig(input_low=-1e308, input_high=1e308)  # the range overflows
     with pytest.raises(ConfigError):
         TaskGeneratorConfig(task_jitter=-0.5)
-    for field, bad, name in (("dim", 4.0, "dim"), ("seed", True, "seed"),
-                             ("branching", (2, 2.0), "branching[1]"),
-                             ("branching", [True, 2], "branching[0]")):
-        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be an integer, not "):
+    for field, bad, kind in (("dim", 4.0, "int"), ("seed", True, "int"),
+                             ("branching", (2, 2.0), "tuple[int, ...]"),
+                             ("branching", [True, 2], "tuple[int, ...]")):
+        message = f"{field} must be {kind}, not {bad!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             TaskGeneratorConfig(**{field: bad})
 
 
