@@ -27,7 +27,6 @@ from .tasks import (
     ConfigError,
     TaskBatch,
     TaskGeneratorConfig,
-    TaskSampler,
     build_parameter_tree,
     sample_task_batch,
 )
@@ -36,7 +35,6 @@ from .clustering import (
     ClusterTreeNode,
     DuplicateTaskError,
     build_tree,
-    clusters_at_level,
 )
 from .meta import (
     MODES,
@@ -62,11 +60,10 @@ __all__ = [
     # models
     "Batch", "BatchStack", "EmptyBatchError", "LinearRegressionModel",
     # tasks
-    "ConfigError", "TaskBatch", "TaskGeneratorConfig", "TaskSampler",
-    "build_parameter_tree", "sample_task_batch",
+    "ConfigError", "TaskBatch", "TaskGeneratorConfig", "build_parameter_tree",
+    "sample_task_batch",
     # clustering
     "ClusterConfig", "ClusterTreeNode", "DuplicateTaskError", "build_tree",
-    "clusters_at_level",
     # meta
     "MODES", "AdaptationTrace", "CapabilityError", "DivergenceError", "FixedTreeSpec",
     "MetaConfig", "TreeShapeError", "adapt_and_evaluate", "adapt_tree",

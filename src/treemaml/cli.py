@@ -36,15 +36,12 @@ from .numerics import confidence_halfwidth_95
 from .tasks import (
     ConfigError,
     TaskGeneratorConfig,
-    TaskSampler,
     _check_types,
     build_parameter_tree,
     distribution_to_dict,
     sample_task_batch,
 )
 
-_SUPPORT_ID_BASE = 10**6
-_TARGET_ID_BASE = 10**9
 _DIAG_ID_BASE = 2 * 10**9
 
 
@@ -163,25 +160,26 @@ def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: i
     train_ss, eval_ss, diag_ss = root_ss.spawn(3)
 
     t0 = time.perf_counter()
-    sampler = TaskSampler(tree, np.random.default_rng(train_ss), start_id=0)
-    omega, log = meta_train(model, sampler, cfg)
+    train_rng = np.random.default_rng(train_ss)
+    # sample_task_batch is looked up at each call, so a patched one sees every draw
+    omega, log = meta_train(model, lambda m, n: sample_task_batch(tree, m, train_rng, n, n), cfg)
 
     m = cfg.tasks_per_batch
     needs_support = mode in ("tree_fixed", "tree_learned")
 
-    def draw(ss, tasks, n_test, start_id):
+    def draw(ss, tasks, n_test, start_id=0):
         return sample_task_batch(tree, tasks, np.random.default_rng(ss), n_train=points,
                                  n_val=0, n_test=n_test, start_id=start_id)
 
     per_task = []
-    for i, child in enumerate(eval_ss.spawn(spec.meta_test_tasks)):
+    for child in eval_ss.spawn(spec.meta_test_tasks):
         support_ss, target_ss = child.spawn(2)
         # Drawn as arguments, so no name keeps target i's batches alive
-        # while target i + 1 draws.
+        # while target i + 1 draws. Ids need only differ within support + target.
         per_task.append(adapt_and_evaluate(
             model, omega,
-            draw(support_ss, m, 0, _SUPPORT_ID_BASE + i * m) if needs_support else None,
-            draw(target_ss, 1, spec.eval_test_points, _TARGET_ID_BASE + i),
+            draw(support_ss, m, 0) if needs_support else None,
+            draw(target_ss, 1, spec.eval_test_points, start_id=m),
             cfg,
         ))
     wall = time.perf_counter() - t0
@@ -198,8 +196,9 @@ def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: i
 
     tree_dump = None
     if dump_tree and needs_support:
-        diag = TaskSampler(tree, np.random.default_rng(diag_ss), start_id=_DIAG_ID_BASE)
-        trace = adapt_tree(model, omega, diag.sample_batch(m, points, points), cfg)
+        diag = sample_task_batch(tree, m, np.random.default_rng(diag_ss), points, points,
+                                 start_id=_DIAG_ID_BASE)
+        trace = adapt_tree(model, omega, diag, cfg)
         tree_dump = trace_tree_to_dict(trace)
     return result, log, tree_dump
 
@@ -329,12 +328,6 @@ def write_outputs(outcome: ExperimentOutcome, spec: ExperimentSpec, out_dir) -> 
         (out / f"{name}.json").write_text(json.dumps(tree_dump, indent=2))
 
 
-def export_distribution(spec: ExperimentSpec, path) -> None:
-    """Write the task distribution (config + node centers) for audit."""
-    tree = build_parameter_tree(spec.generator)
-    Path(path).write_text(json.dumps(distribution_to_dict(tree)))
-
-
 def _csv_ints(flag: str, text: str) -> tuple:
     try:
         return tuple(int(v) for v in text.split(",") if v.strip() != "")
@@ -387,15 +380,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(__version__)
         return 0
 
-    # An invalid spec or flag exits 2, including a ConfigError from set-up
-    # (build_parameter_tree); run_experiment contains each cell's own errors.
+    # An invalid spec, flag or out dir, or a ConfigError from set-up, exits 2
+    # before any cell runs; run_experiment contains each cell's own errors.
     try:
         spec = load_spec(args.spec)
+        tree = build_parameter_tree(spec.generator)  # before any output is made
         if args.command == "export-dist":
-            export_distribution(spec, args.out)
+            Path(args.out).write_text(json.dumps(distribution_to_dict(tree)))
             print(f"wrote {args.out}")
             return 0
         spec = _apply_overrides(spec, args)
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         outcome = run_experiment(spec, dump_tree=args.dump_tree, echo=lambda s: print(s, flush=True))
     except (OSError, ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -42,8 +42,7 @@ pairs are recomputed. Nodes made by branch 3 or 4 start with a two-child
 cache.
 
 ClusterTreeNode is a read-only view of the finished tree, made on demand for
-clusters_at_level, tree_to_dict and other walkers; the engine reads
-level1_labels instead.
+walkers; the engine reads level1_labels instead.
 """
 
 from __future__ import annotations
@@ -286,43 +285,9 @@ def build_tree(ids: Sequence[int], G: np.ndarray, cfg: ClusterConfig) -> Cluster
 
 
 def level1_labels(root: ClusterTreeNode) -> np.ndarray:
-    """Each item's level-1 cluster, in build_tree's item order, numbered as
-    clusters_at_level(root, 1) lists them."""
+    """Each item's level-1 cluster, in build_tree's item order, numbered in
+    the order root.children lists them."""
     labels = np.empty(len(root._node.members), dtype=np.intp)
     for k, child in enumerate(root._node.kids):
         labels[child.members] = k
     return labels
-
-
-def clusters_at_level(root: ClusterTreeNode, k: int) -> list:
-    """Partition of the tree's tasks induced by cutting at depth k.
-
-    Nodes sitting exactly at depth k contribute their member sets; leaves that
-    never grew to depth k contribute themselves as singletons. Returned in
-    depth-first order, members sorted, so the output is deterministic for a
-    given insertion sequence.
-    """
-    if k < 1:
-        raise ValueError("level k must be >= 1")
-    out: list = []
-
-    def walk(node: ClusterTreeNode) -> None:
-        if node.depth == k or node.is_leaf:
-            out.append(tuple(sorted(node.member_tasks)))
-            return
-        for child in node.children:
-            walk(child)
-
-    for child in root.children:
-        walk(child)
-    return out
-
-
-def tree_to_dict(node: ClusterTreeNode) -> dict:
-    """JSON-ready dump: node_id, depth, member_tasks, children (recursive)."""
-    return {
-        "node_id": node.node_id,
-        "depth": node.depth,
-        "member_tasks": sorted(node.member_tasks),
-        "children": [tree_to_dict(c) for c in node.children],
-    }

@@ -523,15 +523,15 @@ def meta_step(model, omega: np.ndarray, batch: TaskBatch, cfg: MetaConfig):
     return outer_update(model, trace, cfg), float(loss), trace.partition_sizes
 
 
-def meta_train(model, task_source, cfg: MetaConfig):
+def meta_train(model, draw: Callable[[int, int], TaskBatch], cfg: MetaConfig):
     """Train omega from scratch; returns (omega, per-iteration log records).
 
     omega is a read-only (model.dim,) array. It starts at N(0, 0.01^2) per
-    coordinate from cfg.seed. Each iteration draws a batch from
-    task_source.sample_batch and passes it straight to meta_step, so only one
-    batch, and its trace, is held at a time: nothing of an iteration is still
-    referenced when the next one draws. Raises DivergenceError, naming the
-    iteration and phase, when meta_step does.
+    coordinate from cfg.seed. Each iteration's batch, draw(cfg.tasks_per_batch,
+    cfg.points) with that many train and val points per task, goes straight to
+    meta_step, so only one batch, and its trace, is held at a time: nothing of
+    an iteration is still referenced when the next one draws. Raises
+    DivergenceError, naming the iteration and phase, when meta_step does.
     """
     rng = np.random.default_rng(cfg.seed)
     omega = rng.normal(0.0, 0.01, model.dim)
@@ -541,8 +541,7 @@ def meta_train(model, task_source, cfg: MetaConfig):
         t0 = time.perf_counter()
         try:
             omega, loss, partitions = meta_step(
-                model, omega,
-                task_source.sample_batch(cfg.tasks_per_batch, cfg.points, cfg.points), cfg)
+                model, omega, draw(cfg.tasks_per_batch, cfg.points), cfg)
         except DivergenceError as e:
             raise DivergenceError(e.what, e.phase, iteration=it) from None
         log.append(

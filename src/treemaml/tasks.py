@@ -44,16 +44,25 @@ def _has_type(kind: str, value) -> bool:
     return type(value) in _TYPES[kind] if kind in _TYPES else type(value).__name__ == kind
 
 
+def _stored(kind: str, value):
+    """value in its field's one form: an int in a float as a float, a list as a tuple."""
+    if kind.startswith("tuple["):
+        return tuple(_stored(kind[len("tuple["):-len(", ...]")], v) for v in value)
+    return float(value) if type(value) is int and "float" in kind else value
+
+
 def _check_types(config) -> None:
-    """Raise ConfigError naming the first field of a config dataclass whose value
-    lacks the annotation as written, and store a list given for a tuple field as a
-    tuple; nothing else is coerced. Each config's __post_init__ calls this first."""
+    """Raise ConfigError naming the first field of a config dataclass whose value lacks
+    the annotation as written or overflows a float, and store each value in its one
+    form (_stored); nothing else is coerced. Each config's __post_init__ calls this first."""
     for f in fields(config):
         value = getattr(config, f.name)
         if not _has_type(f.type, value):
             raise ConfigError(f"{f.name} must be {f.type}, not {value!r}", f.name)
-        if type(value) is list:
-            object.__setattr__(config, f.name, tuple(value))
+        try:
+            object.__setattr__(config, f.name, _stored(f.type, value))
+        except OverflowError:
+            raise ConfigError(f"{f.name} {value} overflows a float", f.name) from None
 
 
 @dataclass(frozen=True)
@@ -99,9 +108,7 @@ class TaskGeneratorConfig:
 
     @property
     def jitter_std(self) -> float:
-        if self.task_jitter is not None:
-            return float(self.task_jitter)
-        return 0.1 * self.level_scales[-1]
+        return 0.1 * self.level_scales[-1] if self.task_jitter is None else self.task_jitter
 
     def to_dict(self) -> dict:
         """The fields by name; json writes the tuples as lists."""
@@ -257,22 +264,6 @@ def sample_task_batch(
     ids = np.arange(start_id, start_id + m, dtype=np.int64)
     return TaskBatch(ids, leaves, tree.leaf_paths[leaves], weights,
                      *(BatchStack(((x, y),)) for x, y in splits))
-
-
-class TaskSampler:
-    """Stateful wrapper handing out batches with unique, increasing task_ids."""
-
-    def __init__(self, tree: ParameterTree, rng: np.random.Generator, start_id: int = 0):
-        self.tree = tree
-        self.rng = rng
-        self.next_id = int(start_id)
-
-    def sample_batch(self, m: int, n_train: int, n_val: int, n_test: int = 0) -> TaskBatch:
-        batch = sample_task_batch(
-            self.tree, m, self.rng, n_train, n_val, n_test, start_id=self.next_id
-        )
-        self.next_id += m
-        return batch
 
 
 def distribution_to_dict(tree: ParameterTree) -> dict:

@@ -20,8 +20,10 @@ from typing import Optional
 
 import numpy as np
 
-from treemaml.clustering import ClusterConfig, build_tree, clusters_at_level
+from treemaml.clustering import ClusterConfig, build_tree
 from treemaml.models import Batch
+
+from cluster_walk import clusters_at_level
 
 
 @dataclass(frozen=True)

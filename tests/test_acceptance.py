@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from treemaml.cli import MODES, load_spec, render_csv, run_experiment, spec_from_dict
-from treemaml.clustering import ClusterConfig, build_tree, clusters_at_level
+from treemaml.clustering import ClusterConfig, build_tree
 from treemaml.meta import (
     FixedTreeSpec,
     MetaConfig,
@@ -28,6 +28,7 @@ from treemaml.meta import (
 from treemaml.models import Batch, BatchStack, LinearRegressionModel
 from treemaml.tasks import ConfigError, TaskBatch
 
+from cluster_walk import clusters_at_level
 from finite_difference import finite_difference_gradient
 
 BENCHMARK_SPEC = Path(__file__).resolve().parents[1] / "specs" / "benchmark.json"

@@ -30,8 +30,8 @@ from treemaml.numerics import confidence_halfwidth_95
 from treemaml.tasks import (
     ConfigError,
     TaskGeneratorConfig,
-    TaskSampler,
     build_parameter_tree,
+    sample_task_batch,
 )
 
 
@@ -123,8 +123,8 @@ def test_a_library_caller_gets_the_spec_checks(cls, kwargs, field):
 
 
 def test_eval_holds_one_target_at_a_time(monkeypatch):
-    # each meta-test target's batches (its support too, in tree modes) must
-    # be unreferenced before the next target draws
+    # each meta-test target's batches (its support too, in tree modes), and
+    # the cell's training batches, must be unreferenced before the next target draws
     finished, current, alive_at_draw = [], [], []
     sample, evaluate = cli.sample_task_batch, cli.adapt_and_evaluate
 
@@ -146,8 +146,9 @@ def test_eval_holds_one_target_at_a_time(monkeypatch):
     monkeypatch.setattr(cli, "adapt_and_evaluate", tracked_evaluate)
     outcome = run_experiment(small_spec(modes=["maml", "tree_fixed", "tree_learned"]))
     assert not outcome.failures
-    # 5 targets per cell; tree modes draw a support batch for each as well
-    assert alive_at_draw == [0] * (5 + 2 * 10)
+    # 3 training batches per cell, then 5 targets; tree modes draw a support
+    # batch for each target as well
+    assert alive_at_draw == [0] * (3 * 3 + 5 + 2 * 10)
 
 
 def test_load_spec_round_trip(tmp_path):
@@ -268,8 +269,7 @@ def test_render_table_blanks_missing_cells():
 def test_trace_tree_to_dict_nests_partitions():
     gen = TaskGeneratorConfig(dim=6, branching=(2, 2), level_scales=(1.0, 1.0, 0.5), seed=2)
     tree = build_parameter_tree(gen)
-    sampler = TaskSampler(tree, np.random.default_rng(0))
-    tasks = sampler.sample_batch(8, 4, 4)
+    tasks = sample_task_batch(tree, 8, np.random.default_rng(0), 4, 4)
     model = LinearRegressionModel(gen.dim)
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.01, outer_lr=0.01,
                      fixed_tree=generator_hierarchy_tree())
@@ -377,6 +377,18 @@ def test_non_finite_config_scalars_are_rejected(tmp_path, capsys, section, field
     p.write_text(json.dumps(d))  # written as the NaN / Infinity literals
     assert main(["run", str(p), "--out-dir", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_an_out_dir_that_cannot_be_made_exits_2_before_any_cell(tmp_path, capsys):
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps(small_dict(modes=["maml"])))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out_dir in (afile / "sub", afile):
+        assert main(["run", str(p), "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no cell line was echoed
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_main_set_up_config_error_exits_2(tmp_path, capsys):

@@ -9,14 +9,13 @@ from treemaml.clustering import (
     DuplicateTaskError,
     _std,
     build_tree,
-    clusters_at_level,
     level1_labels,
-    tree_to_dict,
 )
 from treemaml.models import LinearRegressionModel
 from treemaml.numerics import ZeroVectorError, set_similarity
 from treemaml.tasks import TaskGeneratorConfig, build_parameter_tree, sample_task_batch
 
+from cluster_walk import clusters_at_level, tree_to_dict
 from otd_reference import reference_build_tree
 
 D2 = ClusterConfig(max_depth=2, xi=1.0)

@@ -31,8 +31,8 @@ from treemaml.tasks import (
     ConfigError,
     TaskBatch,
     TaskGeneratorConfig,
-    TaskSampler,
     build_parameter_tree,
+    sample_task_batch,
 )
 
 from finite_difference import finite_difference_gradient
@@ -212,6 +212,23 @@ def test_one_form_per_config():
             MetaConfig(mode="tree_fixed", fixed_tree=bad)
     with pytest.raises(ConfigError, match="points must be >= 1"):
         MetaConfig(points=0)
+
+
+def test_an_int_fills_a_float_field_as_that_float():
+    # equal configs describe and hash alike, however a float value was written
+    as_int, as_float = MetaConfig(xi=1, inner_lr=0), MetaConfig(xi=1.0, inner_lr=0.0)
+    assert as_int == as_float
+    assert as_int.describe() == as_float.describe()
+    assert stable_hash(as_int.describe()) == stable_hash(as_float.describe())
+    assert type(as_int.xi) is float and type(as_int.inner_lr) is float
+    gen = TaskGeneratorConfig(level_scales=[1, 1, 0.5], task_jitter=0)
+    floats = TaskGeneratorConfig(level_scales=(1.0, 1.0, 0.5), task_jitter=0.0)
+    assert gen.to_dict() == floats.to_dict()
+    assert json.dumps(gen.to_dict()) == json.dumps(floats.to_dict())
+    assert gen.level_scales == (1.0, 1.0, 0.5) and type(gen.level_scales[0]) is float
+    assert type(TaskGeneratorConfig(branching=[2, 2]).branching[0]) is int
+    with pytest.raises(ConfigError, match="^xi .* overflows a float$"):
+        MetaConfig(xi=10**400)
 
 
 def test_inner_step_task_hand_value():
@@ -438,8 +455,8 @@ def test_parameters_are_read_only():
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.01, tasks_per_batch=4,
                      points=4, outer_iterations=2,
                      fixed_tree=generator_hierarchy_tree())
-    omega, _ = meta_train(model, TaskSampler(tree, np.random.default_rng(0)), cfg)
-    tasks = TaskSampler(tree, np.random.default_rng(1)).sample_batch(4, 4, 4)
+    omega, _ = meta_train(model, draw_from(tree, seed=0), cfg)
+    tasks = sample_task_batch(tree, 4, np.random.default_rng(1), 4, 4)
     full = adapt_tree(model, omega, tasks, cfg)
     followed = adapt_tree(model, omega, tasks, cfg, follow=3)
     arrays = [omega, followed.followed_params, full.omega,
@@ -585,11 +602,16 @@ def test_inner_steps_do_not_increase_pooled_training_loss():
         params_in = params_out
 
 
-def make_sampler(dim=4, seed=0, gen_seed=1):
-    gen = TaskGeneratorConfig(dim=dim, branching=(2, 2), level_scales=(1.0, 1.0, 0.5),
-                              noise_std=0.01, seed=gen_seed)
-    tree = build_parameter_tree(gen)
-    return TaskSampler(tree, np.random.default_rng(seed))
+def small_tree():
+    gen = TaskGeneratorConfig(dim=4, branching=(2, 2), level_scales=(1.0, 1.0, 0.5),
+                              noise_std=0.01, seed=1)
+    return build_parameter_tree(gen)
+
+
+def draw_from(tree, seed=0):
+    """meta_train's draw(m, n): m tasks with n train and val points, from one seeded stream."""
+    rng = np.random.default_rng(seed)
+    return lambda m, n: sample_task_batch(tree, m, rng, n, n)
 
 
 def test_meta_train_is_deterministic_and_logs():
@@ -597,8 +619,8 @@ def test_meta_train_is_deterministic_and_logs():
     cfg = MetaConfig(mode="maml", inner_steps=2, inner_lr=0.01, outer_lr=0.01,
                      tasks_per_batch=4, points=4,
                      outer_iterations=10, seed=3)
-    w1, log1 = meta_train(model, make_sampler(), cfg)
-    w2, log2 = meta_train(model, make_sampler(), cfg)
+    w1, log1 = meta_train(model, draw_from(small_tree()), cfg)
+    w2, log2 = meta_train(model, draw_from(small_tree()), cfg)
     assert np.array_equal(w1, w2)
     assert [r["meta_loss"] for r in log1] == [r["meta_loss"] for r in log2]
     assert len(log1) == 10
@@ -611,7 +633,7 @@ def test_meta_train_baseline_logs_empty_partitions():
     model = LinearRegressionModel(4)
     cfg = MetaConfig(mode="baseline", outer_lr=0.001, tasks_per_batch=4,
                      points=4, outer_iterations=5, seed=3)
-    omega, log = meta_train(model, make_sampler(), cfg)
+    omega, log = meta_train(model, draw_from(small_tree()), cfg)
     assert omega.shape == (4,)
     assert all(r["partitions"] == [] for r in log)
 
@@ -622,12 +644,12 @@ def test_meta_train_reduces_the_meta_loss():
     # far more than 10x from the first logged iteration.
     gen = TaskGeneratorConfig(dim=4, branching=(2, 2), level_scales=(2.0, 0.1, 0.05),
                               noise_std=0.01, seed=1)
-    sampler = TaskSampler(build_parameter_tree(gen), np.random.default_rng(5))
+    draw = draw_from(build_parameter_tree(gen), seed=5)
     model = LinearRegressionModel(4)
     cfg = MetaConfig(mode="maml", inner_steps=2, inner_lr=0.04, outer_lr=0.03,
                      tasks_per_batch=8, points=6,
                      outer_iterations=150, seed=0)
-    _, log = meta_train(model, sampler, cfg)
+    _, log = meta_train(model, draw, cfg)
     tail = np.mean([r["meta_loss"] for r in log[-10:]])
     assert tail < log[0]["meta_loss"] / 10.0
 
@@ -638,25 +660,25 @@ def test_meta_train_raises_on_divergence():
                      tasks_per_batch=4, points=4,
                      outer_iterations=5, seed=0)
     with pytest.raises(DivergenceError) as err:
-        meta_train(model, make_sampler(), cfg)
+        meta_train(model, draw_from(small_tree()), cfg)
     assert err.value.iteration == 1
 
 
-class TrackingSource:
-    """A sampler that, before each draw, counts the earlier batches still alive."""
+def tracking(draw):
+    """draw, wrapped to count before each call the earlier batches still alive,
+    and the list of those counts."""
+    drawn = []  # weak references to each batch and its splits' buffers
+    alive_at_draw = []
 
-    def __init__(self, sampler):
-        self.sampler = sampler
-        self.drawn = []  # weak references to each batch and its splits' buffers
-        self.alive_at_draw = []
-
-    def sample_batch(self, m, n_train, n_val):
-        self.alive_at_draw.append(sum(ref() is not None for ref in self.drawn))
-        batch = self.sampler.sample_batch(m, n_train, n_val)
-        self.drawn.append(weakref.ref(batch))
-        self.drawn += [weakref.ref(a if a.base is None else a.base)
-                       for s in (batch.train, batch.val) for b in s.blocks for a in b]
+    def tracked(m, n):
+        alive_at_draw.append(sum(ref() is not None for ref in drawn))
+        batch = draw(m, n)
+        drawn.append(weakref.ref(batch))
+        drawn.extend(weakref.ref(a if a.base is None else a.base)
+                     for s in (batch.train, batch.val) for b in s.blocks for a in b)
         return batch
+
+    return tracked, alive_at_draw
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -664,19 +686,26 @@ def test_meta_train_holds_one_batch_at_a_time(mode):
     model = LinearRegressionModel(4)
     cfg = MetaConfig(mode=mode, inner_steps=3, inner_lr=0.01, outer_lr=0.01,
                      tasks_per_batch=6, points=4, outer_iterations=4, seed=0)
-    source = TrackingSource(make_sampler())
-    meta_train(model, source, cfg)
-    assert source.alive_at_draw == [0, 0, 0, 0]
+    draw, alive_at_draw = tracking(draw_from(small_tree()))
+    meta_train(model, draw, cfg)
+    assert alive_at_draw == [0, 0, 0, 0]
 
 
-class FixedSource:
-    """A task source that hands out the same tasks every iteration."""
-
-    def __init__(self, tasks):
-        self.tasks = tasks
-
-    def sample_batch(self, m, n_train, n_val):
-        return self.tasks
+@pytest.mark.parametrize("mode", ["maml", "tree_fixed", "tree_learned"])
+def test_adaptation_does_not_read_id_values(mode):
+    # ids only tell a batch's tasks apart, so shifting every id leaves full
+    # and followed traces bit-identical; a sampler needs no running id
+    tasks = sample_task_batch(small_tree(), 12, np.random.default_rng(4), 5, 5)
+    shifted = dataclasses.replace(tasks, ids=tasks.ids + 10**6)
+    model = LinearRegressionModel(4)
+    omega = np.random.default_rng(5).normal(0.0, 0.01, 4)
+    cfg = MetaConfig(mode=mode, inner_steps=3, inner_lr=0.01)
+    for follow in (None, 0, 7, 11):
+        trace, moved = (adapt_tree(model, omega, t, cfg, follow=follow) for t in (tasks, shifted))
+        for name in ("owners", "parents", "params"):
+            for a, b in zip(getattr(trace, name), getattr(moved, name), strict=True):
+                assert np.array_equal(a, b)
+    assert not set(tasks.ids.tolist()) & set(shifted.ids.tolist())
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -697,7 +726,7 @@ def test_non_finite_values_raise_divergence_naming_the_phase():
                       outer_iterations=2)
     assert phase_of(adapt_tree, model, np.array([1.0]), task, huge) == (
         "inner step 2", None, "non-finite values in inner step 2")
-    assert phase_of(meta_train, model, FixedSource(task), huge) == (
+    assert phase_of(meta_train, model, lambda m, n: task, huge) == (
         "inner step 2", 1, "non-finite values in inner step 2 at iteration 1")
     assert phase_of(adapt_and_evaluate, model, np.array([1.0]), None, task, huge)[0] == (
         "eval, inner step 2")
@@ -781,9 +810,9 @@ def test_adapt_and_evaluate_tree_fixed_at_the_optimum():
 def test_adapt_and_evaluate_tree_learned_runs():
     rng = np.random.default_rng(15)
     model = LinearRegressionModel(4)
-    sampler = make_sampler(seed=9)
-    support = sampler.sample_batch(4, 5, 5)
-    target = sampler.sample_batch(1, 5, 0, n_test=10)
+    tree, tasks_rng = small_tree(), np.random.default_rng(9)
+    support = sample_task_batch(tree, 4, tasks_rng, 5, 5)
+    target = sample_task_batch(tree, 1, tasks_rng, 5, 0, n_test=10, start_id=4)
     cfg = MetaConfig(mode="tree_learned", inner_steps=3, inner_lr=0.01)
     mse = adapt_and_evaluate(model, rng.normal(0, 0.01, 4), support, target, cfg)
     assert math.isfinite(mse) and mse >= 0.0

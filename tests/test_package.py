@@ -13,6 +13,15 @@ IMPORT_ALLOWANCES = {
     "clustering.py": {"set_similarity"},
 }
 
+# Public definitions that nothing in src/ uses, each kept for the reason given.
+PINNED = {
+    "set_similarity": "perfbench/cell.py --trace wraps it, and tests/otd_reference.py calls it",
+    "generator_hierarchy_tree": "the public name of the default fixed tree",
+    "singleton_tree": "acceptance criterion 2 builds its fixed tree with it",
+    "single_cluster_tree": "acceptance criterion 3 builds its fixed tree with it",
+    "stable_hash": "the config hash that ROADMAP item 2 writes into every output",
+}
+
 
 def test_public_names_are_pinned():
     # A change to this set is a change to the public API and should be
@@ -23,9 +32,9 @@ def test_public_names_are_pinned():
         "ClusterTreeNode", "ConfigError", "DivergenceError", "DuplicateTaskError",
         "EmptyBatchError", "FixedTreeSpec", "InsufficientSamplesError", "LinearRegressionModel",
         "MODES", "MetaConfig", "NumericalError", "SimilarityStats", "TaskBatch",
-        "TaskGeneratorConfig", "TaskSampler", "TreeShapeError", "ZeroVectorError",
+        "TaskGeneratorConfig", "TreeShapeError", "ZeroVectorError",
         "adapt_and_evaluate", "adapt_tree", "build_parameter_tree", "build_tree",
-        "clusters_at_level", "confidence_halfwidth_95", "cosine_similarity",
+        "confidence_halfwidth_95", "cosine_similarity",
         "generator_hierarchy_tree", "meta_train", "outer_update", "sample_task_batch",
         "set_similarity", "single_cluster_tree", "singleton_tree",
     }
@@ -53,3 +62,20 @@ def test_modules_import_only_names_they_use():
     assert modules
     unused = {p.name: sorted(unused_imports(p)) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_every_public_definition_has_a_use_or_a_pin():
+    # a module-level def or class without a leading _ is used somewhere in
+    # src/, by name or as an attribute, or PINNED says why it stays
+    used, defined = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if path.name != "__init__.py":
+            defined |= {node.name for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")}
+    assert sorted(defined - used - PINNED.keys()) == []
+    assert sorted(PINNED.keys() - defined) == []  # each pin names a definition
+    assert sorted(PINNED.keys() & used) == []  # a pin whose name gained a use goes

@@ -6,7 +6,6 @@ import pytest
 from treemaml.tasks import (
     ConfigError,
     TaskGeneratorConfig,
-    TaskSampler,
     build_parameter_tree,
     distribution_to_dict,
     sample_task_batch,
@@ -210,10 +209,10 @@ def test_sibling_leaves_are_closer_than_non_siblings():
 
 def test_task_sampler_ids_increase():
     tree = build_parameter_tree(SMALL)
-    sampler = TaskSampler(tree, np.random.default_rng(7), start_id=50)
-    b1 = sampler.sample_batch(3, 2, 2)
-    single = sampler.sample_batch(1, 2, 2)
-    b2 = sampler.sample_batch(2, 2, 2)
+    rng = np.random.default_rng(7)
+    b1 = sample_task_batch(tree, 3, rng, 2, 2, start_id=50)
+    single = sample_task_batch(tree, 1, rng, 2, 2, start_id=53)
+    b2 = sample_task_batch(tree, 2, rng, 2, 2, start_id=54)
     ids = (b1 + single + b2).ids.tolist()
     assert ids == list(range(50, 56))
 
