@@ -31,7 +31,8 @@ The item's dots with a node's children are thus scalar reads of their rows.
 An internal node at the bottom level, depth max_depth - 1, only ever widens
 (branch 3 appends at the depth budget, branch 4 cannot lift a node with
 leaves at max_depth, and branches 1, 2 and 5 append), so it appends each item
-without scoring it. Every internal node above it caches its children's
+without scoring it; its parent's branch 3 does that in place, reusing the
+item's dot with it. Every internal node above it caches its children's
 pairwise dots and cosines as Python floats, in two flat lists that hold the
 pair (a, b), a < b, at b (b - 1) / 2 + a, so a new child's pairs go on the
 end. The "before" statistics read the cached cosines and the "after" mean
@@ -42,13 +43,13 @@ pairs are recomputed. Nodes made by branch 3 or 4 start with a two-child
 cache.
 
 ClusterTreeNode is a read-only view of the finished tree, made on demand for
-walkers; the engine reads level1_labels instead.
+walkers; the engine reads level1_members instead.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
+from math import fsum, sqrt
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -85,31 +86,30 @@ class ClusterConfig:
 
 
 class _Node:
-    """One node under construction. A leaf has kids None and item, its row of
-    D; an internal node has item -1. members lists the items below in arrival
-    order, height the levels between the node and its deepest leaf. row, sq
-    and norm are the member sum's dots with every item, squared norm and norm
-    (row is None for a root never demoted); dot and cos are the children's
-    pairwise caches of a node that scores insertions, else None."""
+    """One node under construction. A leaf has kids None and members [its
+    item]; an internal node's members lists the items below in arrival order.
+    height counts the levels between the node and its deepest leaf. row, sq
+    and norm are the member sum's dots with every item (a leaf's row of D; None
+    for a root never demoted), squared norm and norm; dot and cos are the
+    children's pairwise caches of a node that scores insertions, else None."""
 
-    __slots__ = ("node_id", "item", "kids", "members", "height", "row", "sq", "norm", "dot", "cos")
+    __slots__ = ("node_id", "kids", "members", "height", "row", "sq", "norm", "dot", "cos")
 
-    def __init__(self, node_id: int, item: int, members: list, row, sq: float, cache: bool):
+    def __init__(self, node_id: int, kids, members: list, row, sq: float, norm: float, cache=False):
         self.node_id = node_id
-        self.item = item
-        self.kids = None if item >= 0 else []
+        self.kids = kids
         self.members = members
         self.height = 0
         self.row = row
         self.sq = sq
-        self.norm = math.sqrt(sq)
+        self.norm = norm
         self.dot = [] if cache else None
         self.cos = [] if cache else None
 
 
 def _std(pairs: list, mean: float) -> float:
     # Population std in ndarray.std's order of operations, with an fsum.
-    return math.sqrt(math.fsum([(x - mean) * (x - mean) for x in pairs]) / len(pairs))
+    return sqrt(fsum([(x - mean) * (x - mean) for x in pairs]) / len(pairs))
 
 
 class _Ladder:
@@ -117,104 +117,112 @@ class _Ladder:
 
     def __init__(self, D: np.ndarray, cfg: ClusterConfig):
         self.D = D
+        self.rows = list(D)
         self.dsq = D.diagonal().tolist()
-        self.dnorm = [math.sqrt(s) for s in self.dsq]
+        self.dnorm = [sqrt(s) for s in self.dsq]
         self.max_depth = cfg.max_depth
         self.xi = cfg.xi
         self._ids = itertools.count()
 
-    def root(self) -> _Node:
-        return _Node(next(self._ids), -1, [], None, 0.0, self.max_depth > 1)
-
-    def _leaf(self, i: int) -> _Node:
-        return _Node(next(self._ids), i, [i], self.D[i], self.dsq[i], False)
-
-    def _absorb(self, v: _Node, i: int) -> None:
-        v.members.append(i)
-        if v.row is not None:
-            v.sq += 2.0 * v.row.item(i) + self.dsq[i]
-            v.norm = math.sqrt(v.sq)
-            v.row += self.D[i]
-
-    def _append(self, v: _Node, i: int, dots: list, col: list) -> None:
-        """Absorb item i into the scoring node v as a new leaf child, whose
-        dots and cosines with v's other children are dots and col."""
-        self._absorb(v, i)
-        v.kids.append(self._leaf(i))
-        v.height = max(v.height, 1)
-        v.dot += dots
-        v.cos += col
-
     def _pair(self, inner: _Node, i: int, dot: float, depth: int) -> _Node:
         """New node at depth whose children are inner and a leaf for item i;
         dot is <S_inner, g_i>."""
-        row = None if depth == 0 else inner.row + self.D[i]
-        outer = _Node(next(self._ids), -1, inner.members + [i], row,
-                      inner.sq + 2.0 * dot + self.dsq[i], depth + 1 < self.max_depth)
-        outer.kids = [inner, self._leaf(i)]
+        gi, dsq, ni = self.rows[i], self.dsq[i], self.dnorm[i]
+        sq = inner.sq + 2.0 * dot + dsq
+        row = None if depth == 0 else inner.row + gi
+        outer = _Node(next(self._ids), [inner], inner.members + [i], row, sq, sqrt(sq),
+                      depth + 1 < self.max_depth)
+        outer.kids.append(_Node(next(self._ids), None, [i], gi, dsq, ni))
         outer.height = inner.height + 1
         if outer.dot is not None:
             outer.dot.append(dot)
-            outer.cos.append(dot / (inner.norm * self.dnorm[i]))
+            outer.cos.append(dot / (inner.norm * ni))
         return outer
-
-    def _refresh(self, v: _Node, idx: int, dots: list) -> None:
-        """Recompute child idx's pairs in v's cache after it absorbed the item
-        whose dots with the children were dots."""
-        dot, cos, norm = v.dot, v.cos, v.kids[idx].norm
-        base = idx * (idx - 1) // 2
-        for j, k in enumerate(v.kids):
-            if j != idx:
-                p = base + j if j < idx else j * (j - 1) // 2 + idx
-                dot[p] += dots[j]
-                cos[p] = dot[p] / (norm * k.norm)
 
     def insert(self, v: _Node, depth: int, i: int) -> _Node:
         """Insert item i below v, which sits at depth; return the node now in v's place."""
         kids = v.kids
+        gi, dsq, ni = self.rows[i], self.dsq[i], self.dnorm[i]
         if depth + 1 == self.max_depth:
-            # A bottom-level node only widens: branch 3 appends at the depth
-            # budget, branch 4 cannot lift a node with leaves at max_depth, and
-            # branches 1, 2 and 5 append. So it scores nothing.
-            self._absorb(v, i)
-            kids.append(self._leaf(i))
+            # only a depth-1 tree's root: branch 3 widens the other bottom-level nodes
+            v.members.append(i)
+            kids.append(_Node(next(self._ids), None, [i], gi, dsq, ni))
             v.height = 1
             return v
-        dots = [k.row.item(i) for k in kids]
-        ni = self.dnorm[i]
-        col = [d / (k.norm * ni) for d, k in zip(dots, kids)]
+        dots = []
+        col = []
+        for k in kids:
+            d = k.row.item(i)
+            dots.append(d)
+            col.append(d / (k.norm * ni))
+        descend = False
         if len(kids) >= 2:
             pairs = v.cos
-            before = math.fsum(pairs) / len(pairs)
-            after = math.fsum(pairs + col) / (len(pairs) + len(col))
-            if after > before:
-                # Branch 3: the item agrees with this node; push it toward its
-                # closest child, ties to the lowest node_id.
-                self._absorb(v, i)
-                best = max(col)
-                idx = col.index(best)
-                if col.count(best) > 1:
-                    idx = min((k.node_id, j) for j, k in enumerate(kids) if col[j] == best)[1]
-                target = kids[idx]
-                if target.kids is None:
-                    kids[idx] = self._pair(target, i, dots[idx], depth + 1)
-                else:
-                    kids[idx] = self.insert(target, depth + 1, i)
-                v.height = max(v.height, kids[idx].height + 1)
-                self._refresh(v, idx, dots)
-                return v
+            before = fsum(pairs) / len(pairs)
+            after = fsum(pairs + col) / (len(pairs) + len(col))
+            descend = after > before
             # the depth bound first: it blocks most calls, and _std is the costly part
-            if (depth + v.height + 1 <= self.max_depth
+            if (not descend and depth + v.height + 1 <= self.max_depth
                     and after < before - self.xi * _std(pairs, before)):
                 # Branch 4: outlier; this whole node and the item become
                 # siblings under a fresh parent occupying the node's slot.
                 if v.row is None:  # the root, about to become a child
                     v.row = self.D[v.members].sum(axis=0)
                     v.sq = float(v.row[v.members].sum())
-                    v.norm = math.sqrt(v.sq)
+                    v.norm = sqrt(v.sq)
                 return self._pair(v, i, v.row.item(i), depth)
-        # Branches 1, 2 and 5 (and branch 4's depth fallback): widen this node.
-        self._append(v, i, dots, col)
+        # Every other branch absorbs the item into v.
+        v.members.append(i)
+        if v.row is not None:
+            v.sq += 2.0 * v.row.item(i) + dsq
+            v.norm = sqrt(v.sq)
+            v.row += gi
+        if not descend:
+            # Branches 1, 2 and 5 (and branch 4's depth fallback): widen this node.
+            kids.append(_Node(next(self._ids), None, [i], gi, dsq, ni))
+            v.height = max(v.height, 1)
+            v.dot += dots
+            v.cos += col
+            return v
+        # Branch 3: the item agrees with this node; push it toward its closest
+        # child, ties to the lowest node_id.
+        best = max(col)
+        idx = col.index(best)
+        if col.count(best) > 1:
+            idx = min((k.node_id, j) for j, k in enumerate(kids) if col[j] == best)[1]
+        target = kids[idx]
+        if target.kids is None:
+            kids[idx] = target = self._pair(target, i, dots[idx], depth + 1)
+            v.height = max(v.height, target.height + 1)
+        elif depth + 2 == self.max_depth:
+            # A bottom-level node only widens: branch 3 appends at the depth
+            # budget, branch 4 cannot lift a node with leaves at max_depth,
+            # and branches 1, 2 and 5 append. So it scores nothing, and its
+            # height stays 1.
+            target.members.append(i)
+            target.sq += 2.0 * dots[idx] + dsq
+            target.norm = sqrt(target.sq)
+            target.row += gi
+            target.kids.append(_Node(next(self._ids), None, [i], gi, dsq, ni))
+        else:
+            kids[idx] = target = self.insert(target, depth + 1, i)
+            v.height = max(v.height, target.height + 1)
+        # Only child idx changed: its dots with each sibling grow by the
+        # item's, and its cosines are recomputed. Pair (j, idx) sits at
+        # idx (idx - 1) / 2 + j, pair (idx, j) at j (j - 1) / 2 + idx.
+        dot, cos, norm = v.dot, v.cos, target.norm
+        p = idx * (idx - 1) // 2
+        for j in range(idx):
+            x = dot[p] + dots[j]
+            dot[p] = x
+            cos[p] = x / (norm * kids[j].norm)
+            p += 1
+        p += idx
+        for j in range(idx + 1, len(kids)):
+            x = dot[p] + dots[j]
+            dot[p] = x
+            cos[p] = x / (norm * kids[j].norm)
+            p += j
         return v
 
 
@@ -243,7 +251,7 @@ class ClusterTreeNode:
 
     @property
     def task_id(self) -> Optional[int]:
-        return self._ids[self._node.item] if self.is_leaf else None
+        return self._ids[self._node.members[0]] if self.is_leaf else None
 
     @property
     def children(self) -> list:
@@ -278,16 +286,14 @@ def build_tree(ids: Sequence[int], G: np.ndarray, cfg: ClusterConfig) -> Cluster
     ladder = _Ladder(G @ G.T, cfg)
     if 0.0 in ladder.dsq:
         raise ZeroVectorError("cannot cluster a zero gradient")
-    root = ladder.root()
+    root = _Node(next(ladder._ids), [], [], None, 0.0, 0.0, cfg.max_depth > 1)
     for i in range(len(ids)):
         root = ladder.insert(root, 0, i)
     return ClusterTreeNode(root, ids, 0)
 
 
-def level1_labels(root: ClusterTreeNode) -> np.ndarray:
-    """Each item's level-1 cluster, in build_tree's item order, numbered in
-    the order root.children lists them."""
-    labels = np.empty(len(root._node.members), dtype=np.intp)
-    for k, child in enumerate(root._node.kids):
-        labels[child.members] = k
-    return labels
+def level1_members(root: ClusterTreeNode) -> list:
+    """Each level-1 cluster's task_ids in arrival order, the clusters in the
+    order root.children lists them."""
+    ids = root._ids
+    return [[ids[i] for i in kid.members] for kid in root._node.kids]

@@ -66,7 +66,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .clustering import ClusterConfig, build_tree, level1_labels
+from .clustering import ClusterConfig, build_tree, level1_members
 from .models import Batch, BatchStack, EmptyBatchError, _frozen
 from .numerics import NumericalError
 from .tasks import ConfigError, TaskBatch, _check_types
@@ -330,19 +330,21 @@ def _learned_partition(G: np.ndarray, prev_owner: np.ndarray, n_prev: int,
     (an exactly fitted task) has no direction to cluster on, so that task steps
     alone, after the clustered tasks and in batch order."""
     zero = np.linalg.norm(G, axis=1) == 0.0
-    owner = np.empty(len(G), dtype=np.intp)
+    order = np.lexsort((zero, prev_owner))  # each cluster's rows in row order, zero rows last
+    ends = np.cumsum(np.bincount(prev_owner, minlength=n_prev))
+    zeros_from = ends - np.bincount(prev_owner[zero], minlength=n_prev)
+    owner = [0] * len(G)
     parent: list = []
-    for p in range(n_prev):
-        members = np.flatnonzero(prev_owner == p)
-        rows = members[~zero[members]]
-        if len(rows):
-            labels = level1_labels(build_tree(rows, G[rows], cluster))
-            owner[rows] = len(parent) + labels
-            parent += [p] * (int(labels.max()) + 1)
-        alone = members[zero[members]]
-        owner[alone] = len(parent) + np.arange(len(alone))
-        parent += [p] * len(alone)
-    return owner, np.array(parent, dtype=np.intp)
+    a = 0
+    for p, (s, b) in enumerate(zip(zeros_from.tolist(), ends.tolist())):
+        rows = order[a:s]
+        clusters = level1_members(build_tree(rows, G[rows], cluster)) if s > a else []
+        for members in clusters + order[s:b, None].tolist():
+            for r in members:
+                owner[r] = len(parent)
+            parent.append(p)
+        a = b
+    return np.array(owner, dtype=np.intp), np.array(parent, dtype=np.intp)
 
 
 def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: str,
@@ -567,10 +569,18 @@ def adapt_and_evaluate(model, omega: np.ndarray, support: Optional[TaskBatch],
     Finiteness is checked only on what the target's loss reads, so a support
     task off the target's path that overflows does not fail eval. A
     non-finite value raises DivergenceError in phase "eval".
+
+    Raises ValueError before any work for a tree mode without support, and
+    EmptyBatchError for a target whose test split has no points.
     """
     theta = omega = _check_omega(model, omega)
     if len(target) != 1:
         raise ValueError(f"the target must be a one-task batch, not {len(target)} tasks")
+    (X, Y), = target.test.blocks
+    if not Y.size:
+        raise EmptyBatchError("the target's test split has no points to evaluate on")
+    if support is None and cfg.mode in ("tree_fixed", "tree_learned"):
+        raise ValueError(f"mode {cfg.mode!r} adapts the target with support tasks; support is None")
     if cfg.mode != "baseline" or cfg.baseline_finetune:
         try:
             if cfg.mode in ("maml", "baseline"):
@@ -581,7 +591,6 @@ def adapt_and_evaluate(model, omega: np.ndarray, support: Optional[TaskBatch],
         except DivergenceError as e:
             raise DivergenceError(e.what, f"eval, {e.phase}") from None
         theta = trace.followed_params
-    (X, Y), = target.test.blocks
     mse = model.loss(theta, Batch(X[0], Y[0]))
     if not math.isfinite(mse):
         raise DivergenceError(f"test loss {mse}", "eval")

@@ -2,7 +2,7 @@
 
 The tests read build_tree's result through these: clusters_at_level cuts the
 tree at a depth and tree_to_dict dumps it whole, so two trees compare by
-value. The engine reads level1_labels instead, so neither lives in the
+value. The engine reads level1_members instead, so neither lives in the
 package.
 """
 

@@ -9,7 +9,7 @@ from treemaml.clustering import (
     DuplicateTaskError,
     _std,
     build_tree,
-    level1_labels,
+    level1_members,
 )
 from treemaml.models import LinearRegressionModel
 from treemaml.numerics import ZeroVectorError, set_similarity
@@ -349,10 +349,19 @@ def test_cached_statistics_match_set_similarity():
         check_cache(build(items, D2), D2.max_depth, dict(items))
 
 
+def labels(clusters, items):
+    """Each item's level-1 cluster, in item order, from the clusters' task_ids."""
+    cluster = {t: k for k, members in enumerate(clusters) for t in members}
+    return np.array([cluster[t] for t, _ in items])
+
+
+def level1_labels(root, items):
+    return labels(level1_members(root), items)
+
+
 def reference_labels(items, cfg):
     root = reference_build_tree(items, cfg)
-    cluster = {t: k for k, child in enumerate(root.children) for t in child.member_tasks}
-    return np.array([cluster[t] for t, _ in items])
+    return labels([child.member_tasks for child in root.children], items)
 
 
 def test_level1_labels_match_reference_on_recorded_gradients(monkeypatch):
@@ -372,7 +381,7 @@ def test_level1_labels_match_reference_on_recorded_gradients(monkeypatch):
     trace = meta.adapt_tree(LinearRegressionModel(8), np.zeros(8), tasks, cfg)
     assert len(calls) == 1 + trace.partition_sizes[0]
     for items, cluster in calls:
-        assert np.array_equal(level1_labels(build(items, cluster)),
+        assert np.array_equal(level1_labels(build(items, cluster), items),
                               reference_labels(items, cluster))
 
 
@@ -390,9 +399,11 @@ def test_level1_labels_match_reference_on_recorded_gradients(monkeypatch):
 def test_edge_cases_match_reference(cfg, items):
     root = build(items, cfg)
     assert tree_to_dict(root) == tree_to_dict(reference_build_tree(items, cfg))
-    assert np.array_equal(level1_labels(root), reference_labels(items, cfg))
+    assert np.array_equal(level1_labels(root, items), reference_labels(items, cfg))
     if cfg.max_depth == 1:
-        assert np.array_equal(level1_labels(root), np.arange(len(items)))
+        assert np.array_equal(level1_labels(root, items), np.arange(len(items)))
+    for members in level1_members(root):  # each cluster in arrival order
+        assert members == [t for t, _ in items if t in members]
 
 
 def test_bad_items_raise_before_any_insertion():

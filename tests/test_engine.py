@@ -45,11 +45,20 @@ TREE = build_parameter_tree(TaskGeneratorConfig(dim=DIM, branching=(2, 2), level
 MODEL = LinearRegressionModel(DIM)
 
 
-def config(mode, points, second_order=True):
+def config(mode, points, second_order=True, steps=3):
     return MetaConfig(
-        mode=mode, inner_lr=0.007, inner_steps=3, tasks_per_batch=M,
+        mode=mode, inner_lr=0.007, inner_steps=steps, tasks_per_batch=M,
         points=points, second_order=second_order,
     )
+
+
+# Every mode at the benchmark's 3 inner steps, and tree_learned at 4: then
+# both clustering steps build depth-3 trees, whose depth-1 nodes score
+# insertions too, and a followed adaptation steps every cluster at two steps.
+ENGINE_CASES = [pytest.param(mode, points, 3, id=f"{mode}-{points}")
+                for points in (5, 128) for mode in ("maml", "tree_fixed", "tree_learned")]
+ENGINE_CASES += [pytest.param("tree_learned", points, 4, id=f"tree_learned-{points}-4steps")
+                 for points in (5, 20)]
 
 
 def omegas(seed):
@@ -100,15 +109,14 @@ def test_sampler_bytes_match_the_per_task_sampler(m, n_train, n_val, n_test):
         assert new_rng.bit_generator.state == rng.bit_generator.state
 
 
-@pytest.mark.parametrize("points", [5, 128])
-@pytest.mark.parametrize("mode", ["maml", "tree_fixed", "tree_learned"])
-def test_engine_is_bit_identical_to_the_per_task_engine(mode, points):
+@pytest.mark.parametrize("mode, points, steps", ENGINE_CASES)
+def test_engine_is_bit_identical_to_the_per_task_engine(mode, points, steps):
     tasks = sample_task_batch(TREE, M, np.random.default_rng(100 + points), points, points)
     ids = tasks.ids
     vals = {t.task_id: t.val_points for t in ref.tasks_of(tasks)}
     for omega in omegas(points):
-        trace = adapt_tree(MODEL, omega, tasks, config(mode, points))
-        old = ref.adapt_tree(omega, tasks, config(mode, points))
+        trace = adapt_tree(MODEL, omega, tasks, config(mode, points, steps=steps))
+        old = ref.adapt_tree(omega, tasks, config(mode, points, steps=steps))
         assert trace.partition_sizes == old.partition_sizes
         params_in = omega[None]
         for owner, parent, params_out, old_level in zip(trace.owners, trace.parents, trace.params,
@@ -119,11 +127,11 @@ def test_engine_is_bit_identical_to_the_per_task_engine(mode, points):
                 assert np.array_equal(params_in[parent[c]], old_cs.params_in)
                 assert np.array_equal(params_out[c], old_cs.params_out)
             params_in = params_out
-        for tid, theta in zip(ids.tolist(), trace.task_params(3)):
+        for tid, theta in zip(ids.tolist(), trace.task_params(steps)):
             assert np.array_equal(theta, old.final_params[tid])
         assert meta_validation_loss(MODEL, trace) == ref.meta_validation_loss(old, vals)
         for second_order in (True, False):
-            cfg = config(mode, points, second_order)
+            cfg = config(mode, points, second_order, steps)
             g = meta_gradient(MODEL, trace, cfg)
             assert np.array_equal(g, ref.meta_gradient(omega, old, vals, cfg))
             # the outer step reads omega from the trace
@@ -162,10 +170,9 @@ def joint_batches(points, rng):
                     pool.train.take(alone), pool.val.take(alone), pool.test.take(alone)) + target
 
 
-@pytest.mark.parametrize("points", [5, 128])
-@pytest.mark.parametrize("mode", ["maml", "tree_fixed", "tree_learned"])
-def test_followed_trace_matches_the_full_trace(mode, points):
-    cfg = config(mode, points)
+@pytest.mark.parametrize("mode, points, steps", ENGINE_CASES)
+def test_followed_trace_matches_the_full_trace(mode, points, steps):
+    cfg = config(mode, points, steps=steps)
     rng = np.random.default_rng([300, points])
     for tasks, omega in zip(joint_batches(points, rng), [*omegas(points), next(omegas(9))]):
         assert len(tasks) == M + 1

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from treemaml import meta
 from treemaml.meta import (
     MODES,
     CapabilityError,
@@ -714,7 +715,7 @@ def test_non_finite_values_raise_divergence_naming_the_phase():
     # one task, x = 1 and y = 0: the gradient is 2 theta and the Hessian 2, so
     # a step maps theta to (1 - 2 lr) theta and overflow is easy to place
     model = LinearRegressionModel(1)
-    task = make_task(0, [[1.0]], [0.0])
+    task = make_task(0, [[1.0]], [0.0], test=([[1.0]], [0.0]))
 
     def phase_of(fn, *args):
         with pytest.raises(DivergenceError) as err:
@@ -732,7 +733,7 @@ def test_non_finite_values_raise_divergence_naming_the_phase():
         "eval, inner step 2")
     fixed = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=1e300,
                        fixed_tree=singleton_tree())
-    target = make_task(1, [[1.0]], [0.0])
+    target = make_task(1, [[1.0]], [0.0], test=([[1.0]], [0.0]))
     assert phase_of(adapt_and_evaluate, model, np.array([1.0]), task, target, fixed)[0] == (
         "eval, inner step 2")
 
@@ -805,6 +806,25 @@ def test_adapt_and_evaluate_tree_fixed_at_the_optimum():
     cfg = MetaConfig(mode="tree_fixed", inner_steps=3, inner_lr=0.05,
                      fixed_tree=generator_hierarchy_tree())
     assert adapt_and_evaluate(model, w, support, target, cfg) == 0.0
+
+
+@pytest.mark.parametrize("mode", ["tree_fixed", "tree_learned"])
+def test_a_tree_mode_without_support_raises_before_any_work(mode, monkeypatch):
+    model = LinearRegressionModel(2)
+    target = make_task(0, [[1.0, 0.0]], [1.0], test=([[0.0, 1.0]], [1.0]))
+    monkeypatch.setattr(meta, "_adapt", None)  # any adaptation would fail on this
+    with pytest.raises(ValueError, match=rf"^mode '{mode}' adapts the target with support tasks"):
+        adapt_and_evaluate(model, np.zeros(2), None, target, MetaConfig(mode=mode))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_target_without_test_points_raises_at_entry(mode, monkeypatch):
+    model = LinearRegressionModel(2)
+    support = make_task(0, [[1.0, 0.0]], [1.0])
+    target = make_task(1, [[0.0, 1.0]], [1.0])  # no test points
+    monkeypatch.setattr(meta, "_adapt", None)
+    with pytest.raises(EmptyBatchError, match="^the target's test split has no points"):
+        adapt_and_evaluate(model, np.zeros(2), support, target, MetaConfig(mode=mode))
 
 
 def test_adapt_and_evaluate_tree_learned_runs():
