@@ -2,9 +2,13 @@
 
 A JSON spec file describes the task distribution, the meta-training template,
 and the (mode x points x seed) grid. Every RNG stream is derived from the spec
-seeds alone, and for a given (points, seed) cell all modes see identical
-training batches, support batches, and meta-test tasks, so mode comparisons
-are paired.
+seeds alone, and for a given (points, seed) cell all modes see training
+batches, support batches and meta-test tasks identical in every value a mode
+reads, so mode comparisons are paired. Under the generator tree, tree_fixed
+reads only the support tasks in the target's step-1 cluster, so the others'
+inputs are not drawn once a task has enough of them for the skip to pay
+(sample_task_batch's input_leaves): tree_fixed's support inputs and targets
+off the target's path are then NaN.
 """
 
 from __future__ import annotations
@@ -29,12 +33,15 @@ from .meta import (
     MetaConfig,
     adapt_and_evaluate,
     adapt_tree,
+    generator_hierarchy_tree,
     meta_train,
 )
 from .models import LinearRegressionModel
 from .numerics import confidence_halfwidth_95
 from .tasks import (
     ConfigError,
+    ParameterTree,
+    TaskBatch,
     TaskGeneratorConfig,
     _check_types,
     build_parameter_tree,
@@ -153,6 +160,23 @@ def cell_config(spec: ExperimentSpec, mode: str, points: int, seed: int) -> Meta
     return replace(spec.meta, mode=mode, points=points, seed=seed)
 
 
+def _support_leaves(tree: ParameterTree, target: TaskBatch, cfg: MetaConfig):
+    """The (L,) bool mask of the generator leaves whose support tasks share the
+    target's step-1 cluster, or None to draw every support input.
+
+    A followed tree_fixed adaptation reads the training inputs of those tasks
+    alone (see adapt_tree). Under the generator tree the step-1 key is the
+    task id at one inner step, which no support task shares, and else the
+    first level of the leaf's path. Other modes and fixed trees get None.
+    """
+    if cfg.mode != "tree_fixed" or cfg.fixed_tree is not generator_hierarchy_tree():
+        return None
+    if cfg.inner_steps == 1:
+        return np.zeros(len(tree.leaf_paths), dtype=bool)
+    # with no tree levels every key is 0, and the one leaf is all True
+    return (tree.leaf_paths[:, :1] == target.paths[:, :1]).all(axis=1)
+
+
 def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: int,
               dump_tree: bool):
     cfg = cell_config(spec, mode, points, seed)
@@ -167,21 +191,21 @@ def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: i
     m = cfg.tasks_per_batch
     needs_support = mode in ("tree_fixed", "tree_learned")
 
-    def draw(ss, tasks, n_test, start_id=0):
+    def draw(ss, tasks, n_test, start_id=0, input_leaves=None):
         return sample_task_batch(tree, tasks, np.random.default_rng(ss), n_train=points,
-                                 n_val=0, n_test=n_test, start_id=start_id)
+                                 n_val=0, n_test=n_test, start_id=start_id,
+                                 input_leaves=input_leaves)
 
-    per_task = []
-    for child in eval_ss.spawn(spec.meta_test_tasks):
+    def evaluate(child):
+        # its batches die with this call, before the next target draws; ids
+        # need only differ within support + target
         support_ss, target_ss = child.spawn(2)
-        # Drawn as arguments, so no name keeps target i's batches alive
-        # while target i + 1 draws. Ids need only differ within support + target.
-        per_task.append(adapt_and_evaluate(
-            model, omega,
-            draw(support_ss, m, 0) if needs_support else None,
-            draw(target_ss, 1, spec.eval_test_points, start_id=m),
-            cfg,
-        ))
+        target = draw(target_ss, 1, spec.eval_test_points, start_id=m)
+        support = (draw(support_ss, m, 0, input_leaves=_support_leaves(tree, target, cfg))
+                   if needs_support else None)
+        return adapt_and_evaluate(model, omega, support, target, cfg)
+
+    per_task = [evaluate(child) for child in eval_ss.spawn(spec.meta_test_tasks)]
     wall = time.perf_counter() - t0
 
     result = RunResult(

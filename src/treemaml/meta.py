@@ -426,7 +426,12 @@ def adapt_tree(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig,
     later step or the followed task reads them: its own path down the tree,
     plus, in tree_learned, every task's gradient at the clustering steps and
     every cluster's step before the last one of them. The trace records the
-    partitions and the followed path only (see AdaptationTrace).
+    partitions and the followed path only (see AdaptationTrace). So a
+    followed tree_fixed run reads the training split of the rows in the
+    followed task's step-1 cluster alone, as its later clusters nest in that
+    one: the other rows' inputs and targets may hold anything, NaN included
+    (meta-test sampling leaves them NaN). It still reads every row's ids and
+    paths, through cfg.fixed_tree.
 
     Raises DivergenceError naming the step when a computed gradient or
     parameter goes non-finite.

@@ -24,7 +24,7 @@ from treemaml.cli import (
     write_outputs,
 )
 from treemaml.clustering import ClusterConfig
-from treemaml.meta import MetaConfig, adapt_tree, generator_hierarchy_tree
+from treemaml.meta import FixedTreeSpec, MetaConfig, adapt_tree, generator_hierarchy_tree
 from treemaml.models import LinearRegressionModel
 from treemaml.numerics import confidence_halfwidth_95
 from treemaml.tasks import (
@@ -204,6 +204,71 @@ def test_run_experiment_covers_the_grid():
     assert tagged == {(m, 4, 0) for m in spec.modes}
     for rec in out.training_logs:
         assert {"iter", "meta_loss", "wall_ms", "partitions"} <= set(rec)
+
+
+def tree_fixed_spec(steps=3, **generator):
+    """A small tree_fixed spec whose support batches span every leaf, with the
+    4096 input values per task at which the sampler starts to skip inputs."""
+    d = small_dict(modes=["tree_fixed"], meta_test_tasks=6, points_sweep=[64])
+    d["generator"].update(dim=64, **generator)
+    d["meta"].update(inner_steps=steps, tasks_per_batch=12)
+    return spec_from_dict(d)
+
+
+def eval_draws(monkeypatch, spec):
+    """Run spec; return its outcome and each meta-test (target, support) pair drawn."""
+    batches = []
+    sample = cli.sample_task_batch
+
+    def recorded(*args, **kwargs):
+        batches.append(sample(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(cli, "sample_task_batch", recorded)
+    outcome = run_experiment(spec)
+    assert not outcome.failures
+    starts = [i for i, b in enumerate(batches) if b.test.blocks[0][1].size]  # the targets
+    return outcome, [(batches[i], batches[i + 1]) for i in starts]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_eval_support_inputs_off_the_targets_step1_cluster_are_nan(monkeypatch, steps):
+    # the skip runs: a support task outside the target's step-1 cluster (under
+    # the generator tree, its first tree level; at one step, the target alone)
+    # has NaN inputs and targets, and every other support task drawn values
+    _, pairs = eval_draws(monkeypatch, tree_fixed_spec(steps))
+    assert len(pairs) == 6
+    for target, support in pairs:
+        (X, Y), = support.train.blocks
+        off = (support.paths[:, 0] != target.paths[0, 0]) | (steps == 1)
+        assert np.isnan(X[off]).all() and np.isnan(Y[off]).all()
+        assert np.isfinite(X[~off]).all() and np.isfinite(Y[~off]).all()
+    assert any(0 < np.sum(s.paths[:, 0] == t.paths[0, 0]) < 12 for t, s in pairs)
+
+
+# a fixed tree of its own that keys tasks as the generator tree does
+PATHS_THEN_IDS = FixedTreeSpec(lambda t, K: np.column_stack((t.paths[:, :K - 1], t.ids)),
+                               "paths-then-ids")
+
+
+@pytest.mark.parametrize("spec, nan_free", [
+    pytest.param(tree_fixed_spec(1), False, id="1-step"),
+    pytest.param(tree_fixed_spec(2), False, id="2-steps"),
+    pytest.param(tree_fixed_spec(3), False, id="3-steps"),
+    pytest.param(tree_fixed_spec(branching=[], level_scales=[1.0]), True, id="no-tree-levels"),
+    pytest.param(replace(tree_fixed_spec(),
+                         meta=replace(tree_fixed_spec().meta, fixed_tree=PATHS_THEN_IDS)),
+                 True, id="custom-tree"),
+])
+def test_skipped_support_inputs_leave_every_result(monkeypatch, spec, nan_free):
+    # every meta-test MSE is the one a full support draw gives, bit for bit;
+    # with one leaf or a fixed tree of its own every support input is drawn
+    outcome, pairs = eval_draws(monkeypatch, spec)
+    assert nan_free == all(np.isfinite(s.train.blocks[0][0]).all() for _, s in pairs)
+    monkeypatch.setattr(cli, "_support_leaves", lambda *args: None)
+    full, pairs = eval_draws(monkeypatch, spec)
+    assert all(np.isfinite(s.train.blocks[0][0]).all() for _, s in pairs)
+    assert [r.per_task_mse for r in outcome.results] == [r.per_task_mse for r in full.results]
 
 
 def test_run_experiment_is_deterministic():

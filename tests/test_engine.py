@@ -20,6 +20,7 @@ cluster path, the meta-loss is quadratic in omega, and its gradient is
 (1/m) sum_i A_i^T g_i with g_i the validation gradient at theta_i.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ import pytest
 
 import engine_reference as ref
 from treemaml.meta import (
+    DivergenceError,
     FixedTreeSpec,
     MetaConfig,
     adapt_and_evaluate,
@@ -35,7 +37,10 @@ from treemaml.meta import (
     meta_gradient,
     meta_validation_loss,
     outer_update,
+    single_cluster_tree,
+    singleton_tree,
 )
+import treemaml.tasks
 from treemaml.models import BatchStack, LinearRegressionModel
 from treemaml.tasks import TaskBatch, TaskGeneratorConfig, build_parameter_tree, sample_task_batch
 
@@ -107,6 +112,75 @@ def test_sampler_bytes_match_the_per_task_sampler(m, n_train, n_val, n_test):
             assert X.tobytes() == np.stack([getattr(t, name).x.reshape(n, DIM) for t in old]).tobytes()
             assert Y.tobytes() == np.stack([getattr(t, name).y for t in old]).tobytes()
         assert new_rng.bit_generator.state == rng.bit_generator.state
+
+
+LEAF_MASKS = {
+    "none": np.zeros(len(TREE.leaf_paths), dtype=bool),
+    "all": np.ones(len(TREE.leaf_paths), dtype=bool),
+    "one leaf": np.arange(len(TREE.leaf_paths)) == 2,
+    "first branch": TREE.leaf_paths[:, 0] == 0,
+}
+
+
+@pytest.mark.parametrize("m", [1, M])
+@pytest.mark.parametrize("n_train, n_val, n_test", [(128, 0, 0), (5, 5, 0), (5, 0, 20), (0, 3, 2)])
+def test_skipped_inputs_leave_the_per_task_sampler_draws(monkeypatch, m, n_train, n_val, n_test):
+    # a task off input_leaves skips its inputs with advance(): every other
+    # array, every read row and the end state are the per-task sampler's, also
+    # when the generator enters with the 32-bit half of a draw buffered; tasks
+    # of every size skip here, not only those the sampler skips by default
+    monkeypatch.setattr(treemaml.tasks, "_MIN_SKIPPED_INPUTS", 0)
+    for seed, (mask_name, mask), buffered in itertools.product(
+            range(10), LEAF_MASKS.items(), (False, True)):
+        new_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            new_rng.integers(2), rng.integers(2)
+            assert new_rng.bit_generator.state["has_uint32"] == 1
+        batch = sample_task_batch(TREE, m, new_rng, n_train, n_val, n_test, input_leaves=mask)
+        old = [ref.sample_task(TREE, rng, n_train, n_val, n_test, task_id=i) for i in range(m)]
+        assert batch.leaves.tobytes() == np.array([t.leaf for t in old], dtype=np.intp).tobytes()
+        assert batch.paths.tobytes() == np.array([t.path for t in old], dtype=np.intp).tobytes()
+        assert batch.weights.tobytes() == np.stack([t.weights for t in old]).tobytes()
+        read = mask[batch.leaves]
+        for stack, name, n in ((batch.train, "train_points", n_train),
+                               (batch.val, "val_points", n_val),
+                               (batch.test, "test_points", n_test)):
+            (X, Y), = stack.blocks
+            X_old = np.stack([getattr(t, name).x.reshape(n, DIM) for t in old])
+            Y_old = np.stack([getattr(t, name).y for t in old])
+            assert X[read].tobytes() == X_old[read].tobytes(), (seed, mask_name, name)
+            assert Y[read].tobytes() == Y_old[read].tobytes(), (seed, mask_name, name)
+            assert np.isnan(X[~read]).all() and np.isnan(Y[~read]).all(), (seed, mask_name, name)
+        assert new_rng.bit_generator.state == rng.bit_generator.state, (seed, mask_name, buffered)
+
+
+@pytest.mark.parametrize("bit_generator, n_train, n_val", [
+    (np.random.MT19937, 128, 0),  # advance() skips PCG64 draws alone
+    (np.random.PCG64, 5, 5),  # the skip would cost more than the draws
+    (np.random.PCG64, 31, 32),  # one point short of the skip
+])
+def test_tasks_that_do_not_skip_draw_every_input(bit_generator, n_train, n_val):
+    if bit_generator is np.random.PCG64:
+        assert (n_train + n_val) * DIM < treemaml.tasks._MIN_SKIPPED_INPUTS
+    for seed in range(3):
+        masked, full = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        batch = sample_task_batch(TREE, M, masked, n_train, n_val, input_leaves=LEAF_MASKS["none"])
+        expected = sample_task_batch(TREE, M, full, n_train, n_val)
+        for name in ("leaves", "weights"):
+            assert getattr(batch, name).tobytes() == getattr(expected, name).tobytes()
+        for stack, stack_full in ((batch.train, expected.train), (batch.val, expected.val)):
+            for a, b in zip(stack.blocks[0], stack_full.blocks[0]):
+                assert a.tobytes() == b.tobytes()
+        a, b = masked.bit_generator.state["state"], full.bit_generator.state["state"]
+        if bit_generator is np.random.PCG64:
+            assert a == b
+        else:
+            assert a["pos"] == b["pos"] and np.array_equal(a["key"], b["key"])
+
+
+def test_input_leaves_must_cover_every_leaf():
+    with pytest.raises(ValueError, match="one entry per leaf"):
+        sample_task_batch(TREE, 2, np.random.default_rng(0), 5, 0, input_leaves=np.ones(3, bool))
 
 
 @pytest.mark.parametrize("mode, points, steps", ENGINE_CASES)
@@ -210,6 +284,42 @@ def test_followed_tree_fixed_gathers_its_members_once(monkeypatch):
     trace = adapt_tree(MODEL, next(omegas(2)), tasks, config("tree_fixed", 128), follow=M)
     assert [np.sum(owner == owner[M]) > 1 for owner in trace.owners[:2]] == [True, True]
     assert copies == [1, 0, 0, 0]  # the gather, then one view per step
+
+
+def with_nan_rows(batch, rows):
+    """batch with the training inputs and targets of rows (an (m,) bool mask) NaN."""
+    (X, Y), = batch.train.blocks
+    X, Y = X.copy(), Y.copy()
+    X[rows], Y[rows] = np.nan, np.nan
+    return TaskBatch(batch.ids, batch.leaves, batch.paths, batch.weights,
+                     BatchStack(((X, Y),)), batch.val, batch.test)
+
+
+@pytest.mark.parametrize("points", [5, 128])
+@pytest.mark.parametrize("tree", [generator_hierarchy_tree(), singleton_tree(),
+                                  single_cluster_tree()], ids=lambda tree: tree.label)
+def test_followed_tree_fixed_reads_only_the_targets_step1_cluster(tree, points):
+    # the contract meta-test sampling relies on when it leaves the support
+    # inputs off the target's path NaN: a followed tree_fixed adaptation reads
+    # the training rows of the target's step-1 cluster alone
+    omega = next(omegas(11))
+    rng = np.random.default_rng([500, points])
+    support = sample_task_batch(TREE, M, rng, points, 0, start_id=1000)
+    target = sample_task_batch(TREE, 1, rng, points, 0, n_test=20, start_id=5000)
+    for steps in range(1, 5):
+        cfg = replace(config("tree_fixed", points, steps=steps), fixed_tree=tree)
+        keys = tree.path_of(support + target, steps)[:, 0]
+        inside = keys[:M] == keys[M]
+        if tree is generator_hierarchy_tree() and steps > 1:
+            assert 0 < inside.sum() < M
+        mse = adapt_and_evaluate(MODEL, omega, support, target, cfg)
+        off_path = with_nan_rows(support, ~inside)
+        assert adapt_and_evaluate(MODEL, omega, off_path, target, cfg) == mse
+        if inside.any():
+            one = np.arange(M) == np.flatnonzero(inside)[-1]
+            with pytest.raises(DivergenceError) as failed:
+                adapt_and_evaluate(MODEL, omega, with_nan_rows(support, one), target, cfg)
+            assert failed.value.phase == "eval, inner step 1"
 
 
 def test_followed_trace_rejects_what_it_cannot_answer():

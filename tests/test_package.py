@@ -17,7 +17,6 @@ IMPORT_ALLOWANCES = {
 # A method or property is named with its class.
 PINNED = {
     "set_similarity": "perfbench/cell.py --trace wraps it, and tests/otd_reference.py calls it",
-    "generator_hierarchy_tree": "the public name of the default fixed tree",
     "singleton_tree": "acceptance criterion 2 builds its fixed tree with it",
     "single_cluster_tree": "acceptance criterion 3 builds its fixed tree with it",
     "stable_hash": "the config hash that ROADMAP item 2 writes into every output",

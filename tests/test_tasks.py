@@ -175,6 +175,27 @@ def test_sample_task_batch():
     assert set(batch.leaves.tolist()) <= {0, 1, 2, 3}
 
 
+def test_numpy_pcg64_keeps_the_facts_the_input_skip_relies_on():
+    # sample_task_batch skips a task's inputs (input_leaves) with PCG64's
+    # advance(k) in place of random(out=a) for k doubles, and then puts back
+    # the 32-bit half of a draw that PCG64 buffers for integers
+    for k in (1, 64, 8192):
+        drawn, skipped = (np.random.Generator(np.random.PCG64(k)) for _ in range(2))
+        drawn.integers(2), skipped.integers(2)
+        buffer = {key: skipped.bit_generator.state[key] for key in ("has_uint32", "uinteger")}
+        assert buffer["has_uint32"] == 1
+        drawn.random(out=np.empty(k))
+        skipped.bit_generator.advance(k)
+        cleared = skipped.bit_generator.state
+        assert (cleared["has_uint32"], cleared["uinteger"]) == (0, 0), (
+            "numpy's PCG64.advance no longer clears the buffered 32-bit half; "
+            "sample_task_batch's input skip puts back a buffer that needs no putting back")
+        skipped.bit_generator.state = {**cleared, **buffer}
+        assert skipped.bit_generator.state == drawn.bit_generator.state, (
+            "numpy's Generator.random(out=a) no longer takes one PCG64 step per double; "
+            "sample_task_batch's input skip must advance by another count")
+
+
 def test_leaf_occupancy_is_roughly_uniform():
     tree = build_parameter_tree(SMALL)
     batch = sample_task_batch(tree, 1000, np.random.default_rng(123), 1, 1)
