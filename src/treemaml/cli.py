@@ -5,10 +5,12 @@ and the (mode x points x seed) grid. Every RNG stream is derived from the spec
 seeds alone, and for a given (points, seed) cell all modes see training
 batches, support batches and meta-test tasks identical in every value a mode
 reads, so mode comparisons are paired. Under the generator tree, tree_fixed
-reads only the support tasks in the target's step-1 cluster, so the others'
-inputs are not drawn once a task has enough of them for the skip to pay
-(sample_task_batch's input_leaves): tree_fixed's support inputs and targets
-off the target's path are then NaN.
+reads only the support tasks in the target's step-1 cluster, deepest cluster
+first. So its support draw keys each leaf by that order (_support_leaves,
+sample_task_batch's input_leaves): once a task has enough inputs for the
+skip to pay, the other tasks' inputs are not drawn, and their inputs and
+targets are NaN, while the read rows sit in the support's buffer in the
+order the followed adaptation reads them, which then copies none of them.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .meta import (
     adapt_tree,
     generator_hierarchy_tree,
     meta_train,
+    shared_levels,
 )
 from .models import LinearRegressionModel
 from .numerics import confidence_halfwidth_95
@@ -161,20 +164,28 @@ def cell_config(spec: ExperimentSpec, mode: str, points: int, seed: int) -> Meta
 
 
 def _support_leaves(tree: ParameterTree, target: TaskBatch, cfg: MetaConfig):
-    """The (L,) bool mask of the generator leaves whose support tasks share the
-    target's step-1 cluster, or None to draw every support input.
+    """The (L,) int key of each generator leaf for the target's support draw,
+    or None to draw every support input in task order.
 
-    A followed tree_fixed adaptation reads the training inputs of those tasks
-    alone (see adapt_tree). Under the generator tree the step-1 key is the
-    task id at one inner step, which no support task shares, and else the
-    first level of the leaf's path. Other modes and fixed trees get None.
+    A followed tree_fixed adaptation reads the training inputs of the tasks
+    in the target's step-1 cluster alone, and gathers them deepest cluster
+    first, by shared_levels (see adapt_tree). Under the generator tree a
+    task's step keys are its first K - 1 path levels (zeros below the tree's
+    depth), then its id, which no support task shares. So a leaf that shares
+    s >= 1 leading path levels with the target's (shared_levels, the same
+    rank) gets key known - s, with known = min(K - 1,
+    depth), and any other leaf -1 (not read): the sampler then stores the
+    read rows in the order the adaptation gathers them. With no tree levels
+    every leaf shares the target's step-1 key (key 0), and at one inner step
+    none does. Other modes and fixed trees get None.
     """
     if cfg.mode != "tree_fixed" or cfg.fixed_tree is not generator_hierarchy_tree():
         return None
     if cfg.inner_steps == 1:
-        return np.zeros(len(tree.leaf_paths), dtype=bool)
-    # with no tree levels every key is 0, and the one leaf is all True
-    return (tree.leaf_paths[:, :1] == target.paths[:, :1]).all(axis=1)
+        return np.full(len(tree.leaf_paths), -1)
+    known = min(cfg.inner_steps - 1, tree.leaf_paths.shape[1])
+    shared = shared_levels(tree.leaf_paths[:, :known], target.paths[0, :known])
+    return np.where((shared > 0) | (known == 0), known - shared, -1)
 
 
 def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: int,

@@ -123,6 +123,16 @@ def _generator_paths(tasks: TaskBatch, K: int) -> np.ndarray:
     return keys
 
 
+def shared_levels(paths: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """For each row of paths, the number of leading levels it shares with path.
+
+    A followed tree_fixed adaptation gathers its step-1 cluster's rows by it,
+    most shared (deepest cluster) first, and meta-test support draws lay the
+    rows out in that order (cli._support_leaves).
+    """
+    return np.cumprod(paths == path, axis=1).sum(axis=1)
+
+
 _GENERATOR = FixedTreeSpec(_generator_paths, "generator")
 _SINGLETON = FixedTreeSpec(lambda t, K: np.repeat(t.ids[:, None], K, axis=1), "singleton")
 _SINGLE_CLUSTER = FixedTreeSpec(lambda t, K: np.zeros((len(t), K), np.int64), "single-cluster")
@@ -392,7 +402,7 @@ def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: st
                     # the first ones, and their batches views.
                     gathered = members
                     if paths is not None:
-                        shared = np.cumprod(paths[members] == paths[follow], axis=1).sum(axis=1)
+                        shared = shared_levels(paths[members], paths[follow])
                         gathered = members[np.argsort(-shared, kind="stable")]
                     train = tasks.train.take(gathered)
                 G_c = _per_task(model.batch_gradient, np.repeat(p[None], len(members), axis=0),
@@ -431,7 +441,9 @@ def adapt_tree(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig,
     followed task's step-1 cluster alone, as its later clusters nest in that
     one: the other rows' inputs and targets may hold anything, NaN included
     (meta-test sampling leaves them NaN). It still reads every row's ids and
-    paths, through cfg.fixed_tree.
+    paths, through cfg.fixed_tree. It gathers the rows it reads once,
+    deepest cluster first (BatchStack.take); rows that a laid-out draw
+    stores in that order come out as one view of their buffer.
 
     Raises DivergenceError naming the step when a computed gradient or
     parameter goes non-finite.
@@ -514,8 +526,9 @@ def meta_step(model, omega: np.ndarray, batch: TaskBatch, cfg: MetaConfig):
     DIVERGENCE_LIMIT.
     """
     if cfg.mode == "baseline":
-        Xt, Yt, Xv, Yv = (np.concatenate(a) for s in (batch.train, batch.val)
-                          for a in zip(*s.blocks))
+        # a one-block split, as every training batch has, is read in place
+        Xt, Yt, Xv, Yv = (a[0] if len(a) == 1 else np.concatenate(a)
+                          for s in (batch.train, batch.val) for a in zip(*s.blocks))
         loss = model.batch_loss(omega[None], Xv.reshape(1, -1, model.dim), Yv.reshape(1, -1))[0]
         _check_meta_loss(loss)
         # the pool is each task's train rows, then its val rows, in task order

@@ -55,36 +55,53 @@ class BatchStack:
     """One batch per task, in task order, as stacked arrays.
 
     blocks holds (X (k, n, d), Y (k, n)) pairs that cover the tasks in order.
-    A batch sampled in one call is one block; `+` joins stacks without copying.
+    A batch sampled in one call is one block; `+` joins stacks without
+    copying. Blocks may also be views of one buffer that holds their rows in
+    another order than the tasks', as sample_task_batch lays out a draw that
+    skips inputs. Then spans, parallel to blocks, gives each block's buffer
+    pair and its first row there: (X, Y, first) for the block
+    (X[first:first + k], Y[first:first + k]). Empty spans means that each
+    block is its own buffer. take merges the views it returns that sit back
+    to back in one buffer, wherever their blocks are.
     """
 
     blocks: tuple
+    spans: tuple = ()
+
+    def _spans(self) -> tuple:
+        return self.spans or tuple((X, Y, 0) for X, Y in self.blocks)
 
     def __add__(self, other: "BatchStack") -> "BatchStack":
-        return BatchStack(self.blocks + other.blocks)
+        spans = self._spans() + other._spans() if self.spans or other.spans else ()
+        return BatchStack(self.blocks + other.blocks, spans)
 
     def take(self, rows: np.ndarray) -> "BatchStack":
         """The batches at rows, in that order. Each run of rows from one block
-        is one block of the result: a view when the rows are adjacent and
-        ascending, else a copy."""
+        is a view when the rows are adjacent and ascending, else a copy; views
+        that sit back to back in one buffer are one block of the result."""
+        spans = self._spans()
         ends = list(itertools.accumulate(len(X) for X, _ in self.blocks))
         rows_ = rows.tolist()  # a Python walk beats numpy's per-call cost at these sizes
-        blocks = []
+        pieces = []  # [X, Y, lo, hi] of a buffer pair: views X[lo:hi], or copies X[lo] (hi None)
         a = 0
         while a < len(rows_):
-            k = bisect.bisect_right(ends, rows_[a])
-            X, Y = self.blocks[k]
-            start = ends[k] - len(X)
+            r = rows_[a]
+            k = bisect.bisect_right(ends, r)
+            X, Y, first = spans[k]
+            start = ends[k] - len(self.blocks[k][0])
             b = a + 1
             while b < len(rows_) and start <= rows_[b] < ends[k]:
                 b += 1
-            if rows_[a:b] == list(range(rows_[a], rows_[a] + b - a)):
-                local = slice(rows_[a] - start, rows_[b - 1] + 1 - start)
+            at = first + r - start
+            if b - a > 1 and rows_[a:b] != list(range(r, r + b - a)):
+                pieces.append([X, Y, rows[a:b] + (first - start), None])
+            elif pieces and pieces[-1][0] is X and pieces[-1][3] == at:
+                pieces[-1][3] = at + b - a
             else:
-                local = rows[a:b] - start
-            blocks.append((X[local], Y[local]))
+                pieces.append([X, Y, at, at + b - a])
             a = b
-        return BatchStack(tuple(blocks))
+        return BatchStack(tuple((X[lo], Y[lo]) if hi is None else (X[lo:hi], Y[lo:hi])
+                                for X, Y, lo, hi in pieces))
 
     def head(self, count: int) -> "BatchStack":
         """The first count batches, as views."""

@@ -196,10 +196,28 @@ class TaskBatch:
 
 
 # A skipped task pays an advance per split and a round trip of the generator's
-# state, about 5 us, which is what drawing some 2,500 input values costs: at
-# dim 64 and 96 tasks half skipped, a batch drew 60% slower at 5 points, broke
-# even near 40 and drew 11% faster at 64 and 20% faster at 128.
+# state, about 5 us, which is what drawing some 2,500 input values costs; its
+# row needs no fill and takes no room, but the read rows' layout costs a
+# gather. At dim 64 and 96 tasks half skipped, timed in 200 alternating pairs
+# against the full draw per size, a batch drew 49% slower at 5 points and 21%
+# slower at 20, broke even near 48 (near 40 when a skipped row was NaN-filled
+# and the rows stayed in task order), and drew 11% faster at 64 and 20% at 128.
 _MIN_SKIPPED_INPUTS = 4096
+
+
+def _laid_out_stack(x: np.ndarray, y: np.ndarray, slot: np.ndarray) -> BatchStack:
+    """The split's tasks in order, row i at x[slot[i]], y[slot[i]] or, for
+    slot -1, a NaN view: one block per run of rows back to back in x, y, or
+    of NaN rows."""
+    skip = slot < 0
+    cut = np.flatnonzero((skip[1:] != skip[:-1]) | (~skip[1:] & (np.diff(slot) != 1))) + 1
+    cut = cut.tolist()
+    nan = np.array(np.nan)
+    nx, ny = np.broadcast_to(nan, x.shape), np.broadcast_to(nan, y.shape)
+    at = slot.tolist()
+    spans = tuple((x, y, at[a]) if at[a] >= 0 else (nx, ny, a) for a in [0] + cut)
+    return BatchStack(tuple((X[s:s + b - a], Y[s:s + b - a]) for (X, Y, s), a, b
+                            in zip(spans, [0] + cut, cut + [len(slot)])), spans)
 
 
 def sample_task_batch(
@@ -219,29 +237,40 @@ def sample_task_batch(
     draw loop makes only the RNG calls, task by task, each straight into its
     row of one (m, n, dim) input and one (m, n) target array per split, each
     a contiguous block of one buffer for the batch; a zero-size split draws
-    nothing. The arithmetic then runs on whole arrays (or runs of drawn rows,
-    below) in place, giving what uniform(low, high) and normal(0, std) would
-    have, bit for bit, and the arrays are frozen. Raises ConfigError when the
+    nothing. The arithmetic then runs once on the stored rows of each split
+    in place, giving what uniform(low, high) and normal(0, std) would have,
+    bit for bit, and the arrays are frozen. Raises ConfigError when the
     drawn weights or targets overflow.
 
-    input_leaves, an (L,) bool array over the generator leaves, names the
-    leaves whose tasks' inputs a caller reads. With a PCG64 generator and at
-    least _MIN_SKIPPED_INPUTS input values per task, a task on any other leaf
-    still draws its leaf, weights and noise rows in the same order, but its
-    inputs are skipped with bit_generator.advance, which clears the 32-bit
-    half PCG64 buffers for integers, so the sampler puts that half back. No
-    arithmetic runs on a skipped task's rows: their inputs and targets are
-    NaN, so a read of them cannot pass for data, while every other array,
-    every read row and the generator's end state are those of the full draw,
-    bit for bit. Smaller tasks and any other generator draw every input.
+    input_leaves, an (L,) int array, gives each generator leaf a key for the
+    reader of the inputs; a task on a leaf with a negative key is not read.
+    With a PCG64 generator and at least _MIN_SKIPPED_INPUTS input values per
+    task, an unread task still draws its leaf, weights and noise rows in the
+    same order, but skips its inputs with bit_generator.advance, which clears
+    the 32-bit half PCG64 buffers for integers, so the sampler puts that half
+    back. Such a row takes no room and no arithmetic: its inputs and targets
+    are a read-only NaN view that owns no memory, so a read of them cannot
+    pass for data. The read rows are laid out for the reader: each split's
+    buffer holds them back to back in (key, row) order. The draw writes them
+    back to back in task order, and the arithmetic's first pass (the scale
+    of uniform and normal) gathers them in (key, row) order into the same
+    rows. The split's BatchStack is then one block per run of tasks that sit
+    back to back in that buffer, or that are skipped, and its spans say where
+    each block sits (see BatchStack). Every other array, every read row and
+    the generator's end state are those of the full draw, bit for bit.
+    Smaller tasks and any other generator draw every input, and each split
+    is one block in task order, as without input_leaves.
     """
     if m <= 0:
         raise ConfigError("batch size m must be positive")
     if n_train < 0 or n_val < 0 or n_test < 0:
         raise ConfigError("split sizes must be non-negative")
-    if input_leaves is not None and np.shape(input_leaves) != (len(tree.leaf_paths),):
-        raise ValueError(f"input_leaves must have one entry per leaf, shape "
-                         f"({len(tree.leaf_paths)},), not {np.shape(input_leaves)}")
+    L = len(tree.leaf_paths)
+    if input_leaves is not None and (np.shape(input_leaves) != (L,)
+                                     or np.asarray(input_leaves).dtype.kind not in "iu"):
+        raise ValueError(f"input_leaves must have one entry per leaf, an int key, shape "
+                         f"({L},), not {np.asarray(input_leaves).dtype} of shape "
+                         f"{np.shape(input_leaves)}")
     cfg = tree.config
     # One buffer each for the inputs and targets of all splits: glibc's malloc
     # keeps a freed batch for the next one, where a block per split reached
@@ -256,57 +285,72 @@ def sample_task_batch(
     drawn = [(x, y) for x, y in splits if y.shape[1]]
     weights = np.empty((m, cfg.dim))
     leaves = np.empty(m, dtype=np.intp)
-    leaf_centers = tree.centers[-len(tree.leaf_paths):]
+    leaf_centers = tree.centers[-L:]
     skipping = (input_leaves is not None and type(rng.bit_generator) is np.random.PCG64
                 and (n_train + n_val + n_test) * cfg.dim >= _MIN_SKIPPED_INPUTS)
-    skipped = []  # the rows whose inputs were not drawn
+    # Row i of each split is drawn into slot[i] there: the read rows back to
+    # back in task order, a skipped one nowhere (-1)
+    slot, count = list(range(m)), m
+    if skipping:
+        key_of = np.asarray(input_leaves).tolist()
+        count = 0
+        sink = np.empty(max(n_train, n_val, n_test))  # a skipped row's noise
     # the RNG stream, task by task in this order; each y row holds noise for now
     for i in range(m):
-        leaves[i] = rng.integers(len(leaf_centers))
+        leaf = leaves[i] = rng.integers(L)
         rng.standard_normal(out=weights[i])
-        if skipping and not input_leaves[leaves[i]]:
-            skipped.append(i)
-            bits = rng.bit_generator
-            before = bits.state
-            for x, y in drawn:
-                bits.advance(x[i].size)  # what random(out=x[i]) consumes
-                rng.standard_normal(out=y[i])
-            bits.state = {**bits.state, "has_uint32": before["has_uint32"],
-                          "uinteger": before["uinteger"]}
-            continue
+        if skipping:
+            if key_of[leaf] < 0:
+                slot[i] = -1
+                bits = rng.bit_generator
+                before = bits.state
+                for x, y in drawn:
+                    bits.advance(x[i].size)  # what random(out=x[i]) consumes
+                    rng.standard_normal(out=sink[:y.shape[1]])
+                bits.state = {**bits.state, "has_uint32": before["has_uint32"],
+                              "uinteger": before["uinteger"]}
+                continue
+            slot[i] = count
+            count += 1
+        s = slot[i]
         for x, y in drawn:
-            rng.random(out=x[i])
-            rng.standard_normal(out=y[i])
-    # the runs [a, b) of drawn rows: the whole batch unless rows were skipped
-    runs = [(a, b) for a, b in zip([0] + [i + 1 for i in skipped], skipped + [m]) if a < b]
+            rng.random(out=x[s])
+            rng.standard_normal(out=y[s])
+    order = None  # order[s]: the task row moved to slot s; None while row i stays at slot i
+    if skipping:
+        slot = np.array(slot)
+        read = np.flatnonzero(slot >= 0)
+        perm = np.argsort(np.asarray(input_leaves)[leaves[read]], kind="stable")
+        order = read[perm]
+        slot[order] = np.arange(count)
     with np.errstate(over="ignore", invalid="ignore"):
         # normal(0, s) is 0.0 + s * z, and uniform(low, high) is low + (high - low) * u
         weights *= cfg.jitter_std
         weights += 0.0
         weights += leaf_centers[leaves]
+        stored_weights = weights if order is None else weights[order]
         for x, y in drawn:
-            for a, b in runs:
-                xr, yr = x[a:b], y[a:b]
-                xr *= cfg.input_high - cfg.input_low
-                xr += cfg.input_low
-                yr *= cfg.noise_std
-                yr += 0.0
-                # each stacked row's product is the one x[i] @ weights[i] gives
-                yr += np.matmul(xr, weights[a:b, :, None])[..., 0]
-            if skipped:
-                x[skipped] = np.nan
-                y[skipped] = np.nan
-    if not (np.isfinite(weights).all()
-            and all(np.isfinite(y[a:b]).all() for _, y in drawn for a, b in runs)):
+            xr, yr = x[:count], y[:count]
+            for a, scale in ((xr, cfg.input_high - cfg.input_low), (yr, cfg.noise_std)):
+                if order is None:
+                    a *= scale
+                else:
+                    np.multiply(a[perm], scale, out=a)
+            xr += cfg.input_low
+            yr += 0.0
+            # each stacked row's product is the one x[i] @ weights[i] gives
+            yr += np.matmul(xr, stored_weights[:, :, None])[..., 0]
+    if not (np.isfinite(weights).all() and all(np.isfinite(y[:count]).all() for _, y in drawn)):
         raise ConfigError(
             f"sampled task weights or targets overflow; task_jitter {cfg.jitter_std}, "
             f"level_scales {list(cfg.level_scales)} or noise_std {cfg.noise_std} are too large"
         )
     for array in (inputs, targets, *itertools.chain(*splits)):
         array.setflags(write=False)
+    stacks = [_laid_out_stack(x, y, slot) if skipping and y.shape[1] else BatchStack(((x, y),))
+              for x, y in splits]
     ids = np.arange(start_id, start_id + m, dtype=np.int64)
-    return TaskBatch(ids, leaves, tree.leaf_paths[leaves], weights,
-                     *(BatchStack(((x, y),)) for x, y in splits))
+    return TaskBatch(ids, leaves, tree.leaf_paths[leaves], weights, *stacks)
 
 
 def distribution_to_dict(tree: ParameterTree) -> dict:

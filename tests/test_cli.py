@@ -25,7 +25,7 @@ from treemaml.cli import (
 )
 from treemaml.clustering import ClusterConfig
 from treemaml.meta import FixedTreeSpec, MetaConfig, adapt_tree, generator_hierarchy_tree
-from treemaml.models import LinearRegressionModel
+from treemaml.models import BatchStack, LinearRegressionModel
 from treemaml.numerics import confidence_halfwidth_95
 from treemaml.tasks import (
     ConfigError,
@@ -231,6 +231,11 @@ def eval_draws(monkeypatch, spec):
     return outcome, [(batches[i], batches[i + 1]) for i in starts]
 
 
+def task_rows(stack):
+    """A stack's inputs and targets, row i task i's, reassembled from its blocks."""
+    return tuple(np.concatenate(a) for a in zip(*stack.blocks))
+
+
 @pytest.mark.parametrize("steps", [1, 2, 3])
 def test_eval_support_inputs_off_the_targets_step1_cluster_are_nan(monkeypatch, steps):
     # the skip runs: a support task outside the target's step-1 cluster (under
@@ -239,7 +244,7 @@ def test_eval_support_inputs_off_the_targets_step1_cluster_are_nan(monkeypatch, 
     _, pairs = eval_draws(monkeypatch, tree_fixed_spec(steps))
     assert len(pairs) == 6
     for target, support in pairs:
-        (X, Y), = support.train.blocks
+        X, Y = task_rows(support.train)
         off = (support.paths[:, 0] != target.paths[0, 0]) | (steps == 1)
         assert np.isnan(X[off]).all() and np.isnan(Y[off]).all()
         assert np.isfinite(X[~off]).all() and np.isfinite(Y[~off]).all()
@@ -264,11 +269,44 @@ def test_skipped_support_inputs_leave_every_result(monkeypatch, spec, nan_free):
     # every meta-test MSE is the one a full support draw gives, bit for bit;
     # with one leaf or a fixed tree of its own every support input is drawn
     outcome, pairs = eval_draws(monkeypatch, spec)
-    assert nan_free == all(np.isfinite(s.train.blocks[0][0]).all() for _, s in pairs)
+    assert nan_free == all(np.isfinite(task_rows(s.train)[0]).all() for _, s in pairs)
     monkeypatch.setattr(cli, "_support_leaves", lambda *args: None)
     full, pairs = eval_draws(monkeypatch, spec)
-    assert all(np.isfinite(s.train.blocks[0][0]).all() for _, s in pairs)
+    assert all(np.isfinite(task_rows(s.train)[0]).all() for _, s in pairs)
     assert [r.per_task_mse for r in outcome.results] == [r.per_task_mse for r in full.results]
+
+
+@pytest.mark.parametrize("steps", [2, 3])
+def test_followed_eval_reads_the_support_rows_in_place(monkeypatch, steps):
+    # the support's read rows sit in its buffer in the order the followed
+    # adaptation gathers them, so its one take returns the target's row and
+    # one view of that buffer, and copies nothing
+    takes, supports = [], []
+    take, adapt = BatchStack.take, cli.adapt_and_evaluate
+
+    def recorded_take(self, rows):
+        out = take(self, rows)
+        takes.append(out)
+        return out
+
+    def recorded_adapt(model, omega, support, target, cfg):
+        supports.append(support)
+        return adapt(model, omega, support, target, cfg)
+
+    monkeypatch.setattr(BatchStack, "take", recorded_take)
+    monkeypatch.setattr(cli, "adapt_and_evaluate", recorded_adapt)
+    outcome = run_experiment(tree_fixed_spec(steps))
+    assert not outcome.failures
+    assert len(takes) == len(supports) == 6
+    for taken, support in zip(takes, supports):
+        # the buffer pair of the read rows; a skipped run's pair is a NaN view
+        X_buffer, Y_buffer, _ = next(span for span in support.train.spans if span[0].strides[0])
+        (X_target, _), *rest = taken.blocks
+        assert not np.shares_memory(X_target, X_buffer)
+        assert len(rest) == 1, "the support's rows came out as more than one view"
+        (X, Y), = rest
+        assert X.base is X_buffer.base and Y.base is Y_buffer.base
+    assert any(len(t.blocks[1][0]) > 1 for t in takes)
 
 
 def test_run_experiment_is_deterministic():

@@ -114,11 +114,44 @@ def test_sampler_bytes_match_the_per_task_sampler(m, n_train, n_val, n_test):
         assert new_rng.bit_generator.state == rng.bit_generator.state
 
 
-LEAF_MASKS = {
-    "none": np.zeros(len(TREE.leaf_paths), dtype=bool),
-    "all": np.ones(len(TREE.leaf_paths), dtype=bool),
-    "one leaf": np.arange(len(TREE.leaf_paths)) == 2,
-    "first branch": TREE.leaf_paths[:, 0] == 0,
+def task_rows(stack):
+    """A stack's inputs and targets, row i task i's, reassembled from its blocks."""
+    return tuple(np.concatenate(a) for a in zip(*stack.blocks))
+
+
+def row_addresses(stack):
+    """The address of each task's input row, in task order."""
+    return [X.__array_interface__["data"][0] + j * X.strides[0]
+            for X, _ in stack.blocks for j in range(len(X))]
+
+
+def assert_laid_out(stack, keys, leaves, stored):
+    """The stored rows (an (m,) bool mask) sit back to back from the split's
+    start, read rows by (key, row) and then unread ones by row; every other
+    row is a read-only NaN view that owns no memory."""
+    addresses = np.array(row_addresses(stack))
+    rows = np.flatnonzero(stored)
+    rank = np.where(keys[leaves] < 0, len(keys), keys[leaves])
+    expected = rows[np.argsort(rank[rows], kind="stable")]
+    row_bytes = stack.blocks[0][0][0].nbytes
+    if len(rows):
+        assert np.array_equal(np.argsort(addresses[rows]), np.searchsorted(rows, expected))
+        assert np.array_equal(np.diff(np.sort(addresses[rows])), np.full(len(rows) - 1, row_bytes))
+    skipped = [(X, Y) for X, Y in stack.blocks if not X.strides[0]]
+    assert sum(len(X) for X, _ in skipped) == np.sum(~stored)
+    for X, Y in skipped:
+        for a in (X, Y):
+            assert np.isnan(a).all() and not a.flags.writeable and not a.flags.owndata
+            assert a.strides == (0,) * a.ndim  # one value shared by every entry
+
+
+# keys per generator leaf, as cli._support_leaves gives them: a negative key
+# is not read, and the read rows are stored in (key, row) order
+LEAF_KEYS = {
+    "none": np.full(len(TREE.leaf_paths), -1),
+    "all": np.array([1, 0, 2, 0]),
+    "one leaf": np.where(np.arange(len(TREE.leaf_paths)) == 2, 0, -1),
+    "first branch": np.where(TREE.leaf_paths[:, 0] == 0, TREE.leaf_paths[:, 1], -1),
 }
 
 
@@ -130,28 +163,30 @@ def test_skipped_inputs_leave_the_per_task_sampler_draws(monkeypatch, m, n_train
     # when the generator enters with the 32-bit half of a draw buffered; tasks
     # of every size skip here, not only those the sampler skips by default
     monkeypatch.setattr(treemaml.tasks, "_MIN_SKIPPED_INPUTS", 0)
-    for seed, (mask_name, mask), buffered in itertools.product(
-            range(10), LEAF_MASKS.items(), (False, True)):
+    for seed, (keys_name, keys), buffered in itertools.product(
+            range(10), LEAF_KEYS.items(), (False, True)):
         new_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         if buffered:
             new_rng.integers(2), rng.integers(2)
             assert new_rng.bit_generator.state["has_uint32"] == 1
-        batch = sample_task_batch(TREE, m, new_rng, n_train, n_val, n_test, input_leaves=mask)
+        batch = sample_task_batch(TREE, m, new_rng, n_train, n_val, n_test, input_leaves=keys)
         old = [ref.sample_task(TREE, rng, n_train, n_val, n_test, task_id=i) for i in range(m)]
         assert batch.leaves.tobytes() == np.array([t.leaf for t in old], dtype=np.intp).tobytes()
         assert batch.paths.tobytes() == np.array([t.path for t in old], dtype=np.intp).tobytes()
         assert batch.weights.tobytes() == np.stack([t.weights for t in old]).tobytes()
-        read = mask[batch.leaves]
+        read = keys[batch.leaves] >= 0
         for stack, name, n in ((batch.train, "train_points", n_train),
                                (batch.val, "val_points", n_val),
                                (batch.test, "test_points", n_test)):
-            (X, Y), = stack.blocks
+            X, Y = task_rows(stack)
             X_old = np.stack([getattr(t, name).x.reshape(n, DIM) for t in old])
             Y_old = np.stack([getattr(t, name).y for t in old])
-            assert X[read].tobytes() == X_old[read].tobytes(), (seed, mask_name, name)
-            assert Y[read].tobytes() == Y_old[read].tobytes(), (seed, mask_name, name)
-            assert np.isnan(X[~read]).all() and np.isnan(Y[~read]).all(), (seed, mask_name, name)
-        assert new_rng.bit_generator.state == rng.bit_generator.state, (seed, mask_name, buffered)
+            assert X[read].tobytes() == X_old[read].tobytes(), (seed, keys_name, name)
+            assert Y[read].tobytes() == Y_old[read].tobytes(), (seed, keys_name, name)
+            assert np.isnan(X[~read]).all() and np.isnan(Y[~read]).all(), (seed, keys_name, name)
+            if n:
+                assert_laid_out(stack, keys, batch.leaves, read)
+        assert new_rng.bit_generator.state == rng.bit_generator.state, (seed, keys_name, buffered)
 
 
 @pytest.mark.parametrize("bit_generator, n_train, n_val", [
@@ -160,15 +195,17 @@ def test_skipped_inputs_leave_the_per_task_sampler_draws(monkeypatch, m, n_train
     (np.random.PCG64, 31, 32),  # one point short of the skip
 ])
 def test_tasks_that_do_not_skip_draw_every_input(bit_generator, n_train, n_val):
+    # they draw every input, and each split stays one block in task order
     if bit_generator is np.random.PCG64:
         assert (n_train + n_val) * DIM < treemaml.tasks._MIN_SKIPPED_INPUTS
-    for seed in range(3):
+    for seed, keys in itertools.product(range(3), LEAF_KEYS.values()):
         masked, full = (np.random.Generator(bit_generator(seed)) for _ in range(2))
-        batch = sample_task_batch(TREE, M, masked, n_train, n_val, input_leaves=LEAF_MASKS["none"])
+        batch = sample_task_batch(TREE, M, masked, n_train, n_val, input_leaves=keys)
         expected = sample_task_batch(TREE, M, full, n_train, n_val)
         for name in ("leaves", "weights"):
             assert getattr(batch, name).tobytes() == getattr(expected, name).tobytes()
         for stack, stack_full in ((batch.train, expected.train), (batch.val, expected.val)):
+            assert len(stack.blocks) == 1
             for a, b in zip(stack.blocks[0], stack_full.blocks[0]):
                 assert a.tobytes() == b.tobytes()
         a, b = masked.bit_generator.state["state"], full.bit_generator.state["state"]
@@ -181,6 +218,12 @@ def test_tasks_that_do_not_skip_draw_every_input(bit_generator, n_train, n_val):
 def test_input_leaves_must_cover_every_leaf():
     with pytest.raises(ValueError, match="one entry per leaf"):
         sample_task_batch(TREE, 2, np.random.default_rng(0), 5, 0, input_leaves=np.ones(3, bool))
+
+
+def test_input_leaves_are_int_keys_not_a_mask():
+    # a bool mask would read as keys 0 and 1, every leaf read
+    with pytest.raises(ValueError, match="an int key"):
+        sample_task_batch(TREE, 2, np.random.default_rng(0), 5, 0, input_leaves=np.ones(4, bool))
 
 
 @pytest.mark.parametrize("mode, points, steps", ENGINE_CASES)

@@ -22,6 +22,7 @@ from treemaml.meta import (
     meta_train,
     meta_validation_loss,
     outer_update,
+    shared_levels,
     single_cluster_tree,
     singleton_tree,
     stable_hash,
@@ -346,6 +347,13 @@ def test_generator_tree_partitions_coarse_to_fine():
     for params, expect in zip(trace.params, (2, 4, 8)):
         assert len({tuple(row) for row in params}) == expect
     assert_nested(trace)
+
+
+def test_shared_levels_counts_the_leading_levels_a_path_shares():
+    paths = np.array([[1, 2, 3], [1, 2, 4], [1, 5, 3], [0, 2, 3], [1, 2, 3]])
+    # a later match after a mismatch does not count
+    assert shared_levels(paths, paths[0]).tolist() == [3, 2, 1, 0, 3]
+    assert shared_levels(paths[:, :0], paths[0, :0]).tolist() == [0] * 5
 
 
 def test_fixed_tree_wrong_path_length_raises():

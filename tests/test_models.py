@@ -185,6 +185,41 @@ def test_batch_copies_unless_nothing_can_write_through_the_array():
     assert Batch(frozen_view, np.ones(1)).x is frozen_view
 
 
+def test_batch_stack_take_merges_views_that_sit_back_to_back():
+    # blocks that are views of one buffer holding their rows in another order
+    # than the tasks', as a draw laid out for its reader is
+    rng = np.random.default_rng(6)
+    X, Y = rng.normal(size=(6, 3, 2)), rng.normal(size=(6, 3))
+    at = [4, 5, 0, 2, 3, 1]  # task i's row in the buffer
+    runs = [(0, 2), (2, 3), (3, 5), (5, 6)]  # the tasks of each block
+    stack = BatchStack(tuple((X[at[a]:at[a] + b - a], Y[at[a]:at[a] + b - a]) for a, b in runs),
+                       tuple((X, Y, at[a]) for a, _ in runs))
+    other = BatchStack(((rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3))),))
+    joint = stack + other
+    X_all = np.concatenate((X[at], other.blocks[0][0]))  # row i task i's
+    Y_all = np.concatenate((Y[at], other.blocks[0][1]))
+    for rows in ([2, 5, 3, 4, 0, 1], [2, 5, 3], [5, 3, 4], [6, 2, 5, 3, 7], [0, 2], [1, 0],
+                 [4, 3], [2, 2], [3, 4, 0, 1], [7, 6]):
+        taken = joint.take(np.array(rows))
+        assert np.array_equal(np.concatenate([x for x, _ in taken.blocks]), X_all[rows]), rows
+        assert np.array_equal(np.concatenate([y for _, y in taken.blocks]), Y_all[rows]), rows
+    # tasks 2, 5, 3 and 4 sit back to back at rows 0..3, though in three
+    # blocks: they come out as one view of the buffer
+    (X_view, Y_view), = joint.take(np.array([2, 5, 3, 4])).blocks
+    assert X_view.base is X and Y_view.base is Y and np.array_equal(X_view, X[:4])
+    # another buffer's row between them splits the view, and keeps its place
+    (a, _), (b, _), (c, _) = joint.take(np.array([2, 5, 6, 3, 4])).blocks
+    assert a.base is X and np.array_equal(a, X[:2]) and c.base is X and np.array_equal(c, X[2:4])
+    assert np.shares_memory(b, other.blocks[0][0])
+    # rows of one block out of the buffer's order are copied, as are repeats
+    for rows in ([4, 3], [2, 2]):
+        (x, _), = joint.take(np.array(rows)).blocks
+        assert not np.shares_memory(x, X)
+    # rows of several blocks out of the buffer's order stay apart, in order
+    (x5, _), (x2, _) = joint.take(np.array([5, 2])).blocks
+    assert np.array_equal(x5, X[1:2]) and np.array_equal(x2, X[0:1])
+
+
 def test_batch_stack_take_gathers_rows_across_blocks():
     rng = np.random.default_rng(5)
     batches = [Batch(rng.normal(size=(3, 2)), rng.normal(size=3)) for _ in range(6)]
