@@ -6,7 +6,7 @@ seeds alone, and for a given (points, seed) cell all modes see training
 batches, support batches and meta-test tasks identical in every value a mode
 reads, so mode comparisons are paired. Under the generator tree, tree_fixed
 reads only the support tasks in the target's step-1 cluster, deepest cluster
-first. So its support draw keys each leaf by that order (_support_leaves,
+first. So its support draw keys each leaf by that order (meta.support_leaves,
 sample_task_batch's input_leaves): once a task has enough inputs for the
 skip to pay, the other tasks' inputs are not drawn, and their inputs and
 targets are NaN, while the read rows sit in the support's buffer in the
@@ -30,21 +30,19 @@ import numpy as np
 
 from .meta import (
     MODES,
+    SUPPORT_MODES,
     AdaptationTrace,
     DivergenceError,
     MetaConfig,
     adapt_and_evaluate,
     adapt_tree,
-    generator_hierarchy_tree,
     meta_train,
-    shared_levels,
+    support_leaves,
 )
 from .models import LinearRegressionModel
 from .numerics import confidence_halfwidth_95
 from .tasks import (
     ConfigError,
-    ParameterTree,
-    TaskBatch,
     TaskGeneratorConfig,
     _check_types,
     build_parameter_tree,
@@ -163,31 +161,6 @@ def cell_config(spec: ExperimentSpec, mode: str, points: int, seed: int) -> Meta
     return replace(spec.meta, mode=mode, points=points, seed=seed)
 
 
-def _support_leaves(tree: ParameterTree, target: TaskBatch, cfg: MetaConfig):
-    """The (L,) int key of each generator leaf for the target's support draw,
-    or None to draw every support input in task order.
-
-    A followed tree_fixed adaptation reads the training inputs of the tasks
-    in the target's step-1 cluster alone, and gathers them deepest cluster
-    first, by shared_levels (see adapt_tree). Under the generator tree a
-    task's step keys are its first K - 1 path levels (zeros below the tree's
-    depth), then its id, which no support task shares. So a leaf that shares
-    s >= 1 leading path levels with the target's (shared_levels, the same
-    rank) gets key known - s, with known = min(K - 1,
-    depth), and any other leaf -1 (not read): the sampler then stores the
-    read rows in the order the adaptation gathers them. With no tree levels
-    every leaf shares the target's step-1 key (key 0), and at one inner step
-    none does. Other modes and fixed trees get None.
-    """
-    if cfg.mode != "tree_fixed" or cfg.fixed_tree is not generator_hierarchy_tree():
-        return None
-    if cfg.inner_steps == 1:
-        return np.full(len(tree.leaf_paths), -1)
-    known = min(cfg.inner_steps - 1, tree.leaf_paths.shape[1])
-    shared = shared_levels(tree.leaf_paths[:, :known], target.paths[0, :known])
-    return np.where((shared > 0) | (known == 0), known - shared, -1)
-
-
 def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: int,
               dump_tree: bool):
     cfg = cell_config(spec, mode, points, seed)
@@ -200,7 +173,7 @@ def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: i
     omega, log = meta_train(model, lambda m, n: sample_task_batch(tree, m, train_rng, n, n), cfg)
 
     m = cfg.tasks_per_batch
-    needs_support = mode in ("tree_fixed", "tree_learned")
+    needs_support = mode in SUPPORT_MODES
 
     def draw(ss, tasks, n_test, start_id=0, input_leaves=None):
         return sample_task_batch(tree, tasks, np.random.default_rng(ss), n_train=points,
@@ -212,7 +185,7 @@ def _run_cell(model, tree, spec: ExperimentSpec, mode: str, points: int, seed: i
         # need only differ within support + target
         support_ss, target_ss = child.spawn(2)
         target = draw(target_ss, 1, spec.eval_test_points, start_id=m)
-        support = (draw(support_ss, m, 0, input_leaves=_support_leaves(tree, target, cfg))
+        support = (draw(support_ss, m, 0, input_leaves=support_leaves(tree, target, cfg))
                    if needs_support else None)
         return adapt_and_evaluate(model, omega, support, target, cfg)
 

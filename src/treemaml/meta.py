@@ -3,17 +3,17 @@ meta-gradients, the outer loop, and meta-test adaptation.
 
 Inner adaptation runs K pooled gradient steps. A step for cluster c starts from
 its parent cluster's parameters and subtracts inner_lr times the across-member
-mean of per-task mean gradients. Mode selects the per-step partition:
+mean of per-task mean gradients. A mode is a partition rule of two values: key
+paths or none, and a number of leading steps that regroup fresh task gradients
+by online top-down clustering, run independently inside each step-(k-1)
+cluster. Each later step k clusters the tasks by their length-k key prefix, so
+partitions nest, or with no paths steps every task alone:
 
-- maml: every task is its own cluster at every step;
-- tree_fixed: clusters follow the length-K key paths of cfg.fixed_tree, by
-  default the tasks' generator paths (cluster identity at step k = the
-  length-k prefix, so partitions nest);
-- tree_learned: steps 1..K-1 regroup fresh task gradients by online top-down
-  clustering run independently inside each step-(k-1) cluster; the final step
-  is task-specific. The tree has one level per clustered step, so build_tree
-  gets max_depth = K - 1 and cfg.xi. At K = 1 or 2 this is maml: no step is
-  clustered, or a depth-1 tree only widens its root into singletons.
+- maml: no paths, no clustered step;
+- tree_fixed: the key paths of cfg.fixed_tree, by default the generator paths;
+- tree_learned: no paths, and K - 1 clustered steps, one per level of a tree
+  that build_tree grows with max_depth = K - 1 and cfg.xi. At K = 1 or 2 this
+  is maml: no step is clustered, or a depth-1 tree only widens its root.
 
 No mode needs its own config field or cross-field rule: every mode runs from
 any valid MetaConfig, and a mode ignores the fields it does not read.
@@ -29,10 +29,8 @@ The engine works on stacked arrays: a task batch is a TaskBatch whose splits
 are (m, n, d) inputs and (m, n) targets, each inner step takes all m task
 gradients in one batched call, and the reverse pass takes one batched HVP per
 step. Cluster means and adjoint sums add rows in the order the per-task loops
-did, so the results are those loops' bit for bit. A followed adaptation
-(adapt_tree's follow, which meta-test eval uses) still forms every partition
-but takes only the gradients and cluster steps that the followed task's
-parameters depend on, with the same sums.
+did, so the results are those loops' bit for bit, and so are those of a
+followed adaptation (adapt_tree's follow), which meta-test eval uses.
 
 Parameters are read-only float64 arrays: omega and a followed task's adapted
 parameters are (d,), a step's cluster parameters (C, d). omega is checked for
@@ -69,9 +67,11 @@ import numpy as np
 from .clustering import ClusterConfig, build_tree, level1_members
 from .models import Batch, BatchStack, EmptyBatchError, _frozen
 from .numerics import NumericalError
-from .tasks import ConfigError, TaskBatch, _check_types
+from .tasks import ConfigError, ParameterTree, TaskBatch, _check_types
 
-MODES = ("baseline", "maml", "tree_fixed", "tree_learned")
+# the modes whose meta-test adaptation runs on support tasks + the target
+SUPPORT_MODES = ("tree_fixed", "tree_learned")
+MODES = ("baseline", "maml", *SUPPORT_MODES)
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -115,25 +115,41 @@ class FixedTreeSpec:
     label: str
 
 
-def _generator_paths(tasks: TaskBatch, K: int) -> np.ndarray:
-    keys = np.zeros((len(tasks), K), dtype=np.int64)
-    known = min(K - 1, tasks.paths.shape[1])
-    keys[:, :known] = tasks.paths[:, :known]
-    keys[:, -1] = tasks.ids
+def _level_keys(paths: np.ndarray, K: int) -> np.ndarray:
+    """The generator tree's (n, K - 1) keys for steps 1..K-1: the first path
+    levels, then zeros below the tree's depth. Step K's key is the task id.
+    support_leaves ranks a support draw's leaves by them."""
+    keys = np.zeros((len(paths), K - 1), dtype=np.int64)
+    known = min(K - 1, paths.shape[1])
+    keys[:, :known] = paths[:, :known]
     return keys
 
 
-def shared_levels(paths: np.ndarray, path: np.ndarray) -> np.ndarray:
-    """For each row of paths, the number of leading levels it shares with path.
-
-    A followed tree_fixed adaptation gathers its step-1 cluster's rows by it,
-    most shared (deepest cluster) first, and meta-test support draws lay the
-    rows out in that order (cli._support_leaves).
-    """
+def _shared_levels(paths: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """For each row of paths, the number of leading levels it shares with path."""
     return np.cumprod(paths == path, axis=1).sum(axis=1)
 
 
-_GENERATOR = FixedTreeSpec(_generator_paths, "generator")
+def support_leaves(tree: ParameterTree, target: TaskBatch, cfg: MetaConfig):
+    """The (L,) int key of each generator leaf for the target's support draw
+    (sample_task_batch's input_leaves), or None to draw every support input.
+
+    A followed tree_fixed adaptation reads the training rows of the target's
+    step-1 cluster alone, deepest cluster first (see adapt_tree). Under the
+    generator tree no support task shares the target's last key, its id, so
+    a leaf sharing s >= 1 of the target's first K - 1 keys gets key K - 1 - s,
+    and any other leaf -1 (not read): the sampler then stores the read rows in
+    the order the adaptation gathers them. Other partition rules get None.
+    """
+    if _partition_rule(cfg, cfg.mode)[0] is not generator_hierarchy_tree():
+        return None
+    K = cfg.inner_steps
+    shared = _shared_levels(_level_keys(tree.leaf_paths, K), _level_keys(target.paths, K)[0])
+    return np.where(shared > 0, K - 1 - shared, -1)
+
+
+_GENERATOR = FixedTreeSpec(lambda t, K: np.column_stack((_level_keys(t.paths, K), t.ids)),
+                           "generator")
 _SINGLETON = FixedTreeSpec(lambda t, K: np.repeat(t.ids[:, None], K, axis=1), "singleton")
 _SINGLE_CLUSTER = FixedTreeSpec(lambda t, K: np.zeros((len(t), K), np.int64), "single-cluster")
 
@@ -314,6 +330,14 @@ def _fixed_paths(tasks: TaskBatch, cfg: MetaConfig) -> np.ndarray:
     return paths
 
 
+def _partition_rule(cfg: MetaConfig, mode: str):
+    """mode's partition rule: the fixed tree whose key paths form the clusters,
+    or None for every task its own cluster, and the number of leading steps
+    that regroup by OTD clustering instead, one per level of the learned tree."""
+    tree = cfg.fixed_tree if mode == "tree_fixed" else None
+    return tree, cfg.inner_steps - 1 if mode == "tree_learned" else 0
+
+
 def _fixed_partition(paths: np.ndarray, k: int, prev_owner: np.ndarray):
     """Step-k clusters = length-k path prefixes, numbered by first appearance.
 
@@ -359,30 +383,36 @@ def _learned_partition(G: np.ndarray, prev_owner: np.ndarray, n_prev: int,
 
 def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: str,
            follow: Optional[int] = None) -> AdaptationTrace:
-    """adapt_tree's K-step inner loop, with mode choosing the partitions and
+    """adapt_tree's K-step inner loop, with mode's partition rule chosen once and
     follow, when not None, the one task whose path is stepped."""
     m, K = len(tasks), cfg.inner_steps
-    paths = _fixed_paths(tasks, cfg) if mode == "tree_fixed" else None
-    # one clustered step per tree level below the root, then the task-specific step
-    cluster = ClusterConfig(K - 1, cfg.xi) if mode == "tree_learned" and K > 1 else None
+    fixed_tree, clustered = _partition_rule(cfg, mode)
+    paths = None if fixed_tree is None else _fixed_paths(tasks, cfg)
+    cluster = ClusterConfig(clustered, cfg.xi) if clustered else None
+    if follow is not None:
+        # The followed clusters after the clustered steps nest, so gather their
+        # training rows once, deeper clusters first: each step's members are
+        # then the first ones, and their batches views.
+        gathered = np.array([follow])
+        if paths is not None:
+            shared = _shared_levels(paths, paths[follow])
+            gathered = np.argsort(-shared, kind="stable")[:np.count_nonzero(shared)]
+        train = tasks.train.take(gathered)
     P = omega[None]  # a row per cluster, or the followed cluster's alone
     owner = np.zeros(m, dtype=np.intp)
-    stepped_all = True
-    train = None  # a followed run's first stepped members, gathered once
     trace = AdaptationTrace(omega, tasks, [], [], [], [], follow)
     for k in range(1, K + 1):
         phase = f"inner step {k}"
-        clustering = mode == "tree_learned" and k < K
-        if follow is None or clustering:
+        if follow is None or k <= clustered:
             G = _per_task(model.batch_gradient, P[owner], tasks.train)
             _require_finite(G, phase)
-        if mode == "maml" or (mode == "tree_learned" and k == K):
-            owner, parent = np.arange(m), owner
-        elif mode == "tree_fixed":
+        if k <= clustered:
+            owner, parent = _learned_partition(G, owner, len(P), cluster)
+        elif paths is not None:
             owner, parent = _fixed_partition(paths, k, owner)
         else:
-            owner, parent = _learned_partition(G, owner, len(P), cluster)
-        if follow is None or (mode == "tree_learned" and k <= K - 2):
+            owner, parent = np.arange(m), owner
+        if follow is None or k < clustered:
             # every cluster: the trace is full, or the next clustering step
             # reads the gradients at every cluster's parameters
             groups = _Groups(owner, len(parent))
@@ -392,28 +422,18 @@ def _adapt(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig, mode: st
         else:
             c = owner[follow]
             members = np.flatnonzero(owner == c)
-            p = P[parent[c]] if stepped_all else P[0]
-            if clustering:
+            n = len(members)
+            p = P[0] if len(P) == 1 else P[parent[c]]
+            if k <= clustered:
                 G_c = G[members]
             else:
-                if train is None:
-                    # The followed clusters nest, so gather these members once,
-                    # deeper clusters first: each later step's members are then
-                    # the first ones, and their batches views.
-                    gathered = members
-                    if paths is not None:
-                        shared = shared_levels(paths[members], paths[follow])
-                        gathered = members[np.argsort(-shared, kind="stable")]
-                    train = tasks.train.take(gathered)
-                G_c = _per_task(model.batch_gradient, np.repeat(p[None], len(members), axis=0),
-                                train.head(len(members)))
+                G_c = _per_task(model.batch_gradient, np.repeat(p[None], n, axis=0), train.head(n))
                 _require_finite(G_c, phase)
-                if len(members) > 1:  # back to task-row order, which the sum adds in
-                    G_c = G_c[np.argsort(gathered[:len(members)])]
+                if n > 1:  # back to task-row order, which the sum adds in
+                    G_c = G_c[np.argsort(gathered[:n])]
             # the member-order sum and the division _Groups.mean does for one cluster
-            mean = G_c.sum(axis=0) / len(members) if len(members) > 1 else G_c[0]
+            mean = G_c.sum(axis=0) / n if n > 1 else G_c[0]
             P = (p - cfg.inner_lr * mean)[None]
-            stepped_all = False
         _require_finite(P, phase)
         P.setflags(write=False)
         trace.owners.append(owner)
@@ -427,23 +447,24 @@ def adapt_tree(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig,
     """Run the K-step inner loop for a batch of tasks and record the trace.
 
     Step k takes every task's mean training gradient at its current cluster's
-    parameters in one batched call, forms the step-k partition per cfg.mode,
-    and moves each cluster from its parent's parameters by one pooled step.
+    parameters in one batched call, forms the step-k partition by the mode's
+    rule (key paths or none, plus the number of clustered steps), and moves
+    each cluster from its parent's parameters by one pooled step.
 
     follow, the row of one task in the batch, asks only for that task's
     adapted parameters (trace.followed_params). Every step still forms the
     whole partition, but takes gradients and steps clusters only where a
     later step or the followed task reads them: its own path down the tree,
-    plus, in tree_learned, every task's gradient at the clustering steps and
-    every cluster's step before the last one of them. The trace records the
+    plus every task's gradient at the clustered steps and every cluster's
+    step before the last clustered one. The trace records the
     partitions and the followed path only (see AdaptationTrace). So a
     followed tree_fixed run reads the training split of the rows in the
     followed task's step-1 cluster alone, as its later clusters nest in that
     one: the other rows' inputs and targets may hold anything, NaN included
     (meta-test sampling leaves them NaN). It still reads every row's ids and
-    paths, through cfg.fixed_tree. It gathers the rows it reads once,
-    deepest cluster first (BatchStack.take); rows that a laid-out draw
-    stores in that order come out as one view of their buffer.
+    paths, through cfg.fixed_tree. It gathers the rows it reads once, before
+    the first step, deepest cluster first (BatchStack.take); rows that a
+    laid-out draw stores in that order come out as one view of their buffer.
 
     Raises DivergenceError naming the step when a computed gradient or
     parameter goes non-finite.
@@ -453,7 +474,7 @@ def adapt_tree(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig,
         raise EmptyBatchError("adapt_tree needs a non-empty task batch")
     if len(set(tasks.ids.tolist())) != len(tasks):
         raise ValueError("task_ids in a batch must be unique")
-    if cfg.mode not in ("maml", "tree_fixed", "tree_learned"):
+    if cfg.mode not in ("maml", *SUPPORT_MODES):
         raise ConfigError(f"mode {cfg.mode!r} has no inner adaptation")
     if follow is not None and not 0 <= follow < len(tasks):
         raise ValueError(f"follow={follow} is not a row of a batch of {len(tasks)} tasks")
@@ -597,15 +618,16 @@ def adapt_and_evaluate(model, omega: np.ndarray, support: Optional[TaskBatch],
     (X, Y), = target.test.blocks
     if not Y.size:
         raise EmptyBatchError("the target's test split has no points to evaluate on")
-    if support is None and cfg.mode in ("tree_fixed", "tree_learned"):
+    with_support = cfg.mode in SUPPORT_MODES
+    if support is None and with_support:
         raise ValueError(f"mode {cfg.mode!r} adapts the target with support tasks; support is None")
     if cfg.mode != "baseline" or cfg.baseline_finetune:
         try:
-            if cfg.mode in ("maml", "baseline"):
-                trace = _adapt(model, omega, target, cfg, "maml", follow=0)
-            else:
+            if with_support:
                 joint = support + target
                 trace = adapt_tree(model, omega, joint, cfg, follow=len(joint) - 1)
+            else:
+                trace = _adapt(model, omega, target, cfg, "maml", follow=0)
         except DivergenceError as e:
             raise DivergenceError(e.what, f"eval, {e.phase}") from None
         theta = trace.followed_params

@@ -270,7 +270,7 @@ def test_skipped_support_inputs_leave_every_result(monkeypatch, spec, nan_free):
     # with one leaf or a fixed tree of its own every support input is drawn
     outcome, pairs = eval_draws(monkeypatch, spec)
     assert nan_free == all(np.isfinite(task_rows(s.train)[0]).all() for _, s in pairs)
-    monkeypatch.setattr(cli, "_support_leaves", lambda *args: None)
+    monkeypatch.setattr(cli, "support_leaves", lambda *args: None)
     full, pairs = eval_draws(monkeypatch, spec)
     assert all(np.isfinite(task_rows(s.train)[0]).all() for _, s in pairs)
     assert [r.per_task_mse for r in outcome.results] == [r.per_task_mse for r in full.results]

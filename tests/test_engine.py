@@ -145,7 +145,7 @@ def assert_laid_out(stack, keys, leaves, stored):
             assert a.strides == (0,) * a.ndim  # one value shared by every entry
 
 
-# keys per generator leaf, as cli._support_leaves gives them: a negative key
+# keys per generator leaf, as meta.support_leaves gives them: a negative key
 # is not read, and the read rows are stored in (key, row) order
 LEAF_KEYS = {
     "none": np.full(len(TREE.leaf_paths), -1),
@@ -287,9 +287,21 @@ def joint_batches(points, rng):
                     pool.train.take(alone), pool.val.take(alone), pool.test.take(alone)) + target
 
 
-@pytest.mark.parametrize("mode, points, steps", ENGINE_CASES)
-def test_followed_trace_matches_the_full_trace(mode, points, steps):
-    cfg = config(mode, points, steps=steps)
+# The engine cases under the generator tree, then the followed edge cases: at
+# 1 inner step a tree_fixed target is its own cluster from step 1, and a
+# single cluster gathers every row.
+FOLLOWED_CASES = [pytest.param(*case.values, generator_hierarchy_tree(), id=case.id)
+                  for case in ENGINE_CASES]
+FOLLOWED_CASES += [pytest.param(mode, 5, steps, generator_hierarchy_tree(),
+                                id=f"{mode}-5-{steps}steps")
+                   for mode in ("maml", "tree_fixed") for steps in (1, 2)]
+FOLLOWED_CASES += [pytest.param("tree_fixed", points, 3, tree, id=f"tree_fixed-{points}-{tree.label}")
+                   for tree in (singleton_tree(), single_cluster_tree()) for points in (5, 128)]
+
+
+@pytest.mark.parametrize("mode, points, steps, tree", FOLLOWED_CASES)
+def test_followed_trace_matches_the_full_trace(mode, points, steps, tree):
+    cfg = replace(config(mode, points, steps=steps), fixed_tree=tree)
     rng = np.random.default_rng([300, points])
     for tasks, omega in zip(joint_batches(points, rng), [*omegas(points), next(omegas(9))]):
         assert len(tasks) == M + 1
@@ -303,7 +315,7 @@ def test_followed_trace_matches_the_full_trace(mode, points, steps):
                 assert np.array_equal(parent, old)
             expected = full.params[-1][full.owners[-1][row]]
             assert np.array_equal(followed.followed_params, expected)
-    if mode == "tree_fixed":
+    if mode == "tree_fixed" and tree is generator_hierarchy_tree() and steps > 1:
         # the last batch's target shares no step-2 cluster with the support
         assert np.sum(full.owners[1] == full.owners[1][M]) == 1
 

@@ -15,6 +15,7 @@ from treemaml.meta import (
     FixedTreeSpec,
     MetaConfig,
     TreeShapeError,
+    _shared_levels,
     adapt_and_evaluate,
     adapt_tree,
     generator_hierarchy_tree,
@@ -22,7 +23,6 @@ from treemaml.meta import (
     meta_train,
     meta_validation_loss,
     outer_update,
-    shared_levels,
     single_cluster_tree,
     singleton_tree,
     stable_hash,
@@ -352,8 +352,8 @@ def test_generator_tree_partitions_coarse_to_fine():
 def test_shared_levels_counts_the_leading_levels_a_path_shares():
     paths = np.array([[1, 2, 3], [1, 2, 4], [1, 5, 3], [0, 2, 3], [1, 2, 3]])
     # a later match after a mismatch does not count
-    assert shared_levels(paths, paths[0]).tolist() == [3, 2, 1, 0, 3]
-    assert shared_levels(paths[:, :0], paths[0, :0]).tolist() == [0] * 5
+    assert _shared_levels(paths, paths[0]).tolist() == [3, 2, 1, 0, 3]
+    assert _shared_levels(paths[:, :0], paths[0, :0]).tolist() == [0] * 5
 
 
 def test_fixed_tree_wrong_path_length_raises():

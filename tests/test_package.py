@@ -19,11 +19,11 @@ PINNED = {
     "set_similarity": "perfbench/cell.py --trace wraps it, and tests/otd_reference.py calls it",
     "singleton_tree": "acceptance criterion 2 builds its fixed tree with it",
     "single_cluster_tree": "acceptance criterion 3 builds its fixed tree with it",
-    "stable_hash": "the config hash that ROADMAP item 2 writes into every output",
+    "stable_hash": "the config hash that ROADMAP item 3 writes into every output",
     "ClusterTreeNode.children": "perfbench/cell.py's clustered hook reads len(root.children), "
                                 "and tests/cluster_walk.py walks a tree with it",
     "ClusterTreeNode.member_tasks": "tests/cluster_walk.py reads each node's tasks with it",
-    "MetaConfig.describe": "the config hash that ROADMAP item 2 writes into every output",
+    "MetaConfig.describe": "the config hash that ROADMAP item 3 writes into every output",
     "LinearRegressionModel.gradient": "perfbench/cell.py's traced_model wraps it",
     "LinearRegressionModel.hessian_vector_product": "perfbench/cell.py's traced_model wraps it",
 }
