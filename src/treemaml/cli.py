@@ -59,7 +59,7 @@ class ExperimentSpec:
 
     generator: TaskGeneratorConfig
     meta: MetaConfig
-    modes: tuple[str, ...] = ("baseline", "maml", "tree_fixed", "tree_learned")
+    modes: tuple[str, ...] = MODES
     points_sweep: tuple[int, ...] = (5, 10, 20)
     meta_test_tasks: int = 400
     replicate_seeds: tuple[int, ...] = (0, 1, 2)

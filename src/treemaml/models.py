@@ -56,52 +56,44 @@ class BatchStack:
 
     blocks holds (X (k, n, d), Y (k, n)) pairs that cover the tasks in order.
     A batch sampled in one call is one block; `+` joins stacks without
-    copying. Blocks may also be views of one buffer that holds their rows in
-    another order than the tasks', as sample_task_batch lays out a draw that
-    skips inputs. Then spans, parallel to blocks, gives each block's buffer
-    pair and its first row there: (X, Y, first) for the block
-    (X[first:first + k], Y[first:first + k]). Empty spans means that each
-    block is its own buffer. take merges the views it returns that sit back
-    to back in one buffer, wherever their blocks are.
+    copying. spans, always parallel to blocks, gives each block's buffer pair
+    and its first row there: (X, Y, first) for the block (X[first:first + k],
+    Y[first:first + k]). Left out, it names each block as its own buffer,
+    (X, Y, 0); sample_task_batch names one buffer for the views of a draw
+    that it lays out for the reader, in another order than the tasks'. take
+    cuts the rows it returns by buffer pair, not by block.
     """
 
     blocks: tuple
     spans: tuple = ()
 
-    def _spans(self) -> tuple:
-        return self.spans or tuple((X, Y, 0) for X, Y in self.blocks)
+    def __post_init__(self):
+        if not self.spans:
+            object.__setattr__(self, "spans", tuple((X, Y, 0) for X, Y in self.blocks))
+        elif len(self.spans) != len(self.blocks):
+            raise ValueError(f"spans must be parallel to blocks: {len(self.spans)} spans "
+                             f"for {len(self.blocks)} blocks")
 
     def __add__(self, other: "BatchStack") -> "BatchStack":
-        spans = self._spans() + other._spans() if self.spans or other.spans else ()
-        return BatchStack(self.blocks + other.blocks, spans)
+        return BatchStack(self.blocks + other.blocks, self.spans + other.spans)
 
     def take(self, rows: np.ndarray) -> "BatchStack":
-        """The batches at rows, in that order. Each run of rows from one block
-        is a view when the rows are adjacent and ascending, else a copy; views
-        that sit back to back in one buffer are one block of the result."""
-        spans = self._spans()
-        ends = list(itertools.accumulate(len(X) for X, _ in self.blocks))
-        rows_ = rows.tolist()  # a Python walk beats numpy's per-call cost at these sizes
-        pieces = []  # [X, Y, lo, hi] of a buffer pair: views X[lo:hi], or copies X[lo] (hi None)
-        a = 0
-        while a < len(rows_):
-            r = rows_[a]
-            k = bisect.bisect_right(ends, r)
-            X, Y, first = spans[k]
-            start = ends[k] - len(self.blocks[k][0])
-            b = a + 1
-            while b < len(rows_) and start <= rows_[b] < ends[k]:
-                b += 1
-            at = first + r - start
-            if b - a > 1 and rows_[a:b] != list(range(r, r + b - a)):
-                pieces.append([X, Y, rows[a:b] + (first - start), None])
-            elif pieces and pieces[-1][0] is X and pieces[-1][3] == at:
-                pieces[-1][3] = at + b - a
+        """The batches at rows, in that order. Each run of rows held in one
+        buffer pair is one block of the result, wherever their blocks are: a
+        view when they sit there back to back and ascending, else a copy."""
+        starts = [0, *itertools.accumulate(len(X) for X, _ in self.blocks)]
+        runs = []  # (X, Y, the rows' places in X) per run of rows in one buffer pair
+        for r in rows.tolist():  # a Python walk beats numpy's per-call cost at these sizes
+            k = bisect.bisect_right(starts, r) - 1
+            X, Y, first = self.spans[k]
+            at = first + r - starts[k]
+            if runs and runs[-1][0] is X:
+                runs[-1][2].append(at)
             else:
-                pieces.append([X, Y, at, at + b - a])
-            a = b
-        return BatchStack(tuple((X[lo], Y[lo]) if hi is None else (X[lo:hi], Y[lo:hi])
-                                for X, Y, lo, hi in pieces))
+                runs.append((X, Y, [at]))
+        return BatchStack(tuple((X[at[0]:at[-1] + 1], Y[at[0]:at[-1] + 1])
+                                if at == list(range(at[0], at[0] + len(at))) else (X[at], Y[at])
+                                for X, Y, at in runs))
 
     def head(self, count: int) -> "BatchStack":
         """The first count batches, as views."""

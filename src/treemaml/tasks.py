@@ -255,8 +255,9 @@ def sample_task_batch(
     back to back in task order, and the arithmetic's first pass (the scale
     of uniform and normal) gathers them in (key, row) order into the same
     rows. The split's BatchStack is then one block per run of tasks that sit
-    back to back in that buffer, or that are skipped, and its spans say where
-    each block sits (see BatchStack). Every other array, every read row and
+    back to back in that buffer, or that are skipped, and its spans name that
+    buffer (or the NaN view) and each block's first row, so take cuts a
+    gather by buffer (see BatchStack). Every other array, every read row and
     the generator's end state are those of the full draw, bit for bit.
     Smaller tasks and any other generator draw every input, and each split
     is one block in task order, as without input_leaves.
@@ -316,7 +317,7 @@ def sample_task_batch(
         for x, y in drawn:
             rng.random(out=x[s])
             rng.standard_normal(out=y[s])
-    order = None  # order[s]: the task row moved to slot s; None while row i stays at slot i
+    order = perm = slice(None)  # slot s gets task row order[s], drawn at slot perm[s]
     if skipping:
         slot = np.array(slot)
         read = np.flatnonzero(slot >= 0)
@@ -328,14 +329,11 @@ def sample_task_batch(
         weights *= cfg.jitter_std
         weights += 0.0
         weights += leaf_centers[leaves]
-        stored_weights = weights if order is None else weights[order]
+        stored_weights = weights[order]
         for x, y in drawn:
             xr, yr = x[:count], y[:count]
             for a, scale in ((xr, cfg.input_high - cfg.input_low), (yr, cfg.noise_std)):
-                if order is None:
-                    a *= scale
-                else:
-                    np.multiply(a[perm], scale, out=a)
+                np.multiply(a[perm], scale, out=a)
             xr += cfg.input_low
             yr += 0.0
             # each stacked row's product is the one x[i] @ weights[i] gives

@@ -24,7 +24,7 @@ from treemaml.cli import (
     write_outputs,
 )
 from treemaml.clustering import ClusterConfig
-from treemaml.meta import FixedTreeSpec, MetaConfig, adapt_tree, generator_hierarchy_tree
+from treemaml.meta import MODES, FixedTreeSpec, MetaConfig, adapt_tree, generator_hierarchy_tree
 from treemaml.models import BatchStack, LinearRegressionModel
 from treemaml.numerics import confidence_halfwidth_95
 from treemaml.tasks import (
@@ -70,6 +70,7 @@ def test_spec_from_dict_applies_sections():
 def test_spec_from_dict_defaults():
     spec = spec_from_dict({"generator": {"dim": 4}, "meta": {"inner_steps": 3}})
     assert spec.modes == ("baseline", "maml", "tree_fixed", "tree_learned")
+    assert ExperimentSpec.__dataclass_fields__["modes"].default is MODES  # one list of modes
     assert spec.points_sweep == (5, 10, 20)
     assert spec.meta_test_tasks == 400
     assert spec.replicate_seeds == (0, 1, 2)

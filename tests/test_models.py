@@ -196,6 +196,7 @@ def test_batch_stack_take_merges_views_that_sit_back_to_back():
                        tuple((X, Y, at[a]) for a, _ in runs))
     other = BatchStack(((rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3))),))
     joint = stack + other
+    assert (other + stack).spans == other.spans + stack.spans
     X_all = np.concatenate((X[at], other.blocks[0][0]))  # row i task i's
     Y_all = np.concatenate((Y[at], other.blocks[0][1]))
     for rows in ([2, 5, 3, 4, 0, 1], [2, 5, 3], [5, 3, 4], [6, 2, 5, 3, 7], [0, 2], [1, 0],
@@ -215,9 +216,22 @@ def test_batch_stack_take_merges_views_that_sit_back_to_back():
     for rows in ([4, 3], [2, 2]):
         (x, _), = joint.take(np.array(rows)).blocks
         assert not np.shares_memory(x, X)
-    # rows of several blocks out of the buffer's order stay apart, in order
-    (x5, _), (x2, _) = joint.take(np.array([5, 2])).blocks
-    assert np.array_equal(x5, X[1:2]) and np.array_equal(x2, X[0:1])
+    # rows of one buffer are cut by buffer, not by block: those of several
+    # blocks out of the buffer's order, or not back to back, are one copy,
+    # in the order asked for
+    for rows, place in (([5, 2], [1, 0]), ([2, 3], [0, 2]), ([0, 2, 4], [4, 0, 3])):
+        (x, y), = joint.take(np.array(rows)).blocks
+        assert not np.shares_memory(x, X) and np.array_equal(x, X[place]), rows
+        assert np.array_equal(y, Y[place]), rows
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_batch_stack_spans_must_be_parallel_to_blocks(extra):
+    X, Y = np.zeros((4, 3, 2)), np.zeros((4, 3))
+    blocks = ((X[:2], Y[:2]), (X[2:], Y[2:]))
+    spans = ((X, Y, 0), (X, Y, 2), (X, Y, 0))[:len(blocks) + extra]
+    with pytest.raises(ValueError, match=f"{len(spans)} spans for 2 blocks"):
+        BatchStack(blocks, spans)
 
 
 def test_batch_stack_take_gathers_rows_across_blocks():
@@ -226,7 +240,10 @@ def test_batch_stack_take_gathers_rows_across_blocks():
     def stacked(run):
         return BatchStack(((np.stack([b.x for b in run]), np.stack([b.y for b in run])),))
 
-    stack = stacked(batches[:4]) + stacked(batches[4:])
+    first = stacked(batches[:4])
+    (X0, Y0), = first.blocks
+    assert first.spans == ((X0, Y0, 0),)  # a block is its own buffer
+    stack = first + stacked(batches[4:])
     for rows in ([0, 2, 5], [1, 2, 3], [4], [0, 1, 2, 3, 4, 5], [5, 0, 2], [4, 1, 2, 3]):
         taken = stack.take(np.array(rows))
         X = np.concatenate([x for x, _ in taken.blocks])
@@ -236,6 +253,6 @@ def test_batch_stack_take_gathers_rows_across_blocks():
     # adjacent rows inside one block are a view of it, not a copy
     (X, _), = stack.take(np.array([1, 2, 3])).blocks
     assert np.shares_memory(X, stack.blocks[0][0])
-    # rows keep their order: a run from one block is one block of the result
+    # rows keep their order: a run from one buffer is one block of the result
     (X4, _), (X123, _) = stack.take(np.array([4, 1, 2, 3])).blocks
     assert np.shares_memory(X4, stack.blocks[1][0]) and np.shares_memory(X123, stack.blocks[0][0])
