@@ -9,8 +9,9 @@ reads only the support tasks in the target's step-1 cluster, deepest cluster
 first. So its support draw keys each leaf by that order (meta.support_leaves,
 sample_task_batch's input_leaves): once a task has enough inputs for the
 skip to pay, the other tasks' inputs are not drawn, and their inputs and
-targets are NaN, while the read rows sit in the support's buffer in the
-order the followed adaptation reads them, which then copies none of them.
+targets are NaN, while the read rows sit in the support's buffer in one
+region per key, each in the order the followed adaptation reads them, which
+then takes one view per key and copies none of them.
 """
 
 from __future__ import annotations

@@ -139,7 +139,8 @@ def support_leaves(tree: ParameterTree, target: TaskBatch, cfg: MetaConfig):
     generator tree no support task shares the target's last key, its id, so
     a leaf sharing s >= 1 of the target's first K - 1 keys gets key K - 1 - s,
     and any other leaf -1 (not read): the sampler then stores the read rows in
-    the order the adaptation gathers them. Other partition rules get None.
+    one region per key, each in task order, the order the adaptation gathers
+    them in. Other partition rules get None.
     """
     if _partition_rule(cfg, cfg.mode)[0] is not generator_hierarchy_tree():
         return None
@@ -463,8 +464,8 @@ def adapt_tree(model, omega: np.ndarray, tasks: TaskBatch, cfg: MetaConfig,
     one: the other rows' inputs and targets may hold anything, NaN included
     (meta-test sampling leaves them NaN). It still reads every row's ids and
     paths, through cfg.fixed_tree. It gathers the rows it reads once, before
-    the first step, deepest cluster first (BatchStack.take); rows that a
-    laid-out draw stores in that order come out as one view of their buffer.
+    the first step, deepest cluster first (BatchStack.take); a laid-out draw
+    stores each key's rows in one region, so they come out as one view per key.
 
     Raises DivergenceError naming the step when a computed gradient or
     parameter goes non-finite.

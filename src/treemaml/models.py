@@ -59,9 +59,10 @@ class BatchStack:
     copying. spans, always parallel to blocks, gives each block's buffer pair
     and its first row there: (X, Y, first) for the block (X[first:first + k],
     Y[first:first + k]). Left out, it names each block as its own buffer,
-    (X, Y, 0); sample_task_batch names one buffer for the views of a draw
-    that it lays out for the reader, in another order than the tasks'. take
-    cuts the rows it returns by buffer pair, not by block.
+    (X, Y, 0); sample_task_batch names one region per key for the views of
+    a draw that it lays out for the reader, each region one view shared by
+    its blocks. take cuts the rows it returns by buffer pair, not by block,
+    so a gather of one key's rows in task order comes out as one view per key.
     """
 
     blocks: tuple

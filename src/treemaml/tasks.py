@@ -197,27 +197,33 @@ class TaskBatch:
 
 # A skipped task pays an advance per split and a round trip of the generator's
 # state, about 5 us, which is what drawing some 2,500 input values costs; its
-# row needs no fill and takes no room, but the read rows' layout costs a
-# gather. At dim 64 and 96 tasks half skipped, timed in 200 alternating pairs
-# against the full draw per size, a batch drew 49% slower at 5 points and 21%
-# slower at 20, broke even near 48 (near 40 when a skipped row was NaN-filled
-# and the rows stayed in task order), and drew 11% faster at 64 and 20% at 128.
-_MIN_SKIPPED_INPUTS = 4096
+# row needs no fill and takes no room, and a read row is drawn straight into
+# its key's region, so no pass moves it. At dim 64 and 96 tasks half skipped,
+# timed in 200 alternating pairs against the full draw per size, a batch drew
+# 26% slower at 16 points and 5% slower at 32, broke even between 36 and 40
+# (between 40 and 48 while the read rows were gathered into key order after
+# the draw), and drew 18% faster at 64 and 31% at 128.
+_MIN_SKIPPED_INPUTS = 2560
 
 
-def _laid_out_stack(x: np.ndarray, y: np.ndarray, slot: np.ndarray) -> BatchStack:
-    """The split's tasks in order, row i at x[slot[i]], y[slot[i]] or, for
-    slot -1, a NaN view: one block per run of rows back to back in x, y, or
-    of NaN rows."""
-    skip = slot < 0
-    cut = np.flatnonzero((skip[1:] != skip[:-1]) | (~skip[1:] & (np.diff(slot) != 1))) + 1
+def _laid_out_stack(x: np.ndarray, y: np.ndarray, slot: list) -> BatchStack:
+    """The split's m tasks in order, task i at row slot[i] of x, y, which hold
+    one m-row region per read key, or, for slot -1, a NaN view: one block per
+    run of tasks back to back in one region (a full region holds every task),
+    or of NaN rows. Each block's span names its region, one view shared by all
+    of that region's blocks, so take returns a region's rows as one view."""
+    m = len(slot)
+    regions = [(x[a:a + m], y[a:a + m]) for a in range(0, len(x), m)]
+    at = np.array(slot)
+    skip = at < 0
+    cut = np.flatnonzero((skip[1:] != skip[:-1]) | (~skip[1:] & (np.diff(at) != 1))) + 1
     cut = cut.tolist()
     nan = np.array(np.nan)
-    nx, ny = np.broadcast_to(nan, x.shape), np.broadcast_to(nan, y.shape)
-    at = slot.tolist()
-    spans = tuple((x, y, at[a]) if at[a] >= 0 else (nx, ny, a) for a in [0] + cut)
+    nx, ny = (np.broadcast_to(nan, (m, *a.shape[1:])) for a in (x, y))
+    spans = tuple((*regions[slot[a] // m], slot[a] % m) if slot[a] >= 0 else (nx, ny, a)
+                  for a in [0] + cut)
     return BatchStack(tuple((X[s:s + b - a], Y[s:s + b - a]) for (X, Y, s), a, b
-                            in zip(spans, [0] + cut, cut + [len(slot)])), spans)
+                            in zip(spans, [0] + cut, cut + [m])), spans)
 
 
 def sample_task_batch(
@@ -235,12 +241,12 @@ def sample_task_batch(
     Each task draws a uniform leaf, jittered weights, then its train, val and
     test splits, so replaying a seeded generator replays the exact batch. The
     draw loop makes only the RNG calls, task by task, each straight into its
-    row of one (m, n, dim) input and one (m, n) target array per split, each
-    a contiguous block of one buffer for the batch; a zero-size split draws
-    nothing. The arithmetic then runs once on the stored rows of each split
-    in place, giving what uniform(low, high) and normal(0, std) would have,
-    bit for bit, and the arrays are frozen. Raises ConfigError when the
-    drawn weights or targets overflow.
+    row of one (m, n, dim) input and one (m, n) target array per split (one
+    region per key below), each a contiguous block of one buffer for the
+    batch; a zero-size split draws nothing. The arithmetic then runs once on
+    the stored rows of each split in place, giving what uniform(low, high)
+    and normal(0, std) would have, bit for bit, and the arrays are frozen.
+    Raises ConfigError when the drawn weights or targets overflow.
 
     input_leaves, an (L,) int array, gives each generator leaf a key for the
     reader of the inputs; a task on a leaf with a negative key is not read.
@@ -250,15 +256,19 @@ def sample_task_batch(
     the 32-bit half PCG64 buffers for integers, so the sampler puts that half
     back. Such a row takes no room and no arithmetic: its inputs and targets
     are a read-only NaN view that owns no memory, so a read of them cannot
-    pass for data. The read rows are laid out for the reader: each split's
-    buffer holds them back to back in (key, row) order. The draw writes them
-    back to back in task order, and the arithmetic's first pass (the scale
-    of uniform and normal) gathers them in (key, row) order into the same
-    rows. The split's BatchStack is then one block per run of tasks that sit
-    back to back in that buffer, or that are skipped, and its spans name that
-    buffer (or the NaN view) and each block's first row, so take cuts a
-    gather by buffer (see BatchStack). Every other array, every read row and
-    the generator's end state are those of the full draw, bit for bit.
+    pass for data. The read rows are laid out for the reader, one region per
+    key: each split's block of the buffer holds an m-row region for each key
+    that input_leaves reads, in ascending key order, and the draw writes each
+    read task's rows at the next free row of its key's region, so a region
+    holds its key's rows back to back in task order. A region is indexed by
+    its key's rank among the read keys, so gaps between keys take no room.
+    The arithmetic then runs in place on each region's rows. The split's
+    BatchStack is one block per run of tasks that sit back to back in one
+    region, or that are skipped, and its spans name the region (one view,
+    shared by all of its blocks; or the NaN view) and each block's first row
+    there, so take returns a gather of one key's rows in task order as one
+    view per key (see BatchStack). Every other array, every read row and the
+    generator's end state are those of the full draw, bit for bit.
     Smaller tasks and any other generator draw every input, and each split
     is one block in task order, as without input_leaves.
     """
@@ -267,78 +277,84 @@ def sample_task_batch(
     if n_train < 0 or n_val < 0 or n_test < 0:
         raise ConfigError("split sizes must be non-negative")
     L = len(tree.leaf_paths)
-    if input_leaves is not None and (np.shape(input_leaves) != (L,)
-                                     or np.asarray(input_leaves).dtype.kind not in "iu"):
-        raise ValueError(f"input_leaves must have one entry per leaf, an int key, shape "
-                         f"({L},), not {np.asarray(input_leaves).dtype} of shape "
-                         f"{np.shape(input_leaves)}")
+    if input_leaves is not None:
+        input_leaves = np.asarray(input_leaves)
+        if input_leaves.shape != (L,) or input_leaves.dtype.kind not in "iu":
+            raise ValueError(f"input_leaves must have one entry per leaf, an int key, shape "
+                             f"({L},), not {input_leaves.dtype} of shape {input_leaves.shape}")
     cfg = tree.config
+    skipping = (input_leaves is not None and type(rng.bit_generator) is np.random.PCG64
+                and (n_train + n_val + n_test) * cfg.dim >= _MIN_SKIPPED_INPUTS)
+    # Each read key, in ascending order, has an m-row region of every drawn
+    # split, and members[r] lists region r's tasks in task order, the order
+    # of its rows; a draw that reads every task has one region, the tasks'.
+    members = [slice(None)]
+    if skipping:
+        key_of = input_leaves.tolist()
+        keys = sorted({k for k in key_of if k >= 0})
+        region_of = [keys.index(k) if k >= 0 else -1 for k in key_of]
+        members = [[] for _ in keys]
+        sink = np.empty(max(n_train, n_val, n_test))  # a skipped row's noise
+    room = len(members) * m
     # One buffer each for the inputs and targets of all splits: glibc's malloc
     # keeps a freed batch for the next one, where a block per split reached
     # its trim threshold, went back to the kernel and was faulted in again.
-    inputs = np.empty((m * (n_train + n_val + n_test), cfg.dim))
+    inputs = np.empty((room * (n_train + n_val + n_test), cfg.dim))
     targets = np.empty(len(inputs))
     splits, a = [], 0
     for n in (n_train, n_val, n_test):
-        splits.append((inputs[a:a + m * n].reshape(m, n, cfg.dim),
-                       targets[a:a + m * n].reshape(m, n)))
-        a += m * n
+        k = room if n else m  # a zero-size split is m empty rows
+        splits.append((inputs[a:a + k * n].reshape(k, n, cfg.dim),
+                       targets[a:a + k * n].reshape(k, n)))
+        a += k * n
     drawn = [(x, y) for x, y in splits if y.shape[1]]
     weights = np.empty((m, cfg.dim))
     leaves = np.empty(m, dtype=np.intp)
     leaf_centers = tree.centers[-L:]
-    skipping = (input_leaves is not None and type(rng.bit_generator) is np.random.PCG64
-                and (n_train + n_val + n_test) * cfg.dim >= _MIN_SKIPPED_INPUTS)
-    # Row i of each split is drawn into slot[i] there: the read rows back to
-    # back in task order, a skipped one nowhere (-1)
-    slot, count = list(range(m)), m
-    if skipping:
-        key_of = np.asarray(input_leaves).tolist()
-        count = 0
-        sink = np.empty(max(n_train, n_val, n_test))  # a skipped row's noise
+    # Task i is drawn into row slot[i] of each split: the next free row of its
+    # key's region, or nowhere (-1) if skipped
+    slot = list(range(m))
     # the RNG stream, task by task in this order; each y row holds noise for now
     for i in range(m):
         leaf = leaves[i] = rng.integers(L)
         rng.standard_normal(out=weights[i])
         if skipping:
-            if key_of[leaf] < 0:
+            r = region_of[leaf]
+            if r < 0:
                 slot[i] = -1
                 bits = rng.bit_generator
                 before = bits.state
                 for x, y in drawn:
-                    bits.advance(x[i].size)  # what random(out=x[i]) consumes
+                    bits.advance(y.shape[1] * cfg.dim)  # what random(out=x[s]) consumes
                     rng.standard_normal(out=sink[:y.shape[1]])
                 bits.state = {**bits.state, "has_uint32": before["has_uint32"],
                               "uinteger": before["uinteger"]}
                 continue
-            slot[i] = count
-            count += 1
+            slot[i] = r * m + len(members[r])
+            members[r].append(i)
         s = slot[i]
         for x, y in drawn:
             rng.random(out=x[s])
             rng.standard_normal(out=y[s])
-    order = perm = slice(None)  # slot s gets task row order[s], drawn at slot perm[s]
-    if skipping:
-        slot = np.array(slot)
-        read = np.flatnonzero(slot >= 0)
-        perm = np.argsort(np.asarray(input_leaves)[leaves[read]], kind="stable")
-        order = read[perm]
-        slot[order] = np.arange(count)
+    stored = []  # the drawn rows of each region and split
     with np.errstate(over="ignore", invalid="ignore"):
         # normal(0, s) is 0.0 + s * z, and uniform(low, high) is low + (high - low) * u
         weights *= cfg.jitter_std
         weights += 0.0
         weights += leaf_centers[leaves]
-        stored_weights = weights[order]
-        for x, y in drawn:
-            xr, yr = x[:count], y[:count]
-            for a, scale in ((xr, cfg.input_high - cfg.input_low), (yr, cfg.noise_std)):
-                np.multiply(a[perm], scale, out=a)
-            xr += cfg.input_low
-            yr += 0.0
-            # each stacked row's product is the one x[i] @ weights[i] gives
-            yr += np.matmul(xr, stored_weights[:, :, None])[..., 0]
-    if not (np.isfinite(weights).all() and all(np.isfinite(y[:count]).all() for _, y in drawn)):
+        for r, tasks in enumerate(members):
+            region_weights = weights[tasks]
+            rows = slice(r * m, r * m + len(region_weights))
+            for x, y in drawn:
+                xr, yr = x[rows], y[rows]
+                xr *= cfg.input_high - cfg.input_low
+                yr *= cfg.noise_std
+                xr += cfg.input_low
+                yr += 0.0
+                # each stacked row's product is the one x[i] @ weights[i] gives
+                yr += np.matmul(xr, region_weights[:, :, None])[..., 0]
+                stored.append(yr)
+    if not (np.isfinite(weights).all() and all(np.isfinite(y).all() for y in stored)):
         raise ConfigError(
             f"sampled task weights or targets overflow; task_jitter {cfg.jitter_std}, "
             f"level_scales {list(cfg.level_scales)} or noise_std {cfg.noise_std} are too large"

@@ -208,8 +208,8 @@ def test_run_experiment_covers_the_grid():
 
 
 def tree_fixed_spec(steps=3, **generator):
-    """A small tree_fixed spec whose support batches span every leaf, with the
-    4096 input values per task at which the sampler starts to skip inputs."""
+    """A small tree_fixed spec whose support batches span every leaf, with
+    4096 input values per task, enough for the sampler to skip inputs."""
     d = small_dict(modes=["tree_fixed"], meta_test_tasks=6, points_sweep=[64])
     d["generator"].update(dim=64, **generator)
     d["meta"].update(inner_steps=steps, tasks_per_batch=12)
@@ -279,9 +279,9 @@ def test_skipped_support_inputs_leave_every_result(monkeypatch, spec, nan_free):
 
 @pytest.mark.parametrize("steps", [2, 3])
 def test_followed_eval_reads_the_support_rows_in_place(monkeypatch, steps):
-    # the support's read rows sit in its buffer in the order the followed
-    # adaptation gathers them, so its one take returns the target's row and
-    # one view of that buffer, and copies nothing
+    # the support's read rows sit in one region of its buffer per key, each
+    # in the order the followed adaptation gathers them, so its one take
+    # returns the target's row and one view per key present, and copies nothing
     takes, supports = [], []
     take, adapt = BatchStack.take, cli.adapt_and_evaluate
 
@@ -300,14 +300,17 @@ def test_followed_eval_reads_the_support_rows_in_place(monkeypatch, steps):
     assert not outcome.failures
     assert len(takes) == len(supports) == 6
     for taken, support in zip(takes, supports):
-        # the buffer pair of the read rows; a skipped run's pair is a NaN view
-        X_buffer, Y_buffer, _ = next(span for span in support.train.spans if span[0].strides[0])
+        # the regions of the read rows, in key order; a skipped run's pair is a NaN view
+        regions = list({id(X): (X, Y) for X, Y, _ in support.train.spans if X.strides[0]}.values())
+        regions.sort(key=lambda region: region[0].__array_interface__["data"][0])
         (X_target, _), *rest = taken.blocks
-        assert not np.shares_memory(X_target, X_buffer)
-        assert len(rest) == 1, "the support's rows came out as more than one view"
-        (X, Y), = rest
-        assert X.base is X_buffer.base and Y.base is Y_buffer.base
+        assert not np.shares_memory(X_target, regions[0][0].base)
+        assert len(rest) == len(regions), "the support's rows came out as not one view per key"
+        for (X, Y), (X_region, Y_region) in zip(rest, regions):
+            assert X.base is X_region.base and Y.base is Y_region.base
+            assert np.shares_memory(X, X_region) and np.shares_memory(Y, Y_region)
     assert any(len(t.blocks[1][0]) > 1 for t in takes)
+    assert max(len(t.blocks) for t in takes) == steps
 
 
 def test_run_experiment_is_deterministic():

@@ -21,6 +21,7 @@ cluster path, the meta-loss is quadratic in omega, and its gradient is
 """
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -125,20 +126,28 @@ def row_addresses(stack):
             for X, _ in stack.blocks for j in range(len(X))]
 
 
-def assert_laid_out(stack, keys, leaves, stored):
-    """The stored rows (an (m,) bool mask) sit back to back from the split's
-    start, read rows by (key, row) and then unread ones by row; every other
-    row is a read-only NaN view that owns no memory."""
+def assert_laid_out(stack, keys, leaves, read):
+    """Each read row (an (m,) bool mask) lies in its key's region: the split's
+    buffer holds one m-row region per key that keys reads, in ascending key
+    order, each one view that every block of its rows names in its span, and
+    the rows of a key sit back to back from its region's first row in task
+    order. Every other row is a read-only NaN view that owns no memory."""
+    m = len(leaves)
+    rank = np.searchsorted(np.unique(keys[keys >= 0]), keys[leaves])
     addresses = np.array(row_addresses(stack))
-    rows = np.flatnonzero(stored)
-    rank = np.where(keys[leaves] < 0, len(keys), keys[leaves])
-    expected = rows[np.argsort(rank[rows], kind="stable")]
+    regions = [span[0] for (X, _), span in zip(stack.blocks, stack.spans) for _ in range(len(X))]
     row_bytes = stack.blocks[0][0][0].nbytes
-    if len(rows):
-        assert np.array_equal(np.argsort(addresses[rows]), np.searchsorted(rows, expected))
-        assert np.array_equal(np.diff(np.sort(addresses[rows])), np.full(len(rows) - 1, row_bytes))
+    firsts = {}  # rank -> its region's first address
+    for r in np.unique(rank[read]).tolist():
+        rows = np.flatnonzero(read & (rank == r))
+        region, = {id(regions[i]): regions[i] for i in rows}.values()
+        assert len(region) == m
+        firsts[r] = region.__array_interface__["data"][0]
+        assert np.array_equal(addresses[rows], firsts[r] + row_bytes * np.arange(len(rows)))
+    for r, first in firsts.items():  # the regions follow each other by rank
+        assert first - firsts[min(firsts)] == (r - min(firsts)) * m * row_bytes
     skipped = [(X, Y) for X, Y in stack.blocks if not X.strides[0]]
-    assert sum(len(X) for X, _ in skipped) == np.sum(~stored)
+    assert sum(len(X) for X, _ in skipped) == np.sum(~read)
     for X, Y in skipped:
         for a in (X, Y):
             assert np.isnan(a).all() and not a.flags.writeable and not a.flags.owndata
@@ -146,7 +155,7 @@ def assert_laid_out(stack, keys, leaves, stored):
 
 
 # keys per generator leaf, as meta.support_leaves gives them: a negative key
-# is not read, and the read rows are stored in (key, row) order
+# is not read, and the read rows are stored in one region per key
 LEAF_KEYS = {
     "none": np.full(len(TREE.leaf_paths), -1),
     "all": np.array([1, 0, 2, 0]),
@@ -189,10 +198,48 @@ def test_skipped_inputs_leave_the_per_task_sampler_draws(monkeypatch, m, n_train
         assert new_rng.bit_generator.state == rng.bit_generator.state, (seed, keys_name, buffered)
 
 
+def test_a_skipping_draw_copies_none_of_its_read_rows():
+    # each read row is drawn into its key's region and the arithmetic runs
+    # there in place, so no pass makes room for the read rows a second time
+    keys, n = np.array([0, 1, -1, -1]), 128
+    assert n * DIM >= treemaml.tasks._MIN_SKIPPED_INPUTS
+    tracemalloc.start()
+    try:
+        batch = sample_task_batch(TREE, M, np.random.default_rng(1), n, 0, input_leaves=keys)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    read = keys[batch.leaves] >= 0
+    assert 0 < read.sum() < M
+    read_bytes = read.sum() * n * DIM * 8  # the read rows' inputs alone
+    assert peak - held < read_bytes / 10, (peak - held, read_bytes)
+
+
+def test_keys_with_gaps_draw_as_their_dense_ranking():
+    # a region is indexed by its key's rank among the read keys: key 7 takes
+    # the second region, as key 1 does, and the buffer holds two, not eight
+    n, dense, gaps = 128, np.array([0, 1, -1, -1]), np.array([0, 7, -1, -1])
+    for seed in range(3):
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        a, b = (sample_task_batch(TREE, M, rng, n, 0, input_leaves=keys)
+                for rng, keys in zip(rngs, (dense, gaps)))
+        for name in TaskBatch._ARRAYS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for x, y in zip(task_rows(a.train), task_rows(b.train)):
+            assert x.tobytes() == y.tobytes()  # the read rows and the NaN of the rest
+        blocks = [[(len(X), X.strides[0] == 0) for X, _ in batch.train.blocks] for batch in (a, b)]
+        assert blocks[0] == blocks[1]
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        for batch, keys in ((a, dense), (b, gaps)):
+            assert_laid_out(batch.train, keys, batch.leaves, keys[batch.leaves] >= 0)
+            X, Y, _ = next(span for span in batch.train.spans if span[0].strides[0])
+            assert (X.base.nbytes, Y.base.nbytes) == (2 * M * n * DIM * 8, 2 * M * n * 8)
+
+
 @pytest.mark.parametrize("bit_generator, n_train, n_val", [
     (np.random.MT19937, 128, 0),  # advance() skips PCG64 draws alone
     (np.random.PCG64, 5, 5),  # the skip would cost more than the draws
-    (np.random.PCG64, 31, 32),  # one point short of the skip
+    (np.random.PCG64, 19, 20),  # one point short of the skip
 ])
 def test_tasks_that_do_not_skip_draw_every_input(bit_generator, n_train, n_val):
     # they draw every input, and each split stays one block in task order
